@@ -31,7 +31,7 @@ using tabsketch::core::DistanceEstimator;
 using tabsketch::core::EstimatorKind;
 using tabsketch::core::LpDistance;
 using tabsketch::core::Sketch;
-using tabsketch::core::SketchAllTiles;
+using tabsketch::core::SketchAllTilesParallel;
 using tabsketch::core::Sketcher;
 using tabsketch::core::SketchParams;
 
@@ -46,7 +46,7 @@ void AccuracyAndCost(const tabsketch::table::TileGrid& grid,
     std::fprintf(stderr, "setup failed\n");
     return;
   }
-  const std::vector<Sketch> sketches = SketchAllTiles(*sketcher, grid);
+  const std::vector<Sketch> sketches = SketchAllTilesParallel(*sketcher, grid);
 
   tabsketch::rng::Xoshiro256 gen(777);
   std::vector<double> exact(kNumPairs), approx(kNumPairs);

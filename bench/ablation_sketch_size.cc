@@ -27,7 +27,7 @@ namespace {
 using tabsketch::core::DistanceEstimator;
 using tabsketch::core::LpDistance;
 using tabsketch::core::Sketch;
-using tabsketch::core::SketchAllTiles;
+using tabsketch::core::SketchAllTilesParallel;
 using tabsketch::core::Sketcher;
 using tabsketch::core::SketchParams;
 
@@ -88,7 +88,8 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "setup failed\n");
         return 1;
       }
-      const std::vector<Sketch> sketches = SketchAllTiles(*sketcher, *grid);
+      const std::vector<Sketch> sketches =
+          SketchAllTilesParallel(*sketcher, *grid);
 
       std::vector<double> approx_xy(kNumPairs), approx_xz(kNumPairs);
       std::vector<double> scratch;

@@ -47,7 +47,7 @@ int main() {
 
   util::WallTimer prep_timer;
   const std::vector<core::Sketch> sketches =
-      core::SketchAllTiles(*sketcher, *grid);
+      core::SketchAllTilesParallel(*sketcher, *grid);
   std::printf("%zu tiles of %zu values, sketched (k = %zu) in %.2fs\n\n",
               grid->num_tiles(), grid->tile_size(), params.k,
               prep_timer.ElapsedSeconds());

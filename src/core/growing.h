@@ -20,8 +20,8 @@ namespace tabsketch::core {
 /// sketches are deterministic functions of tile content and the tile grid
 /// is anchored at the window's first column (retirement only removes whole
 /// tile columns, so surviving tile boundaries never shift), the window's
-/// sketches are byte-identical to a batch SketchAllTiles over the same
-/// region — the invariant the streaming serve path builds on.
+/// sketches are byte-identical to a batch SketchAllTilesParallel over the
+/// same region — the invariant the streaming serve path builds on.
 ///
 /// Tiles are the cells of the fixed tile_rows x tile_cols grid over the
 /// current window; columns that do not yet fill a whole tile column stay
@@ -70,8 +70,8 @@ class GrowingTableSketcher {
   const Sketch& TileSketch(size_t grid_row, size_t grid_col) const;
 
   /// All completed tile sketches in TileGrid row-major order (tile index =
-  /// grid_row * grid_cols() + grid_col), matching what SketchAllTiles over
-  /// the completed window region would produce.
+  /// grid_row * grid_cols() + grid_col), matching what
+  /// SketchAllTilesParallel over the completed window region would produce.
   std::vector<Sketch> SketchesInGridOrder() const;
 
   /// Same order, but sharing ownership of the stored sketches — successor

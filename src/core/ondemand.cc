@@ -52,16 +52,6 @@ void OnDemandSketchCache::Clear() {
   hits_.store(0, std::memory_order_relaxed);
 }
 
-std::vector<Sketch> SketchAllTiles(const Sketcher& sketcher,
-                                   const table::TileGrid& grid) {
-  std::vector<Sketch> out;
-  out.reserve(grid.num_tiles());
-  for (size_t t = 0; t < grid.num_tiles(); ++t) {
-    out.push_back(sketcher.SketchOf(grid.Tile(t)));
-  }
-  return out;
-}
-
 std::vector<Sketch> SketchAllTilesParallel(const Sketcher& sketcher,
                                            const table::TileGrid& grid,
                                            size_t threads) {

@@ -78,16 +78,12 @@ class OnDemandSketchCache : public TileSketchCache {
 };
 
 /// Eagerly sketches every tile of `grid` — the paper's scenario (1), where
-/// sketch construction is a separately-timed preprocessing phase.
-std::vector<Sketch> SketchAllTiles(const Sketcher& sketcher,
-                                   const table::TileGrid& grid);
-
-/// SketchAllTiles distributed over `threads` worker threads (tiles are
-/// independent and Sketcher is thread-safe). Identical output to the
-/// sequential version for any thread count.
+/// sketch construction is a separately-timed preprocessing phase — over
+/// `threads` worker threads (tiles are independent and Sketcher is
+/// thread-safe). Identical output for any thread count.
 std::vector<Sketch> SketchAllTilesParallel(const Sketcher& sketcher,
                                            const table::TileGrid& grid,
-                                           size_t threads);
+                                           size_t threads = 1);
 
 }  // namespace tabsketch::core
 

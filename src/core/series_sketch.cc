@@ -1,227 +1,86 @@
 #include "core/series_sketch.h"
 
-#include <memory>
-#include <mutex>
+#include <bit>
 #include <sstream>
 #include <utility>
 
-#include "core/stable_matrix.h"
-#include "fft/correlate1d.h"
+#include "table/matrix.h"
 #include "util/logging.h"
 
 namespace tabsketch::core {
+namespace {
 
-SeriesSketchField::SeriesSketchField(size_t window,
-                                     std::vector<std::vector<double>> planes)
-    : window_(window), planes_(std::move(planes)) {
-  TABSKETCH_CHECK(!planes_.empty()) << "series field needs >= 1 plane";
-  for (const auto& plane : planes_) {
-    TABSKETCH_CHECK(plane.size() == planes_.front().size())
-        << "series field planes must share length";
-  }
+/// The series as a 1 x n table. The copy is O(n), next to the k
+/// correlations it feeds.
+table::Matrix AsRow(std::span<const double> series) {
+  return table::Matrix(1, series.size(),
+                       std::vector<double>(series.begin(), series.end()));
+}
+
+}  // namespace
+
+SeriesSketchField::SeriesSketchField(SketchField field)
+    : field_(std::move(field)) {
+  TABSKETCH_CHECK(field_.window_rows() == 1 && field_.position_rows() == 1)
+      << "a series field is one row of 1 x window sketches";
 }
 
 Sketch SeriesSketchField::SketchAt(size_t pos) const {
   TABSKETCH_CHECK(pos < positions()) << pos << " out of " << positions();
-  Sketch out;
-  out.values.resize(planes_.size());
-  for (size_t i = 0; i < planes_.size(); ++i) {
-    out.values[i] = planes_[i][pos];
-  }
-  return out;
+  return field_.SketchAt(0, pos);
 }
 
 void SeriesSketchField::AccumulateAt(size_t pos, Sketch* sum) const {
   TABSKETCH_CHECK(pos < positions()) << pos << " out of " << positions();
-  TABSKETCH_CHECK(sum->values.size() == planes_.size());
-  for (size_t i = 0; i < planes_.size(); ++i) {
-    sum->values[i] += planes_[i][pos];
-  }
+  field_.AccumulateAt(0, pos, sum);
 }
-
-struct SeriesSketcher::VectorCache {
-  std::mutex mutex;
-  std::map<size_t, std::shared_ptr<const std::vector<std::vector<double>>>>
-      entries;
-  std::map<size_t, std::shared_ptr<const std::vector<SparseKernel>>>
-      sparse_entries;
-};
 
 util::Result<SeriesSketcher> SeriesSketcher::Create(
     const SketchParams& params) {
-  TABSKETCH_RETURN_IF_ERROR(params.Validate());
-  return SeriesSketcher(params);
+  TABSKETCH_ASSIGN_OR_RETURN(Sketcher sketcher, Sketcher::Create(params));
+  return SeriesSketcher(std::move(sketcher));
 }
 
-SeriesSketcher::SeriesSketcher(const SketchParams& params)
-    : params_(params), cache_(std::make_shared<VectorCache>()) {}
-
-const std::vector<std::vector<double>>& SeriesSketcher::VectorsFor(
-    size_t window) const {
-  {
-    std::lock_guard<std::mutex> lock(cache_->mutex);
-    auto it = cache_->entries.find(window);
-    if (it != cache_->entries.end()) return *it->second;
-  }
-  // Identical values to the 2-D family's 1 x window matrices: the shared
-  // StableEntry derivation keys on (seed, index, rows=1, cols=window).
-  auto generated =
-      std::make_shared<std::vector<std::vector<double>>>(params_.k);
-  for (size_t i = 0; i < params_.k; ++i) {
-    (*generated)[i].resize(window);
-    for (size_t c = 0; c < window; ++c) {
-      (*generated)[i][c] = StableEntry(params_, i, 1, window, 0, c);
-    }
-  }
-  std::lock_guard<std::mutex> lock(cache_->mutex);
-  auto it = cache_->entries
-                .emplace(window, std::shared_ptr<
-                                     const std::vector<std::vector<double>>>(
-                                     std::move(generated)))
-                .first;
-  return *it->second;
-}
-
-const std::vector<SparseKernel>& SeriesSketcher::SparseKernelsFor(
-    size_t window) const {
-  {
-    std::lock_guard<std::mutex> lock(cache_->mutex);
-    auto it = cache_->sparse_entries.find(window);
-    if (it != cache_->sparse_entries.end()) return *it->second;
-  }
-  auto generated = std::make_shared<const std::vector<SparseKernel>>(
-      SparseStableKernels(params_, 1, window));
-  std::lock_guard<std::mutex> lock(cache_->mutex);
-  auto it =
-      cache_->sparse_entries.emplace(window, std::move(generated)).first;
-  return *it->second;
-}
+SeriesSketcher::SeriesSketcher(Sketcher sketcher)
+    : sketcher_(std::move(sketcher)) {}
 
 Sketch SeriesSketcher::SketchOf(std::span<const double> window) const {
-  TABSKETCH_CHECK(!window.empty()) << "cannot sketch an empty window";
-  Sketch out;
-  out.values.resize(params_.k);
-  if (params_.sparsity < 1.0) {
-    // O(nnz) support walk, bit-identical to the dense loop below (the
-    // skipped products are exact zeros).
-    const auto& kernels = SparseKernelsFor(window.size());
-    for (size_t i = 0; i < params_.k; ++i) {
-      const SparseKernel& kernel = kernels[i];
-      double acc = 0.0;
-      for (size_t e = 0; e < kernel.nnz(); ++e) {
-        acc += window[kernel.entry_cols[e]] * kernel.values[e];
-      }
-      out.values[i] = acc;
-    }
-    return out;
-  }
-  const auto& vectors = VectorsFor(window.size());
-  for (size_t i = 0; i < params_.k; ++i) {
-    double acc = 0.0;
-    const std::vector<double>& random = vectors[i];
-    for (size_t c = 0; c < window.size(); ++c) {
-      acc += window[c] * random[c];
-    }
-    out.values[i] = acc;
-  }
-  return out;
+  return sketcher_.SketchOf(
+      table::TableView(window.data(), 1, window.size(), window.size()));
 }
 
 util::Result<SeriesSketchField> SeriesSketcher::SketchAllPositions(
     std::span<const double> series, size_t window,
     SketchAlgorithm algorithm) const {
-  if (window < 1 || window > series.size()) {
-    std::ostringstream msg;
-    msg << "window length " << window << " does not fit the series of "
-        << series.size() << " samples: it must be between 1 and the "
-        << "series length";
-    return util::Status::InvalidArgument(msg.str());
-  }
-  std::vector<std::vector<double>> planes;
-  planes.reserve(params_.k);
-  if (algorithm == SketchAlgorithm::kAuto && params_.sparsity < 1.0) {
-    // 1-D analog of the 2-D auto path: each kernel independently picks the
-    // shared-plan FFT or the O(nnz) direct walk by predicted cost.
-    const auto& kernels = SparseKernelsFor(window);
-    const auto& vectors = VectorsFor(window);
-    const size_t positions = series.size() - window + 1;
-    std::unique_ptr<fft::CorrelationPlan1D> plan;
-    for (size_t i = 0; i < params_.k; ++i) {
-      if (PreferSparsePath(kernels[i].nnz(), positions, 1, series.size())) {
-        planes.push_back(CrossCorrelateSparse1D(series, kernels[i]));
-      } else {
-        if (!plan) plan = std::make_unique<fft::CorrelationPlan1D>(series);
-        planes.push_back(plan->Correlate(vectors[i]));
-      }
-    }
-  } else if (algorithm == SketchAlgorithm::kNaive) {
-    const auto& vectors = VectorsFor(window);
-    for (size_t i = 0; i < params_.k; ++i) {
-      planes.push_back(fft::CrossCorrelateNaive1D(series, vectors[i]));
-    }
-  } else {
-    const auto& vectors = VectorsFor(window);
-    fft::CorrelationPlan1D plan(series);
-    for (size_t i = 0; i < params_.k; ++i) {
-      planes.push_back(plan.Correlate(vectors[i]));
-    }
-  }
-  return SeriesSketchField(window, std::move(planes));
+  TABSKETCH_ASSIGN_OR_RETURN(
+      SketchField field,
+      sketcher_.SketchAllPositions(AsRow(series), 1, window, algorithm));
+  return SeriesSketchField(std::move(field));
 }
 
-SeriesSketchPool::SeriesSketchPool(const SketchParams& params,
-                                   size_t series_length)
-    : params_(params), series_length_(series_length) {}
+SeriesSketchPool::SeriesSketchPool(SketchPool pool) : pool_(std::move(pool)) {}
 
 util::Result<SeriesSketchPool> SeriesSketchPool::Build(
     std::span<const double> series, const SketchParams& params,
     const Options& options) {
-  TABSKETCH_RETURN_IF_ERROR(params.Validate());
-  if (series.empty()) {
-    return util::Status::InvalidArgument(
-        "cannot build a pool over an empty series");
-  }
-  TABSKETCH_ASSIGN_OR_RETURN(SeriesSketcher sketcher,
-                             SeriesSketcher::Create(params));
-  SeriesSketchPool pool(params, series.size());
-  for (size_t i = options.log2_min;
-       i <= options.log2_max &&
-       (static_cast<size_t>(1) << i) <= series.size();
-       ++i) {
-    const size_t window = static_cast<size_t>(1) << i;
-    TABSKETCH_ASSIGN_OR_RETURN(
-        SeriesSketchField field,
-        sketcher.SketchAllPositions(series, window, options.algorithm));
-    pool.fields_.emplace(window, std::move(field));
-  }
-  if (pool.fields_.empty()) {
-    return util::Status::InvalidArgument(
-        "no canonical dyadic length fits the series under the options");
-  }
-  return pool;
+  PoolOptions pool_options;
+  pool_options.log2_min_rows = 0;
+  pool_options.log2_max_rows = 0;
+  pool_options.log2_min_cols = options.log2_min;
+  pool_options.log2_max_cols = options.log2_max;
+  TABSKETCH_ASSIGN_OR_RETURN(
+      SketchPool pool, SketchPool::Build(AsRow(series), params, pool_options));
+  return SeriesSketchPool(std::move(pool));
 }
 
 std::vector<size_t> SeriesSketchPool::CanonicalLengths() const {
   std::vector<size_t> out;
-  out.reserve(fields_.size());
-  for (const auto& entry : fields_) out.push_back(entry.first);
+  for (const auto& [rows, cols] : pool_.CanonicalSizes()) out.push_back(cols);
   return out;
 }
 
-namespace {
-
-size_t LargestPowerOfTwoAtMost(size_t n) {
-  TABSKETCH_CHECK(n >= 1);
-  size_t p = 1;
-  while ((p << 1) <= n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 bool SeriesSketchPool::Covers(size_t length) const {
-  if (length == 0) return false;
-  return fields_.count(LargestPowerOfTwoAtMost(length)) > 0;
+  return pool_.Covers(1, length);
 }
 
 util::Result<Sketch> SeriesSketchPool::Query(size_t start,
@@ -229,38 +88,29 @@ util::Result<Sketch> SeriesSketchPool::Query(size_t start,
   if (length == 0) {
     return util::Status::InvalidArgument("query window must be non-empty");
   }
-  if (start + length > series_length_) {
+  if (start + length > series_length()) {
     std::ostringstream msg;
     msg << "query [" << start << ", " << start + length
-        << ") exceeds series length " << series_length_;
+        << ") exceeds series length " << series_length();
     return util::Status::OutOfRange(msg.str());
   }
-  const size_t a = LargestPowerOfTwoAtMost(length);
-  auto it = fields_.find(a);
-  if (it == fields_.end()) {
+  const size_t a = std::bit_floor(length);
+  auto it = pool_.fields().find({1, a});
+  if (it == pool_.fields().end()) {
     std::ostringstream msg;
     msg << "canonical length " << a << " not in pool";
     return util::Status::NotFound(msg.str());
   }
   Sketch sum;
-  sum.values.assign(params_.k, 0.0);
-  it->second.AccumulateAt(start, &sum);
-  it->second.AccumulateAt(start + length - a, &sum);
+  sum.values.assign(params().k, 0.0);
+  it->second.AccumulateAt(0, start, &sum);
+  it->second.AccumulateAt(0, start + length - a, &sum);
   return sum;
 }
 
 util::Result<Sketch> SeriesSketchPool::CanonicalSketchAt(
     size_t start, size_t length) const {
-  auto it = fields_.find(length);
-  if (it == fields_.end()) {
-    std::ostringstream msg;
-    msg << length << " is not a stored canonical length";
-    return util::Status::NotFound(msg.str());
-  }
-  if (start + length > series_length_) {
-    return util::Status::OutOfRange("canonical window exceeds the series");
-  }
-  return it->second.SketchAt(start);
+  return pool_.CanonicalSketchAt(0, start, 1, length);
 }
 
 }  // namespace tabsketch::core

@@ -2,11 +2,11 @@
 #define TABSKETCH_CORE_SERIES_SKETCH_H_
 
 #include <cstddef>
-#include <map>
 #include <span>
 #include <vector>
 
 #include "core/sketch_params.h"
+#include "core/sketch_pool.h"
 #include "core/sketcher.h"
 #include "util/result.h"
 
@@ -14,14 +14,16 @@ namespace tabsketch::core {
 
 /// All-positions sketches of one window length over a 1-D series: entry
 /// (i, pos) is the dot product of random vector R[i] with
-/// series[pos .. pos + window). The 1-D analog of SketchField.
+/// series[pos .. pos + window). A view of the 1 x window SketchField over
+/// the series as a 1 x n table.
 class SeriesSketchField {
  public:
-  SeriesSketchField(size_t window, std::vector<std::vector<double>> planes);
+  /// `field` must be a 1 x window field.
+  explicit SeriesSketchField(SketchField field);
 
-  size_t window() const { return window_; }
-  size_t positions() const { return planes_.front().size(); }
-  size_t k() const { return planes_.size(); }
+  size_t window() const { return field_.window_cols(); }
+  size_t positions() const { return field_.position_cols(); }
+  size_t k() const { return field_.k(); }
 
   /// The sketch of the window starting at `pos`.
   Sketch SketchAt(size_t pos) const;
@@ -31,8 +33,7 @@ class SeriesSketchField {
   void AccumulateAt(size_t pos, Sketch* sum) const;
 
  private:
-  size_t window_;
-  std::vector<std::vector<double>> planes_;
+  SketchField field_;
 };
 
 /// Lp sketches for windows of a 1-D time series — the machinery of the
@@ -40,21 +41,21 @@ class SeriesSketchField {
 /// ("identifying representative trends"), which the tabular paper extends
 /// to two dimensions.
 ///
-/// Family compatibility: a length-n window uses the same random values as a
-/// 1 x n subtable in the 2-D Sketcher with equal parameters, so series
-/// sketches and single-row table sketches are mutually comparable (tested
-/// invariant).
+/// A thin adapter over the 2-D Sketcher: a length-n series is sketched as
+/// a 1 x n table, so series sketches are bit-identical to single-row table
+/// sketches of the same family (tested invariant).
 class SeriesSketcher {
  public:
   static util::Result<SeriesSketcher> Create(const SketchParams& params);
 
-  const SketchParams& params() const { return params_; }
+  const SketchParams& params() const { return sketcher_.params(); }
 
   /// Sketch of one window: O(k * window) dense dot products, or O(k * nnz)
   /// sparse walks when the family's sparsity < 1 (bit-identical to dense).
   Sketch SketchOf(std::span<const double> window) const;
 
   /// Sketches of every window position over `series` (1-D Theorem 3):
+  /// Sketcher::SketchAllPositions over the series as a 1 x n table, so
   /// O(k N log N) with the FFT algorithm, O(k N M) naive, and per-kernel
   /// cost-routed FFT vs O(nnz N) sparse-direct under kAuto. Returns
   /// InvalidArgument if the window is empty or longer than the series.
@@ -62,20 +63,10 @@ class SeriesSketcher {
       std::span<const double> series, size_t window,
       SketchAlgorithm algorithm) const;
 
-  /// The k random stable vectors for a window length (cached; identical to
-  /// the 2-D family's 1 x window matrices).
-  const std::vector<std::vector<double>>& VectorsFor(size_t window) const;
-
-  /// The same kernels in sparse form (cached; 1 x window shape).
-  const std::vector<SparseKernel>& SparseKernelsFor(size_t window) const;
-
  private:
-  explicit SeriesSketcher(const SketchParams& params);
+  explicit SeriesSketcher(Sketcher sketcher);
 
-  struct VectorCache;
-
-  SketchParams params_;
-  std::shared_ptr<VectorCache> cache_;
+  Sketcher sketcher_;
 };
 
 /// Canonical dyadic window lengths over one series, answering sketch
@@ -83,21 +74,21 @@ class SeriesSketcher {
 /// construction: a window of length L with canonical length a
 /// (a <= L < 2a) is covered by the two canonical windows anchored at its
 /// ends, summed component-wise — the 1-D analog of Definition 4, with an
-/// up-to-2x (instead of 4x) inflation band.
+/// up-to-2x (instead of 4x) inflation band. Built as a SketchPool with
+/// default options over the series as a 1 x n table.
 class SeriesSketchPool {
  public:
   struct Options {
     size_t log2_min = 3;   // smallest canonical length 8
     size_t log2_max = 63;  // effectively "up to the series length"
-    SketchAlgorithm algorithm = SketchAlgorithm::kFft;
   };
 
   static util::Result<SeriesSketchPool> Build(std::span<const double> series,
                                               const SketchParams& params,
                                               const Options& options);
 
-  const SketchParams& params() const { return params_; }
-  size_t series_length() const { return series_length_; }
+  const SketchParams& params() const { return pool_.params(); }
+  size_t series_length() const { return pool_.data_cols(); }
   std::vector<size_t> CanonicalLengths() const;
 
   /// True if windows of this length can be answered.
@@ -111,11 +102,9 @@ class SeriesSketchPool {
   util::Result<Sketch> CanonicalSketchAt(size_t start, size_t length) const;
 
  private:
-  SeriesSketchPool(const SketchParams& params, size_t series_length);
+  explicit SeriesSketchPool(SketchPool pool);
 
-  SketchParams params_;
-  size_t series_length_;
-  std::map<size_t, SeriesSketchField> fields_;
+  SketchPool pool_;
 };
 
 }  // namespace tabsketch::core

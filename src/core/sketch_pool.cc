@@ -1,14 +1,10 @@
 #include "core/sketch_pool.h"
 
-#include <algorithm>
-#include <memory>
+#include <bit>
 #include <sstream>
+#include <utility>
 
-#include "fft/correlate.h"
-#include "util/logging.h"
 #include "util/metrics.h"
-#include "util/parallel.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace tabsketch::core {
@@ -16,13 +12,6 @@ namespace tabsketch::core {
 SketchPool::SketchPool(const SketchParams& params, size_t data_rows,
                        size_t data_cols)
     : params_(params), data_rows_(data_rows), data_cols_(data_cols) {}
-
-size_t SketchPool::LargestPowerOfTwoAtMost(size_t n) {
-  TABSKETCH_CHECK(n >= 1);
-  size_t p = 1;
-  while ((p << 1) <= n) p <<= 1;
-  return p;
-}
 
 util::Result<SketchPool> SketchPool::Build(const table::Matrix& data,
                                            const SketchParams& params,
@@ -34,9 +23,7 @@ util::Result<SketchPool> SketchPool::Build(const table::Matrix& data,
   }
   TABSKETCH_ASSIGN_OR_RETURN(Sketcher sketcher, Sketcher::Create(params));
 
-  // Enumerate the canonical sizes up front so the per-kernel correlations of
-  // *all* sizes form one flat work list.
-  std::vector<std::pair<size_t, size_t>> sizes;
+  std::vector<Sketcher::WindowShape> sizes;
   for (size_t i = options.log2_min_rows;
        i <= options.log2_max_rows && (static_cast<size_t>(1) << i) <= data.rows();
        ++i) {
@@ -71,129 +58,13 @@ util::Result<SketchPool> SketchPool::Build(const table::Matrix& data,
     }
   }
 
-  // Per-kernel path routing for sparse families under kAuto: kernel i of
-  // size s goes sparse-direct iff its predicted direct cost undercuts the
-  // FFT's (DESIGN.md Section 16). The decision depends only on sizes and
-  // each kernel's nnz — never on threads — so the pool stays bit-identical
-  // across thread counts. Dense families fall through with an empty map
-  // (kAuto is exactly kFft for them).
-  const bool sparse_auto =
-      options.algorithm == SketchAlgorithm::kAuto && params.sparsity < 1.0;
-  std::vector<std::vector<bool>> direct;
-  bool any_fft_kernel = !sparse_auto;
-  if (sparse_auto) {
-    direct.resize(sizes.size());
-    size_t direct_kernels = 0;
-    size_t fft_kernels = 0;
-    for (size_t s = 0; s < sizes.size(); ++s) {
-      const auto [window_rows, window_cols] = sizes[s];
-      const auto& kernels = sketcher.SparseKernelsFor(window_rows, window_cols);
-      const size_t positions = (data.rows() - window_rows + 1) *
-                               (data.cols() - window_cols + 1);
-      direct[s].resize(params.k);
-      for (size_t i = 0; i < params.k; ++i) {
-        direct[s][i] = PreferSparsePath(kernels[i].nnz(), positions,
-                                        data.rows(), data.cols());
-        ++(direct[s][i] ? direct_kernels : fft_kernels);
-      }
-    }
-    TABSKETCH_METRIC_COUNT_N("sparse.pool.direct_kernels", direct_kernels);
-    TABSKETCH_METRIC_COUNT_N("sparse.pool.fft_kernels", fft_kernels);
-    any_fft_kernel = fft_kernels > 0;
-  }
-
-  // Materialize every size's random matrices (dense form only where some
-  // kernel rides the FFT) before fanning out, so workers only read the
-  // sketcher's cache (generation is deterministic per shape, but pre-filling
-  // avoids duplicated generation racing on the cache lock).
-  for (size_t s = 0; s < sizes.size(); ++s) {
-    const auto [window_rows, window_cols] = sizes[s];
-    if (!sparse_auto ||
-        std::find(direct[s].begin(), direct[s].end(), false) !=
-            direct[s].end()) {
-      sketcher.MatricesFor(window_rows, window_cols);
-    }
-  }
-
-  // One forward FFT of the data, shared by all canonical sizes and kernels
-  // (Correlate is const and concurrency-safe). The naive path has no shared
-  // state at all, and an all-sparse-direct build skips the transform
-  // entirely.
-  std::unique_ptr<const fft::CorrelationPlan> plan;
-  if (options.algorithm != SketchAlgorithm::kNaive && any_fft_kernel) {
-    plan = std::make_unique<const fft::CorrelationPlan>(data);
-  }
-
-  // Flat fan-out over (canonical size x kernel pair): work item w computes
-  // planes 2j and 2j+1 of size w / pairs, where j = w % pairs. Pairing lets
-  // the FFT path push two kernels through one forward/inverse transform
-  // (CorrelatePair real-pair packing); an odd k leaves one unpaired kernel
-  // per size on the single-kernel path. The pairing is fixed by index, and
-  // every item writes distinct slots, so the result is bit-identical for any
-  // thread count.
-  const size_t k = params.k;
-  const size_t pairs = (k + 1) / 2;
-  std::vector<std::vector<table::Matrix>> planes(sizes.size());
-  for (auto& size_planes : planes) size_planes.resize(k);
-  util::ParallelFor(sizes.size() * pairs, options.threads, [&](size_t w) {
-    const size_t size_index = w / pairs;
-    const size_t first = 2 * (w % pairs);
-    const size_t second = first + 1;
-    const util::WallTimer item_timer;
-    const auto [window_rows, window_cols] = sizes[size_index];
-    if (sparse_auto) {
-      // Routed pair: both-FFT kernels still share one transform pair; a
-      // mixed or all-direct pair walks each kernel individually.
-      const auto& sparse = sketcher.SparseKernelsFor(window_rows, window_cols);
-      const bool second_valid = second < k;
-      if (!direct[size_index][first] && second_valid &&
-          !direct[size_index][second]) {
-        const auto& kernels = sketcher.MatricesFor(window_rows, window_cols);
-        auto [plane_a, plane_b] =
-            plan->CorrelatePair(kernels[first], kernels[second]);
-        planes[size_index][first] = std::move(plane_a);
-        planes[size_index][second] = std::move(plane_b);
-      } else {
-        for (size_t i = first; i <= second && i < k; ++i) {
-          planes[size_index][i] =
-              direct[size_index][i]
-                  ? CrossCorrelateSparse(data, sparse[i])
-                  : plan->Correlate(
-                        sketcher.MatricesFor(window_rows, window_cols)[i]);
-        }
-      }
-      if (!size_histograms.empty()) {
-        size_histograms[size_index]->Observe(item_timer.ElapsedSeconds());
-      }
-      return;
-    }
-    const auto& kernels = sketcher.MatricesFor(window_rows, window_cols);
-    if (plan) {
-      if (second < k) {
-        auto [plane_a, plane_b] =
-            plan->CorrelatePair(kernels[first], kernels[second]);
-        planes[size_index][first] = std::move(plane_a);
-        planes[size_index][second] = std::move(plane_b);
-      } else {
-        planes[size_index][first] = plan->Correlate(kernels[first]);
-      }
-    } else {
-      planes[size_index][first] = fft::CrossCorrelateNaive(data, kernels[first]);
-      if (second < k) {
-        planes[size_index][second] =
-            fft::CrossCorrelateNaive(data, kernels[second]);
-      }
-    }
-    if (!size_histograms.empty()) {
-      size_histograms[size_index]->Observe(item_timer.ElapsedSeconds());
-    }
-  });
-
+  TABSKETCH_ASSIGN_OR_RETURN(
+      std::vector<SketchField> fields,
+      sketcher.SketchAllPositions(data, sizes, options.algorithm,
+                                  options.threads, size_histograms));
   SketchPool pool(params, data.rows(), data.cols());
   for (size_t s = 0; s < sizes.size(); ++s) {
-    pool.fields_.emplace(
-        sizes[s], SketchField(sizes[s].first, sizes[s].second,
-                              std::move(planes[s])));
+    pool.fields_.emplace(sizes[s], std::move(fields[s]));
   }
   return pool;
 }
@@ -219,8 +90,8 @@ std::vector<std::pair<size_t, size_t>> SketchPool::CanonicalSizes() const {
 
 bool SketchPool::Covers(size_t rows, size_t cols) const {
   if (rows == 0 || cols == 0) return false;
-  const size_t a = LargestPowerOfTwoAtMost(rows);
-  const size_t b = LargestPowerOfTwoAtMost(cols);
+  const size_t a = std::bit_floor(rows);
+  const size_t b = std::bit_floor(cols);
   return fields_.count({a, b}) > 0;
 }
 
@@ -235,8 +106,8 @@ util::Result<Sketch> SketchPool::Query(size_t row, size_t col, size_t rows,
         << " exceeds table " << data_rows_ << "x" << data_cols_;
     return util::Status::OutOfRange(msg.str());
   }
-  const size_t a = LargestPowerOfTwoAtMost(rows);
-  const size_t b = LargestPowerOfTwoAtMost(cols);
+  const size_t a = std::bit_floor(rows);
+  const size_t b = std::bit_floor(cols);
   auto it = fields_.find({a, b});
   if (it == fields_.end()) {
     std::ostringstream msg;

@@ -21,17 +21,18 @@ struct PoolOptions {
   size_t log2_min_cols = 3;
   size_t log2_max_cols = 63;
 
-  /// Algorithm for the all-positions precompute. kAuto is exactly kFft for
-  /// dense families (sparsity = 1); for sparse families each kernel is
-  /// routed between the shared FFT plan and the O(nnz) sparse-direct path
-  /// by predicted cost (DESIGN.md Section 16).
+  /// Algorithm for the all-positions precompute, passed to the multi-shape
+  /// Sketcher::SketchAllPositions. kAuto is exactly kFft for dense families
+  /// (sparsity = 1); for sparse families each kernel is routed between the
+  /// shared FFT plan and the O(nnz) sparse-direct path by predicted cost
+  /// (DESIGN.md Section 16).
   SketchAlgorithm algorithm = SketchAlgorithm::kAuto;
 
-  /// Worker threads for the precompute. The (canonical size x kernel) work
-  /// items are independent, so the build fans them over util::ParallelFor;
-  /// the resulting pool is bit-identical for every thread count. On the FFT
-  /// path all workers share one CorrelationPlan, i.e. the forward FFT of the
-  /// data is computed exactly once per build.
+  /// Worker threads for the precompute: all canonical sizes go to one
+  /// Sketcher::SketchAllPositions call, which fans the flat (canonical size
+  /// x kernel pair) work list over util::ParallelFor and shares one
+  /// CorrelationPlan, i.e. the forward FFT of the data is computed exactly
+  /// once per build. The pool is bit-identical for every thread count.
   size_t threads = 1;
 };
 
@@ -107,8 +108,6 @@ class SketchPool {
 
  private:
   SketchPool(const SketchParams& params, size_t data_rows, size_t data_cols);
-
-  static size_t LargestPowerOfTwoAtMost(size_t n);
 
   SketchParams params_;
   size_t data_rows_;

@@ -1,6 +1,9 @@
 #include "core/sketcher.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "core/stable_matrix.h"
@@ -8,6 +11,7 @@
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
+#include "util/timer.h"
 #include "util/trace.h"
 
 namespace tabsketch::core {
@@ -147,102 +151,127 @@ Sketch Sketcher::SketchOf(const table::TableView& view) const {
   return out;
 }
 
-util::Result<SketchField> Sketcher::SketchAllPositions(
-    const table::Matrix& data, size_t window_rows, size_t window_cols,
-    SketchAlgorithm algorithm, size_t threads) const {
-  if (window_rows < 1 || window_cols < 1 || window_rows > data.rows() ||
-      window_cols > data.cols()) {
-    return WindowFitError(window_rows, window_cols, data.rows(), data.cols());
+util::Result<std::vector<SketchField>> Sketcher::SketchAllPositions(
+    const table::Matrix& data, std::span<const WindowShape> shapes,
+    SketchAlgorithm algorithm, size_t threads,
+    std::span<util::Histogram* const> busy) const {
+  for (const auto& [window_rows, window_cols] : shapes) {
+    if (window_rows < 1 || window_cols < 1 || window_rows > data.rows() ||
+        window_cols > data.cols()) {
+      return WindowFitError(window_rows, window_cols, data.rows(),
+                            data.cols());
+    }
+  }
+  TABSKETCH_CHECK(busy.empty() || busy.size() == shapes.size())
+      << busy.size() << " busy histograms for " << shapes.size() << " shapes";
+  TABSKETCH_TRACE_SPAN("sketcher.all_positions");
+
+  // Route every kernel once, before the fan-out. Under kAuto a sparse
+  // family's kernel goes direct iff its predicted O(nnz) walk undercuts its
+  // FFT pass (DESIGN.md Section 16); a dense family's kAuto is exactly kFft.
+  enum class Route : uint8_t { kNaive, kFft, kDirect };
+  const size_t k = params_.k;
+  std::vector<std::vector<Route>> routes(
+      shapes.size(),
+      std::vector<Route>(k, algorithm == SketchAlgorithm::kNaive
+                                ? Route::kNaive
+                                : Route::kFft));
+  if (algorithm == SketchAlgorithm::kAuto && params_.sparsity < 1.0) {
+    size_t direct_kernels = 0;
+    for (size_t s = 0; s < shapes.size(); ++s) {
+      const auto [window_rows, window_cols] = shapes[s];
+      const auto& kernels = SparseKernelsFor(window_rows, window_cols);
+      const size_t positions = (data.rows() - window_rows + 1) *
+                               (data.cols() - window_cols + 1);
+      for (size_t i = 0; i < k; ++i) {
+        if (PreferSparsePath(kernels[i].nnz(), positions, data.rows(),
+                             data.cols())) {
+          routes[s][i] = Route::kDirect;
+          ++direct_kernels;
+        }
+      }
+    }
+    TABSKETCH_METRIC_COUNT_N("sparse.pool.direct_kernels", direct_kernels);
+    TABSKETCH_METRIC_COUNT_N("sparse.pool.fft_kernels",
+                             shapes.size() * k - direct_kernels);
   }
 
-  if (algorithm == SketchAlgorithm::kAuto && params_.sparsity < 1.0) {
-    // Per-kernel predicted-cost routing (DESIGN.md Section 16). Kernels that
-    // stay on the FFT path still ride CorrelatePair two at a time; a pair
-    // whose other half went sparse-direct falls back to single-kernel
-    // Correlate. The routing depends only on each kernel's nnz and the
-    // sizes, so the planes are bit-identical for every thread count.
-    const auto& kernels = SparseKernelsFor(window_rows, window_cols);
-    const size_t positions = (data.rows() - window_rows + 1) *
-                             (data.cols() - window_cols + 1);
-    std::vector<bool> direct(params_.k);
-    size_t fft_kernels = 0;
-    for (size_t i = 0; i < params_.k; ++i) {
-      direct[i] = PreferSparsePath(kernels[i].nnz(), positions, data.rows(),
-                                   data.cols());
-      if (!direct[i]) ++fft_kernels;
+  // Materialize the dense matrices of every shape with a kernel off the
+  // direct walk, so workers only read the cache (generation is deterministic
+  // per shape; pre-filling avoids duplicated generation racing on the lock).
+  // One forward FFT of the data then serves every shape and kernel that
+  // rides the plan; Correlate is const and concurrency-safe.
+  const auto reads_dense = [](Route route) { return route != Route::kDirect; };
+  const auto rides_plan = [](Route route) { return route == Route::kFft; };
+  bool any_fft = false;
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    if (std::ranges::any_of(routes[s], reads_dense)) {
+      MatricesFor(shapes[s].first, shapes[s].second);
     }
-    TABSKETCH_METRIC_COUNT_N("sparse.pool.direct_kernels",
-                             params_.k - fft_kernels);
-    TABSKETCH_METRIC_COUNT_N("sparse.pool.fft_kernels", fft_kernels);
-    std::unique_ptr<const fft::CorrelationPlan> plan;
-    if (fft_kernels > 0) {
-      plan = std::make_unique<const fft::CorrelationPlan>(data);
-      MatricesFor(window_rows, window_cols);
+    any_fft = any_fft || std::ranges::any_of(routes[s], rides_plan);
+  }
+  std::unique_ptr<const fft::CorrelationPlan> plan;
+  if (any_fft) plan = std::make_unique<const fft::CorrelationPlan>(data);
+
+  // Flat fan-out over (shape x kernel pair): work item w computes kernels
+  // 2j and 2j+1 of shape w / pairs, where j = w % pairs. Two kernels that
+  // both ride the plan share one forward/inverse transform (CorrelatePair
+  // real-pair packing); any other pair, and an odd k's last kernel, runs
+  // kernel by kernel. The pairing is fixed by index and every item writes
+  // distinct slots, so the result is bit-identical for any thread count.
+  const size_t pairs = (k + 1) / 2;
+  std::vector<std::vector<table::Matrix>> planes(
+      shapes.size(), std::vector<table::Matrix>(k));
+  util::ParallelFor(shapes.size() * pairs, threads, [&](size_t w) {
+    const util::WallTimer item_timer;
+    const size_t s = w / pairs;
+    const auto [window_rows, window_cols] = shapes[s];
+    const std::vector<Route>& route = routes[s];
+    std::vector<table::Matrix>& out = planes[s];
+    const size_t first = 2 * (w % pairs);
+    const size_t end = std::min(first + 2, k);
+    if (end - first == 2 && route[first] == Route::kFft &&
+        route[first + 1] == Route::kFft) {
+      const auto& matrices = MatricesFor(window_rows, window_cols);
+      std::tie(out[first], out[first + 1]) =
+          plan->CorrelatePair(matrices[first], matrices[first + 1]);
+    } else {
+      for (size_t i = first; i < end; ++i) {
+        switch (route[i]) {
+          case Route::kNaive:
+            out[i] = fft::CrossCorrelateNaive(
+                data, MatricesFor(window_rows, window_cols)[i]);
+            break;
+          case Route::kFft:
+            out[i] = plan->Correlate(MatricesFor(window_rows, window_cols)[i]);
+            break;
+          case Route::kDirect:
+            out[i] = CrossCorrelateSparse(
+                data, SparseKernelsFor(window_rows, window_cols)[i]);
+            break;
+        }
+      }
     }
-    std::vector<table::Matrix> planes(params_.k);
-    const size_t pairs = (params_.k + 1) / 2;
-    util::ParallelFor(pairs, threads, [&](size_t j) {
-      const size_t first = 2 * j;
-      const size_t second = first + 1;
-      const bool second_valid = second < params_.k;
-      if (!direct[first] && second_valid && !direct[second]) {
-        const auto& matrices = MatricesFor(window_rows, window_cols);
-        auto [plane_a, plane_b] =
-            plan->CorrelatePair(matrices[first], matrices[second]);
-        planes[first] = std::move(plane_a);
-        planes[second] = std::move(plane_b);
-        return;
-      }
-      for (size_t i = first; i <= second && i < params_.k; ++i) {
-        planes[i] = direct[i]
-                        ? CrossCorrelateSparse(data, kernels[i])
-                        : plan->Correlate(
-                              MatricesFor(window_rows, window_cols)[i]);
-      }
-    });
-    return SketchField(window_rows, window_cols, std::move(planes));
-  }
-  if (algorithm != SketchAlgorithm::kNaive) {
-    // kFft, and kAuto over a dense family (where auto is exactly kFft).
-    const fft::CorrelationPlan plan(data);
-    return SketchAllPositions(plan, window_rows, window_cols, threads);
-  }
-  const auto& matrices = MatricesFor(window_rows, window_cols);
-  std::vector<table::Matrix> planes(params_.k);
-  util::ParallelFor(params_.k, threads, [&](size_t i) {
-    planes[i] = fft::CrossCorrelateNaive(data, matrices[i]);
+    if (!busy.empty()) busy[s]->Observe(item_timer.ElapsedSeconds());
   });
-  return SketchField(window_rows, window_cols, std::move(planes));
+
+  std::vector<SketchField> fields;
+  fields.reserve(shapes.size());
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    fields.emplace_back(shapes[s].first, shapes[s].second,
+                        std::move(planes[s]));
+  }
+  return fields;
 }
 
 util::Result<SketchField> Sketcher::SketchAllPositions(
-    const fft::CorrelationPlan& plan, size_t window_rows, size_t window_cols,
-    size_t threads) const {
-  if (window_rows < 1 || window_cols < 1 ||
-      window_rows > plan.data_rows() || window_cols > plan.data_cols()) {
-    return WindowFitError(window_rows, window_cols, plan.data_rows(),
-                          plan.data_cols());
-  }
-  TABSKETCH_TRACE_SPAN("sketcher.all_positions");
-
-  // Kernels ride the FFT two at a time (CorrelatePair real-pair packing);
-  // index-fixed pairing keeps the planes bit-identical across thread counts.
-  const auto& matrices = MatricesFor(window_rows, window_cols);
-  std::vector<table::Matrix> planes(params_.k);
-  const size_t pairs = (params_.k + 1) / 2;
-  util::ParallelFor(pairs, threads, [&](size_t j) {
-    const size_t first = 2 * j;
-    const size_t second = first + 1;
-    if (second < params_.k) {
-      auto [plane_a, plane_b] =
-          plan.CorrelatePair(matrices[first], matrices[second]);
-      planes[first] = std::move(plane_a);
-      planes[second] = std::move(plane_b);
-    } else {
-      planes[first] = plan.Correlate(matrices[first]);
-    }
-  });
-  return SketchField(window_rows, window_cols, std::move(planes));
+    const table::Matrix& data, size_t window_rows, size_t window_cols,
+    SketchAlgorithm algorithm, size_t threads) const {
+  const WindowShape shape{window_rows, window_cols};
+  TABSKETCH_ASSIGN_OR_RETURN(
+      std::vector<SketchField> fields,
+      SketchAllPositions(data, {&shape, 1}, algorithm, threads));
+  return std::move(fields.front());
 }
 
 }  // namespace tabsketch::core

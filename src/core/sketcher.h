@@ -4,6 +4,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/sketch_params.h"
@@ -11,9 +13,9 @@
 #include "table/matrix.h"
 #include "util/result.h"
 
-namespace tabsketch::fft {
-class CorrelationPlan;
-}  // namespace tabsketch::fft
+namespace tabsketch::util {
+class Histogram;
+}  // namespace tabsketch::util
 
 namespace tabsketch::core {
 
@@ -103,26 +105,39 @@ class Sketcher {
   /// bit-identical to the dense walk (the skipped entries are exact zeros).
   Sketch SketchOf(const table::TableView& view) const;
 
-  /// Sketches of all positions of a (window_rows x window_cols) window over
-  /// `data` (paper Theorem 3). The FFT path and the naive path agree to
-  /// floating-point rounding. The k per-kernel correlations are independent
-  /// and fan out over `threads` workers; the result is bit-identical for
-  /// every thread count. Returns InvalidArgument if the window is empty or
-  /// does not fit the table.
+  /// A window shape: (rows, cols).
+  using WindowShape = std::pair<size_t, size_t>;
+
+  /// Sketches of all positions of every window shape in `shapes` over `data`
+  /// (paper Theorems 3 and 6), one field per shape in order. This is the
+  /// one all-positions path: the single-shape overload, SketchPool::Build
+  /// and the 1-D SeriesSketcher all run through it.
+  ///
+  /// Each kernel's path is picked once, up front: kNaive correlates
+  /// directly; kFft rides one CorrelationPlan of `data`, built at most once
+  /// and shared by every shape and kernel; kAuto is kFft for dense families
+  /// and, for sparse ones, sends each kernel to the plan or the O(nnz)
+  /// direct walk by PreferSparsePath (DESIGN.md Section 16). Adjacent
+  /// kernels that both ride the plan share one transform pair through
+  /// CorrelatePair. The flat (shape x kernel pair) work list fans out over
+  /// `threads`; routing and pairing depend only on sizes and nnz, so the
+  /// result is bit-identical for every thread count. When `busy` is
+  /// non-empty it holds one histogram per shape, and each work item
+  /// observes its wall seconds into its shape's histogram.
+  ///
+  /// Returns InvalidArgument if some window is empty or does not fit.
+  util::Result<std::vector<SketchField>> SketchAllPositions(
+      const table::Matrix& data, std::span<const WindowShape> shapes,
+      SketchAlgorithm algorithm, size_t threads = 1,
+      std::span<util::Histogram* const> busy = {}) const;
+
+  /// The single-shape case of the above. The FFT path and the naive path
+  /// agree to floating-point rounding.
   util::Result<SketchField> SketchAllPositions(const table::Matrix& data,
                                                size_t window_rows,
                                                size_t window_cols,
                                                SketchAlgorithm algorithm,
                                                size_t threads = 1) const;
-
-  /// FFT-path SketchAllPositions against a caller-provided plan, so one
-  /// forward FFT of the data can be shared across many window shapes (the
-  /// dyadic pool build constructs the plan once for all canonical sizes).
-  /// The plan must have been built over the same table the windows address.
-  /// Returns InvalidArgument if the window is empty or does not fit.
-  util::Result<SketchField> SketchAllPositions(
-      const fft::CorrelationPlan& plan, size_t window_rows,
-      size_t window_cols, size_t threads = 1) const;
 
   /// The k random matrices for a window shape (cached).
   const std::vector<table::Matrix>& MatricesFor(size_t rows,

@@ -98,24 +98,6 @@ table::Matrix CrossCorrelateSparse(const table::Matrix& data,
   return out;
 }
 
-std::vector<double> CrossCorrelateSparse1D(std::span<const double> series,
-                                           const SparseKernel& kernel) {
-  TABSKETCH_CHECK(kernel.rows == 1) << "1-D correlation needs a 1-row kernel";
-  TABSKETCH_CHECK(kernel.cols >= 1 && kernel.cols <= series.size())
-      << "kernel length " << kernel.cols << " does not fit series length "
-      << series.size();
-  const size_t out_length = series.size() - kernel.cols + 1;
-  std::vector<double> out(out_length, 0.0);
-  for (size_t e = 0; e < kernel.nnz(); ++e) {
-    const double value = kernel.values[e];
-    const double* shifted = series.data() + kernel.entry_cols[e];
-    for (size_t i = 0; i < out_length; ++i) {
-      out[i] += value * shifted[i];
-    }
-  }
-  return out;
-}
-
 bool PreferSparsePath(size_t nnz, size_t positions, size_t data_rows,
                       size_t data_cols) {
   // Effective-FMA cost of one kernel on the shared FFT plan, calibrated

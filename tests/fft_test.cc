@@ -289,7 +289,9 @@ INSTANTIATE_TEST_SUITE_P(
                       XCorrCase{33, 65, 8, 16},    // odd data dims
                       XCorrCase{64, 64, 1, 1},     // trivial kernel
                       XCorrCase{5, 31, 5, 4},      // full-height kernel
-                      XCorrCase{128, 32, 32, 32}));
+                      XCorrCase{128, 32, 32, 32},
+                      XCorrCase{1, 100, 1, 5},     // 1-D series as 1 x n
+                      XCorrCase{1, 33, 1, 1}));
 
 TEST(CorrelationPlanTest, PlanReusedAcrossKernels) {
   const table::Matrix data = RandomMatrix(24, 24, 42);

@@ -80,7 +80,8 @@ TEST(GrowingTest, MatchesFromScratchSketching) {
   ASSERT_TRUE(grid.ok());
   auto sketcher = Sketcher::Create(params);
   ASSERT_TRUE(sketcher.ok());
-  const std::vector<Sketch> reference = SketchAllTiles(*sketcher, *grid);
+  const std::vector<Sketch> reference =
+      SketchAllTilesParallel(*sketcher, *grid);
   const std::vector<Sketch> incremental = growing->SketchesInGridOrder();
   ASSERT_EQ(reference.size(), incremental.size());
   for (size_t t = 0; t < reference.size(); ++t) {

@@ -76,7 +76,7 @@ TEST(IntegrationTest, SketchDistancesTrackExactOnCallVolume) {
   auto estimator = core::DistanceEstimator::Create(params);
   ASSERT_TRUE(sketcher.ok() && estimator.ok());
   const std::vector<core::Sketch> sketches =
-      core::SketchAllTiles(*sketcher, *grid);
+      core::SketchAllTilesParallel(*sketcher, *grid);
 
   std::vector<double> exact;
   std::vector<double> approx;
@@ -111,7 +111,7 @@ TEST(IntegrationTest, PersistedSketchesReproduceDistances) {
   set.params = params;
   set.object_rows = 8;
   set.object_cols = 8;
-  set.sketches = core::SketchAllTiles(*sketcher, *grid);
+  set.sketches = core::SketchAllTilesParallel(*sketcher, *grid);
 
   const std::string path = ::testing::TempDir() + "/integration_sketches.bin";
   ASSERT_TRUE(core::WriteSketchSet(set, path).ok());

@@ -102,7 +102,7 @@ TEST(TopKBySketchTest, NaNSketchValuesDoNotCrashOrLeakIntoTopK) {
   auto sketcher = Sketcher::Create(params);
   auto estimator = DistanceEstimator::Create(params);
   ASSERT_TRUE(sketcher.ok() && estimator.ok());
-  std::vector<Sketch> sketches = SketchAllTiles(*sketcher, setup.grid);
+  std::vector<Sketch> sketches = SketchAllTilesParallel(*sketcher, setup.grid);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   sketches[2].values.assign(sketches[2].values.size(), nan);
   sketches[7].values.assign(sketches[7].values.size(), nan);
@@ -132,7 +132,8 @@ TEST(TopKBySketchTest, FindsSameGroupNeighbors) {
   auto sketcher = Sketcher::Create(params);
   auto estimator = DistanceEstimator::Create(params);
   ASSERT_TRUE(sketcher.ok() && estimator.ok());
-  const std::vector<Sketch> sketches = SketchAllTiles(*sketcher, setup.grid);
+  const std::vector<Sketch> sketches =
+      SketchAllTilesParallel(*sketcher, setup.grid);
 
   const size_t query = 5;
   const auto neighbors =
@@ -151,7 +152,8 @@ TEST(TopKBySketchTest, SortedAscendingAndDeduplicated) {
   auto sketcher = Sketcher::Create(params);
   auto estimator = DistanceEstimator::Create(params);
   ASSERT_TRUE(sketcher.ok() && estimator.ok());
-  const std::vector<Sketch> sketches = SketchAllTiles(*sketcher, setup.grid);
+  const std::vector<Sketch> sketches =
+      SketchAllTilesParallel(*sketcher, setup.grid);
   const auto neighbors =
       TopKBySketch(sketches[0], sketches, *estimator, 10, 0);
   std::set<size_t> seen;
@@ -169,7 +171,8 @@ TEST(TopKBySketchTest, KLargerThanCorpusReturnsAll) {
   auto sketcher = Sketcher::Create(params);
   auto estimator = DistanceEstimator::Create(params);
   ASSERT_TRUE(sketcher.ok() && estimator.ok());
-  const std::vector<Sketch> sketches = SketchAllTiles(*sketcher, setup.grid);
+  const std::vector<Sketch> sketches =
+      SketchAllTilesParallel(*sketcher, setup.grid);
   const auto neighbors =
       TopKBySketch(sketches[0], sketches, *estimator, 100, 0);
   EXPECT_EQ(neighbors.size(), setup.grid.num_tiles() - 1);
@@ -194,7 +197,8 @@ TEST(TopKFilterRefineTest, ValidatesArguments) {
   auto sketcher = Sketcher::Create(params);
   auto estimator = DistanceEstimator::Create(params);
   ASSERT_TRUE(sketcher.ok() && estimator.ok());
-  const std::vector<Sketch> sketches = SketchAllTiles(*sketcher, setup.grid);
+  const std::vector<Sketch> sketches =
+      SketchAllTilesParallel(*sketcher, setup.grid);
 
   EXPECT_FALSE(
       TopKFilterRefine(setup.grid, sketches, *estimator, 99, 2, 4).ok());
@@ -216,7 +220,8 @@ TEST(TopKFilterRefineTest, ReturnsExactDistances) {
   auto sketcher = Sketcher::Create(params);
   auto estimator = DistanceEstimator::Create(params);
   ASSERT_TRUE(sketcher.ok() && estimator.ok());
-  const std::vector<Sketch> sketches = SketchAllTiles(*sketcher, setup.grid);
+  const std::vector<Sketch> sketches =
+      SketchAllTilesParallel(*sketcher, setup.grid);
 
   const size_t query = 7;
   auto refined =
@@ -236,7 +241,8 @@ TEST(TopKFilterRefineTest, HighCandidateCountRecoversExactTopK) {
   auto sketcher = Sketcher::Create(params);
   auto estimator = DistanceEstimator::Create(params);
   ASSERT_TRUE(sketcher.ok() && estimator.ok());
-  const std::vector<Sketch> sketches = SketchAllTiles(*sketcher, setup.grid);
+  const std::vector<Sketch> sketches =
+      SketchAllTilesParallel(*sketcher, setup.grid);
 
   const size_t query = 2;
   const size_t n = setup.grid.num_tiles();
@@ -257,7 +263,8 @@ TEST(TopKFilterRefineTest, ModestCandidateBufferGivesHighRecall) {
   auto sketcher = Sketcher::Create(params);
   auto estimator = DistanceEstimator::Create(params);
   ASSERT_TRUE(sketcher.ok() && estimator.ok());
-  const std::vector<Sketch> sketches = SketchAllTiles(*sketcher, setup.grid);
+  const std::vector<Sketch> sketches =
+      SketchAllTilesParallel(*sketcher, setup.grid);
 
   size_t hits = 0;
   size_t total = 0;

@@ -157,7 +157,7 @@ TEST_F(LruSketchCacheTest, SubEntryBudgetDegradesToComputeAndRelease) {
   options.capacity_bytes = 1;
   options.shards = 1;
   LruSketchCache cache(&sketcher_, &grid_, options);
-  const std::vector<Sketch> eager = SketchAllTiles(sketcher_, grid_);
+  const std::vector<Sketch> eager = SketchAllTilesParallel(sketcher_, grid_);
   for (size_t round = 0; round < 2; ++round) {
     for (size_t t = 0; t < grid_.num_tiles(); ++t) {
       const std::shared_ptr<const Sketch> sketch = cache.Get(t);
@@ -171,7 +171,7 @@ TEST_F(LruSketchCacheTest, SubEntryBudgetDegradesToComputeAndRelease) {
 }
 
 TEST_F(LruSketchCacheTest, BitIdenticalToUncachedForEveryBudget) {
-  const std::vector<Sketch> eager = SketchAllTiles(sketcher_, grid_);
+  const std::vector<Sketch> eager = SketchAllTilesParallel(sketcher_, grid_);
   for (size_t entries : {size_t{1}, size_t{3}, size_t{16}}) {
     LruSketchCache cache = MakeCache(entries);
     for (size_t t = 0; t < grid_.num_tiles(); ++t) {
@@ -200,7 +200,7 @@ TEST_F(LruSketchCacheTest, ConcurrentHammerStaysCorrectAndUnderBudget) {
   // of them: values must stay bit-identical to the eager sketches, the
   // eviction churn must never push residency over budget, and the
   // hit/miss/eviction tallies must be internally consistent.
-  const std::vector<Sketch> eager = SketchAllTiles(sketcher_, grid_);
+  const std::vector<Sketch> eager = SketchAllTilesParallel(sketcher_, grid_);
   LruSketchCache::Options options;
   options.capacity_bytes =
       LruSketchCache::EntryBytes(kSketchK) * (grid_.num_tiles() / 4);
@@ -224,7 +224,7 @@ TEST_F(LruSketchCacheTest, ConcurrentHammerStaysCorrectAndUnderBudget) {
 
 TEST_F(LruSketchCacheTest, PolymorphicUseThroughInterface) {
   // The three cache families answer identically behind TileSketchCache.
-  const std::vector<Sketch> eager = SketchAllTiles(sketcher_, grid_);
+  const std::vector<Sketch> eager = SketchAllTilesParallel(sketcher_, grid_);
   LruSketchCache::Options options;
   options.capacity_bytes = LruSketchCache::EntryBytes(kSketchK) * 2;
   options.shards = 1;

@@ -44,7 +44,7 @@ TEST_F(OnDemandTest, ComputesLazily) {
 
 TEST_F(OnDemandTest, MatchesEagerSketches) {
   OnDemandSketchCache cache(&sketcher_, &grid_);
-  const std::vector<Sketch> eager = SketchAllTiles(sketcher_, grid_);
+  const std::vector<Sketch> eager = SketchAllTilesParallel(sketcher_, grid_);
   ASSERT_EQ(eager.size(), grid_.num_tiles());
   for (size_t t = 0; t < grid_.num_tiles(); ++t) {
     EXPECT_EQ(cache.ForTile(t).values, eager[t].values) << "tile " << t;
@@ -68,7 +68,7 @@ TEST_F(OnDemandTest, OutOfRangeTileAborts) {
 }
 
 TEST_F(OnDemandTest, EagerSketchCountMatchesTiles) {
-  const std::vector<Sketch> eager = SketchAllTiles(sketcher_, grid_);
+  const std::vector<Sketch> eager = SketchAllTilesParallel(sketcher_, grid_);
   EXPECT_EQ(eager.size(), 16u);
   for (const Sketch& sketch : eager) EXPECT_EQ(sketch.size(), 8u);
 }
@@ -78,7 +78,7 @@ TEST_F(OnDemandTest, ConcurrentForTileComputesEachSlotOnce) {
   // yield exactly one computation per tile, correct values, and
   // hits + computed == total calls.
   OnDemandSketchCache cache(&sketcher_, &grid_);
-  const std::vector<Sketch> eager = SketchAllTiles(sketcher_, grid_);
+  const std::vector<Sketch> eager = SketchAllTilesParallel(sketcher_, grid_);
   const size_t tiles = grid_.num_tiles();
   constexpr size_t kRounds = 8;
   util::ParallelFor(tiles * kRounds, 8, [&](size_t i) {

@@ -100,7 +100,7 @@ TEST(ParallelSketchTest, MatchesSequentialForAnyThreadCount) {
   ASSERT_TRUE(sketcher.ok());
 
   const std::vector<core::Sketch> sequential =
-      core::SketchAllTiles(*sketcher, *grid);
+      core::SketchAllTilesParallel(*sketcher, *grid);
   for (size_t threads : {1u, 2u, 4u}) {
     const std::vector<core::Sketch> parallel =
         core::SketchAllTilesParallel(*sketcher, *grid, threads);

@@ -188,7 +188,7 @@ TEST_F(QueryEngineTest, KnnAgreesWithTopKBySketch) {
   auto results = engine.Run(batch);
   ASSERT_TRUE(results.ok()) << results.status().ToString();
 
-  const std::vector<Sketch> sketches = SketchAllTiles(sketcher_, grid_);
+  const std::vector<Sketch> sketches = SketchAllTilesParallel(sketcher_, grid_);
   const std::vector<core::Neighbor> expected =
       core::TopKBySketch(sketches[4], sketches, estimator_, 3, 4);
   std::ostringstream line;
@@ -242,7 +242,7 @@ TEST_F(QueryEngineTest, IdenticalAcrossThreadsAndCachePolicies) {
       std::make_unique<core::LruSketchCache>(&sketcher_, &grid_, tiny));
   caches.push_back(
       std::make_unique<core::FixedSketchSource>(
-          SketchAllTiles(sketcher_, grid_)));
+          SketchAllTilesParallel(sketcher_, grid_)));
   for (const auto& cache : caches) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
       QueryEngineOptions options;
@@ -293,7 +293,7 @@ TEST_F(QueryEngineTest, RefineWithoutGridIsRejected) {
 TEST_F(QueryEngineTest, SketchOnlyServingWorksWithoutGrid) {
   // A FixedSketchSource (e.g. a sketch set read from disk) can serve
   // unrefined batches with no table data at all.
-  core::FixedSketchSource source(SketchAllTiles(sketcher_, grid_));
+  core::FixedSketchSource source(SketchAllTilesParallel(sketcher_, grid_));
   QueryEngine engine(nullptr, &source, &estimator_, {});
   const std::vector<QueryRequest> batch = {
       QueryRequest{QueryRequest::Kind::kDistance, 1, 2, 0},

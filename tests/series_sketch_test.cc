@@ -7,7 +7,7 @@
 #include "core/lp_distance.h"
 #include "core/series_sketch.h"
 #include "core/sketcher.h"
-#include "fft/correlate1d.h"
+#include "fft/correlate.h"
 #include "rng/xoshiro256.h"
 #include "table/matrix.h"
 
@@ -19,31 +19,6 @@ std::vector<double> RandomSeries(size_t n, uint64_t seed) {
   std::vector<double> out(n);
   for (double& value : out) value = gen.NextDouble() * 20.0 - 10.0;
   return out;
-}
-
-TEST(Correlate1DTest, HandComputed) {
-  const std::vector<double> series = {1, 2, 3, 4};
-  const std::vector<double> kernel = {1, 10};
-  const std::vector<double> out =
-      fft::CrossCorrelateNaive1D(series, kernel);
-  EXPECT_EQ(out, (std::vector<double>{21, 32, 43}));
-}
-
-TEST(Correlate1DTest, PlanMatchesNaiveAcrossShapes) {
-  for (size_t n : {5u, 16u, 33u, 100u}) {
-    const std::vector<double> series = RandomSeries(n, n);
-    for (size_t m : {1u, 2u, 5u}) {
-      if (m > n) continue;
-      const std::vector<double> kernel = RandomSeries(m, 100 + m);
-      const auto naive = fft::CrossCorrelateNaive1D(series, kernel);
-      fft::CorrelationPlan1D plan(series);
-      const auto fast = plan.Correlate(kernel);
-      ASSERT_EQ(naive.size(), fast.size());
-      for (size_t i = 0; i < naive.size(); ++i) {
-        EXPECT_NEAR(fast[i], naive[i], 1e-9) << "n=" << n << " m=" << m;
-      }
-    }
-  }
 }
 
 TEST(SeriesSketcherTest, CreateValidates) {
@@ -67,6 +42,36 @@ TEST(SeriesSketcherTest, MatchesSingleRowTableSketch) {
   ASSERT_EQ(from_series.size(), from_table.size());
   for (size_t i = 0; i < from_series.size(); ++i) {
     EXPECT_DOUBLE_EQ(from_series.values[i], from_table.values[i]);
+  }
+}
+
+TEST(SeriesSketcherTest, AllPositionsMatchSingleRowTableBitForBit) {
+  // The 1-D layer runs the 2-D all-positions path over the series as a
+  // 1 x n table, so every algorithm gives the same bits either way.
+  const std::vector<double> series = RandomSeries(100, 4);
+  const table::Matrix as_table(1, series.size(), series);
+  for (const double sparsity : {1.0, 0.2}) {
+    const SketchParams params{
+        .p = 1.0, .k = 5, .seed = 17, .sparsity = sparsity};
+    auto series_sketcher = SeriesSketcher::Create(params);
+    auto table_sketcher = Sketcher::Create(params);
+    ASSERT_TRUE(series_sketcher.ok() && table_sketcher.ok());
+    for (const SketchAlgorithm algorithm :
+         {SketchAlgorithm::kNaive, SketchAlgorithm::kFft,
+          SketchAlgorithm::kAuto}) {
+      auto from_series =
+          series_sketcher->SketchAllPositions(series, 12, algorithm);
+      auto from_table =
+          table_sketcher->SketchAllPositions(as_table, 1, 12, algorithm);
+      ASSERT_TRUE(from_series.ok() && from_table.ok());
+      ASSERT_EQ(from_series->positions(), from_table->position_cols());
+      for (size_t pos = 0; pos < from_series->positions(); ++pos) {
+        EXPECT_EQ(from_series->SketchAt(pos).values,
+                  from_table->SketchAt(0, pos).values)
+            << "sparsity=" << sparsity
+            << " algorithm=" << static_cast<int>(algorithm) << " pos=" << pos;
+      }
+    }
   }
 }
 
@@ -159,6 +164,19 @@ TEST(SeriesSketchPoolTest, BuildAndEnumerate) {
   EXPECT_TRUE(pool->Covers(8));
   EXPECT_TRUE(pool->Covers(200));
   EXPECT_FALSE(pool->Covers(7));
+}
+
+TEST(SeriesSketchPoolTest, BuildConstructsExactlyOnePlan) {
+  // Like the 2-D pool: one forward FFT of the series serves every canonical
+  // length and kernel.
+  const std::vector<double> series = RandomSeries(200, 67);
+  SeriesSketchPool::Options options;
+  options.log2_min = 3;
+  const size_t before = fft::CorrelationPlan::plans_constructed();
+  auto pool = SeriesSketchPool::Build(series, {.p = 1.0, .k = 5, .seed = 7},
+                                      options);
+  ASSERT_TRUE(pool.ok());
+  EXPECT_EQ(fft::CorrelationPlan::plans_constructed() - before, 1u);
 }
 
 TEST(SeriesSketchPoolTest, BuildRejectsImpossibleOptions) {

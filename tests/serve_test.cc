@@ -144,7 +144,7 @@ class ServeTest : public ::testing::Test {
     set.params = {.p = 1.0, .k = 64, .seed = seed};
     set.object_rows = kTileRows;
     set.object_cols = kTileCols;
-    set.sketches = SketchAllTiles(sketcher, grid_);
+    set.sketches = SketchAllTilesParallel(sketcher, grid_);
     ASSERT_TRUE(core::WriteSketchSet(set, path).ok());
   }
 

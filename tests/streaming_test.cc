@@ -91,8 +91,8 @@ constexpr size_t kTileCols = 4;
 /// Runs `ops` against a GrowingTableSketcher and an eagerly re-stitched
 /// shadow table, checking after every step that (a) the window table equals
 /// the shadow's surviving region, (b) every completed tile sketch is
-/// byte-identical to a fresh batch SketchAllTiles over that region, and
-/// (c) sketches_computed() is exactly one computation per distinct tile
+/// byte-identical to a fresh batch SketchAllTilesParallel over that region,
+/// and (c) sketches_computed() is exactly one computation per distinct tile
 /// ever completed. Returns the first violation's description, or nullopt.
 std::optional<std::string> CheckSchedule(const std::vector<Op>& ops,
                                          size_t threads) {
@@ -170,7 +170,8 @@ std::optional<std::string> CheckSchedule(const std::vector<Op>& ops,
     if (expect_tiles > 0) {
       auto grid = table::TileGrid::Create(&stitched, kTileRows, kTileCols);
       if (!grid.ok()) return at.str() + grid.status().ToString();
-      const std::vector<Sketch> reference = SketchAllTiles(*sketcher, *grid);
+      const std::vector<Sketch> reference =
+          SketchAllTilesParallel(*sketcher, *grid);
       const std::vector<Sketch> incremental = store->SketchesInGridOrder();
       for (size_t t = 0; t < reference.size(); ++t) {
         if (reference[t].values != incremental[t].values) {
