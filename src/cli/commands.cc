@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -15,16 +16,16 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "cli/flags.h"
-#include "cluster/dbscan.h"
 #include "cluster/exact_backend.h"
 #include "cluster/kmeans.h"
-#include "cluster/kmedoids.h"
 #include "cluster/sketch_backend.h"
 #include "core/estimator.h"
 #include "core/lp_distance.h"
@@ -42,7 +43,6 @@
 #include "serve/server.h"
 #include "serve/snapshot.h"
 #include "data/call_volume.h"
-#include "data/ip_traffic.h"
 #include "data/six_region.h"
 #include "eval/audit.h"
 #include "table/table_io.h"
@@ -63,7 +63,7 @@ usage: tabsketch <command> [--flags]
 
 commands:
   generate   synthesize a dataset and write it as a binary table
-             --dataset=call-volume|six-region|ip-traffic  --out=FILE
+             --dataset=call-volume|six-region  --out=FILE
              [--rows=N --cols=N --days=N --seed=N]
   info       print a table's dimensions and value summary
              --table=FILE
@@ -75,16 +75,15 @@ commands:
   distance   exact and sketch-estimated Lp distance between two rectangles
              --table=FILE --rect1=r,c,h,w --rect2=r,c,h,w
              [--p=P --k=K --seed=N]
-  cluster    cluster a table's tiles; prints a summary, optionally writes
-             per-tile assignments as CSV
-             --table=FILE --tile-rows=N --tile-cols=N
-             [--algo=kmeans|kmedoids|dbscan] [--k=N --p=P --seed=N]
+  cluster    k-means over a table's tiles; prints a summary, optionally
+             writes per-tile assignments as CSV
+             --table=FILE --tile-rows=N --tile-cols=N [--k=N --p=P --seed=N]
              [--mode=exact|precomputed|ondemand] [--sketch-k=K]
              [--sparsity=S sparse sketch kernels (sketch modes only)]
              [--cache-bytes=N bound the on-demand sketch cache, 0 = keep all]
              [--quant=off|int8|int16 code-scan assignment prefilter over
              quantized sketches; output is byte-identical to off]
-             [--epsilon=E --min-points=M] [--threads=N] [--out=FILE]
+             [--threads=N] [--out=FILE]
   pool-build build a dyadic sketch pool over a table and persist it
              --table=FILE --out=FILE [--p=P --k=K --seed=N
              --min-log2=N --max-log2=N --threads=N]
@@ -176,25 +175,110 @@ int Fail(std::ostream& err, const util::Status& status) {
   if (!result.ok()) return Fail(err, result.status());    \
   lhs = std::move(result).value()
 
-/// Clamps a --threads flag value to a sane worker count (>= 1).
-size_t ThreadsFromFlag(int64_t threads) {
-  return static_cast<size_t>(std::max<int64_t>(threads, 1));
-}
+// --- Shared flag groups: each is parsed in exactly one place. --------------
 
-/// Range check for --sparsity, phrased in terms of the flag (the params-level
-/// validation would fire too, but without naming the flag the user typed).
-util::Status ValidateSparsityFlag(double sparsity) {
-  if (!(sparsity > 0.0) || sparsity > 1.0) {
+/// The sketch family: --p, --seed, --sparsity and the sketch size, read
+/// from `k_flag` (`cluster` uses --k for the cluster count) with the
+/// command's default.
+util::Result<core::SketchParams> FamilyFromFlags(
+    const Flags& flags, size_t default_k, const std::string& k_flag = "k") {
+  core::SketchParams params;
+  TABSKETCH_ASSIGN_OR_RETURN(params.p, flags.GetDouble("p", 1.0));
+  TABSKETCH_ASSIGN_OR_RETURN(params.k, flags.GetSize(k_flag, default_k));
+  TABSKETCH_ASSIGN_OR_RETURN(const int64_t seed, flags.GetInt("seed", 42));
+  params.seed = static_cast<uint64_t>(seed);
+  TABSKETCH_ASSIGN_OR_RETURN(params.sparsity,
+                             flags.GetDouble("sparsity", 1.0));
+  // Phrased in terms of the flag: the params-level validation would fire
+  // too, but without naming the flag the user typed.
+  if (!(params.sparsity > 0.0) || params.sparsity > 1.0) {
     std::ostringstream msg;
-    msg << "--sparsity must be in (0, 1], got " << sparsity;
+    msg << "--sparsity must be in (0, 1], got " << params.sparsity;
     return util::Status::InvalidArgument(msg.str());
   }
-  return util::Status::OK();
+  return params;
 }
 
+/// --threads: the worker count, defaulting to the machine's; 0 means 1.
+util::Result<size_t> ThreadsFromFlags(const Flags& flags) {
+  TABSKETCH_ASSIGN_OR_RETURN(
+      const size_t threads,
+      flags.GetSize("threads", util::DefaultThreadCount()));
+  return std::max<size_t>(threads, 1);
+}
+
+/// A --rect1/--rect2 rectangle: top-left corner, then height and width.
+struct Rect {
+  size_t row;
+  size_t col;
+  size_t rows;
+  size_t cols;
+
+  bool FitsIn(const table::Matrix& matrix) const {
+    return row + rows <= matrix.rows() && col + cols <= matrix.cols();
+  }
+  table::TableView WindowOf(const table::Matrix& matrix) const {
+    return matrix.Window(row, col, rows, cols);
+  }
+};
+
+/// --rect1 and --rect2 ("r,c,h,w"): two non-empty rectangles of equal
+/// dimensions, the only pairs a sketch distance is defined for.
+util::Result<std::array<Rect, 2>> RectsFromFlags(const Flags& flags) {
+  std::array<Rect, 2> rects;
+  for (size_t i = 0; i < rects.size(); ++i) {
+    const std::string name = "rect" + std::to_string(i + 1);
+    TABSKETCH_ASSIGN_OR_RETURN(const std::string text, flags.GetRequired(name));
+    TABSKETCH_ASSIGN_OR_RETURN(const std::vector<size_t> fields,
+                               ParseSizeList(text, 4));
+    if (fields[2] == 0 || fields[3] == 0) {
+      return util::Status::InvalidArgument("--" + name +
+                                           " must not be empty, got '" +
+                                           text + "'");
+    }
+    rects[i] = {fields[0], fields[1], fields[2], fields[3]};
+  }
+  if (rects[0].rows != rects[1].rows || rects[0].cols != rects[1].cols) {
+    return util::Status::InvalidArgument(
+        "rectangles must have equal dimensions");
+  }
+  return rects;
+}
+
+/// The serving pipeline `query` and `serve` share: table and tile shape,
+/// the sketch source (a --sketches file, or the family flags — never both),
+/// the cache budget and the engine options.
+util::Result<serve::SnapshotSpec> SnapshotSpecFromFlags(const Flags& flags) {
+  serve::SnapshotSpec spec;
+  TABSKETCH_ASSIGN_OR_RETURN(spec.table_path, flags.GetString("table", ""));
+  TABSKETCH_ASSIGN_OR_RETURN(spec.tile_rows, flags.GetSize("tile-rows", 0));
+  TABSKETCH_ASSIGN_OR_RETURN(spec.tile_cols, flags.GetSize("tile-cols", 0));
+  TABSKETCH_ASSIGN_OR_RETURN(spec.sketches_path,
+                             flags.GetString("sketches", ""));
+  TABSKETCH_ASSIGN_OR_RETURN(spec.params, FamilyFromFlags(flags, 256));
+  if (!spec.sketches_path.empty() &&
+      (flags.Has("p") || flags.Has("k") || flags.Has("seed") ||
+       flags.Has("sparsity"))) {
+    return util::Status::InvalidArgument(
+        "--p/--k/--seed/--sparsity come from the --sketches file; drop the "
+        "flags");
+  }
+  TABSKETCH_ASSIGN_OR_RETURN(spec.cache_bytes,
+                             flags.GetSize("cache-bytes", 0));
+  TABSKETCH_ASSIGN_OR_RETURN(spec.engine.threads, ThreadsFromFlags(flags));
+  TABSKETCH_ASSIGN_OR_RETURN(spec.engine.refine,
+                             flags.GetBool("refine", false));
+  TABSKETCH_ASSIGN_OR_RETURN(spec.engine.candidates,
+                             flags.GetSize("candidates", 0));
+  TABSKETCH_ASSIGN_OR_RETURN(const std::string quant,
+                             flags.GetString("quant", "off"));
+  TABSKETCH_ASSIGN_OR_RETURN(spec.engine.quant, core::ParseQuantKind(quant));
+  return spec;
+}
+
+// --- Commands: parse flag groups, call the library, print. -----------------
+
 int CmdGenerate(const Flags& flags, std::ostream& out, std::ostream& err) {
-  TABSKETCH_RETURN_CLI(flags.AllowOnly(
-      {"dataset", "out", "rows", "cols", "days", "seed", "metrics-json", "trace-json", "audit-rate"}));
   TABSKETCH_ASSIGN_CLI(const std::string dataset,
                        flags.GetRequired("dataset"));
   TABSKETCH_ASSIGN_CLI(const std::string path, flags.GetRequired("out"));
@@ -203,114 +287,78 @@ int CmdGenerate(const Flags& flags, std::ostream& out, std::ostream& err) {
   table::Matrix matrix;
   if (dataset == "call-volume") {
     data::CallVolumeOptions options;
-    TABSKETCH_ASSIGN_CLI(const int64_t rows, flags.GetInt("rows", 1024));
-    TABSKETCH_ASSIGN_CLI(const int64_t days, flags.GetInt("days", 1));
-    options.num_stations = static_cast<size_t>(rows);
-    options.num_days = static_cast<size_t>(days);
+    TABSKETCH_ASSIGN_CLI(options.num_stations, flags.GetSize("rows", 1024));
+    TABSKETCH_ASSIGN_CLI(options.num_days, flags.GetSize("days", 1));
     options.seed = static_cast<uint64_t>(seed);
-    auto generated = data::GenerateCallVolume(options);
-    if (!generated.ok()) return Fail(err, generated.status());
-    matrix = std::move(generated).value();
+    TABSKETCH_ASSIGN_CLI(matrix, data::GenerateCallVolume(options));
   } else if (dataset == "six-region") {
     data::SixRegionOptions options;
-    TABSKETCH_ASSIGN_CLI(const int64_t rows, flags.GetInt("rows", 256));
-    TABSKETCH_ASSIGN_CLI(const int64_t cols, flags.GetInt("cols", 512));
-    options.rows = static_cast<size_t>(rows);
-    options.cols = static_cast<size_t>(cols);
+    TABSKETCH_ASSIGN_CLI(options.rows, flags.GetSize("rows", 256));
+    TABSKETCH_ASSIGN_CLI(options.cols, flags.GetSize("cols", 512));
     options.seed = static_cast<uint64_t>(seed);
-    auto generated = data::GenerateSixRegion(options);
-    if (!generated.ok()) return Fail(err, generated.status());
-    matrix = std::move(generated->table);
-  } else if (dataset == "ip-traffic") {
-    data::IpTrafficOptions options;
-    TABSKETCH_ASSIGN_CLI(const int64_t rows, flags.GetInt("rows", 1024));
-    TABSKETCH_ASSIGN_CLI(const int64_t cols, flags.GetInt("cols", 288));
-    options.num_hosts = static_cast<size_t>(rows);
-    options.num_bins = static_cast<size_t>(cols);
-    options.seed = static_cast<uint64_t>(seed);
-    auto generated = data::GenerateIpTraffic(options);
-    if (!generated.ok()) return Fail(err, generated.status());
-    matrix = std::move(generated->table);
+    TABSKETCH_ASSIGN_CLI(data::SixRegionData generated,
+                         data::GenerateSixRegion(options));
+    matrix = std::move(generated.table);
   } else {
     return Fail(err, util::Status::InvalidArgument(
                          "unknown --dataset '" + dataset +
-                         "' (call-volume, six-region, ip-traffic)"));
+                         "' (call-volume, six-region)"));
   }
 
-  const util::Status written = table::WriteBinary(matrix, path);
-  if (!written.ok()) return Fail(err, written);
+  TABSKETCH_RETURN_CLI(table::WriteBinary(matrix, path));
   out << "wrote " << matrix.rows() << "x" << matrix.cols() << " table to "
       << path << "\n";
   return 0;
 }
 
 int CmdInfo(const Flags& flags, std::ostream& out, std::ostream& err) {
-  TABSKETCH_RETURN_CLI(flags.AllowOnly({"table", "metrics-json", "trace-json", "audit-rate"}));
   TABSKETCH_ASSIGN_CLI(const std::string path, flags.GetRequired("table"));
-  auto matrix = table::ReadBinary(path);
-  if (!matrix.ok()) return Fail(err, matrix.status());
-  double minimum = matrix->Values().front();
+  TABSKETCH_ASSIGN_CLI(const table::Matrix matrix, table::ReadBinary(path));
+  out << path << ": " << matrix.rows() << "x" << matrix.cols() << " ("
+      << matrix.size() * sizeof(double) << " bytes)\n";
+  if (matrix.size() == 0) {
+    out << "  empty table\n";
+    return 0;
+  }
+  double minimum = matrix.Values().front();
   double maximum = minimum;
   double total = 0.0;
-  for (double value : matrix->Values()) {
+  for (double value : matrix.Values()) {
     minimum = std::min(minimum, value);
     maximum = std::max(maximum, value);
     total += value;
   }
-  out << path << ": " << matrix->rows() << "x" << matrix->cols() << " ("
-      << matrix->size() * sizeof(double) << " bytes)\n"
-      << "  min " << minimum << ", max " << maximum << ", mean "
-      << total / static_cast<double>(matrix->size()) << "\n";
+  out << "  min " << minimum << ", max " << maximum << ", mean "
+      << total / static_cast<double>(matrix.size()) << "\n";
   return 0;
 }
 
 int CmdSketch(const Flags& flags, std::ostream& out, std::ostream& err) {
-  TABSKETCH_RETURN_CLI(flags.AllowOnly({"table", "out", "tile-rows",
-                                        "tile-cols", "p", "k", "seed",
-                                        "sparsity", "threads",
-                                        "metrics-json", "trace-json", "audit-rate"}));
   TABSKETCH_ASSIGN_CLI(const std::string table_path,
                        flags.GetRequired("table"));
   TABSKETCH_ASSIGN_CLI(const std::string out_path, flags.GetRequired("out"));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_rows,
-                       flags.GetInt("tile-rows", 0));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_cols,
-                       flags.GetInt("tile-cols", 0));
-  TABSKETCH_ASSIGN_CLI(const double p, flags.GetDouble("p", 1.0));
-  TABSKETCH_ASSIGN_CLI(const int64_t k, flags.GetInt("k", 256));
-  TABSKETCH_ASSIGN_CLI(const int64_t seed, flags.GetInt("seed", 42));
-  TABSKETCH_ASSIGN_CLI(const double sparsity,
-                       flags.GetDouble("sparsity", 1.0));
-  TABSKETCH_RETURN_CLI(ValidateSparsityFlag(sparsity));
-  TABSKETCH_ASSIGN_CLI(
-      const int64_t threads,
-      flags.GetInt("threads",
-                   static_cast<int64_t>(util::DefaultThreadCount())));
+  TABSKETCH_ASSIGN_CLI(const size_t tile_rows, flags.GetSize("tile-rows", 0));
+  TABSKETCH_ASSIGN_CLI(const size_t tile_cols, flags.GetSize("tile-cols", 0));
+  TABSKETCH_ASSIGN_CLI(const core::SketchParams params,
+                       FamilyFromFlags(flags, 256));
+  TABSKETCH_ASSIGN_CLI(const size_t threads, ThreadsFromFlags(flags));
 
-  auto matrix = table::ReadBinary(table_path);
-  if (!matrix.ok()) return Fail(err, matrix.status());
-  auto grid = table::TileGrid::Create(&*matrix,
-                                      static_cast<size_t>(tile_rows),
-                                      static_cast<size_t>(tile_cols));
-  if (!grid.ok()) return Fail(err, grid.status());
-
-  core::SketchParams params{.p = p, .k = static_cast<size_t>(k),
-                            .seed = static_cast<uint64_t>(seed),
-                            .sparsity = sparsity};
-  auto sketcher = core::Sketcher::Create(params);
-  if (!sketcher.ok()) return Fail(err, sketcher.status());
+  TABSKETCH_ASSIGN_CLI(const table::Matrix matrix,
+                       table::ReadBinary(table_path));
+  TABSKETCH_ASSIGN_CLI(const table::TileGrid grid,
+                       table::TileGrid::Create(&matrix, tile_rows, tile_cols));
+  TABSKETCH_ASSIGN_CLI(const core::Sketcher sketcher,
+                       core::Sketcher::Create(params));
 
   util::WallTimer timer;
   core::SketchSet set;
   set.params = params;
-  set.object_rows = grid->tile_rows();
-  set.object_cols = grid->tile_cols();
-  set.sketches =
-      core::SketchAllTilesParallel(*sketcher, *grid, ThreadsFromFlag(threads));
+  set.object_rows = grid.tile_rows();
+  set.object_cols = grid.tile_cols();
+  set.sketches = core::SketchAllTilesParallel(sketcher, grid, threads);
   const double seconds = timer.ElapsedSeconds();
 
-  const util::Status written = core::WriteSketchSet(set, out_path);
-  if (!written.ok()) return Fail(err, written);
+  TABSKETCH_RETURN_CLI(core::WriteSketchSet(set, out_path));
   out << "sketched " << set.sketches.size() << " tiles (k=" << params.k
       << ", p=" << params.p << ") in " << seconds << "s -> " << out_path
       << "\n";
@@ -318,52 +366,31 @@ int CmdSketch(const Flags& flags, std::ostream& out, std::ostream& err) {
 }
 
 int CmdDistance(const Flags& flags, std::ostream& out, std::ostream& err) {
-  TABSKETCH_RETURN_CLI(flags.AllowOnly({"table", "rect1", "rect2", "p", "k",
-                                        "seed", "metrics-json", "trace-json", "audit-rate"}));
   TABSKETCH_ASSIGN_CLI(const std::string table_path,
                        flags.GetRequired("table"));
-  TABSKETCH_ASSIGN_CLI(const std::string rect1_text,
-                       flags.GetRequired("rect1"));
-  TABSKETCH_ASSIGN_CLI(const std::string rect2_text,
-                       flags.GetRequired("rect2"));
-  TABSKETCH_ASSIGN_CLI(const double p, flags.GetDouble("p", 1.0));
-  TABSKETCH_ASSIGN_CLI(const int64_t k, flags.GetInt("k", 256));
-  TABSKETCH_ASSIGN_CLI(const int64_t seed, flags.GetInt("seed", 42));
+  TABSKETCH_ASSIGN_CLI(const auto rects, RectsFromFlags(flags));
+  TABSKETCH_ASSIGN_CLI(const core::SketchParams params,
+                       FamilyFromFlags(flags, 256));
 
-  auto matrix = table::ReadBinary(table_path);
-  if (!matrix.ok()) return Fail(err, matrix.status());
-  auto rect1 = ParseSizeList(rect1_text, 4);
-  if (!rect1.ok()) return Fail(err, rect1.status());
-  auto rect2 = ParseSizeList(rect2_text, 4);
-  if (!rect2.ok()) return Fail(err, rect2.status());
-  const auto& r1 = *rect1;
-  const auto& r2 = *rect2;
-  if (r1[2] != r2[2] || r1[3] != r2[3]) {
-    return Fail(err, util::Status::InvalidArgument(
-                         "rectangles must have equal dimensions"));
-  }
-  if (r1[0] + r1[2] > matrix->rows() || r1[1] + r1[3] > matrix->cols() ||
-      r2[0] + r2[2] > matrix->rows() || r2[1] + r2[3] > matrix->cols()) {
+  TABSKETCH_ASSIGN_CLI(const table::Matrix matrix,
+                       table::ReadBinary(table_path));
+  if (!rects[0].FitsIn(matrix) || !rects[1].FitsIn(matrix)) {
     return Fail(err, util::Status::OutOfRange(
                          "rectangle exceeds the table"));
   }
 
   // Validate the family (in particular p in (0, 2]) before LpDistance, whose
   // precondition on p is a hard CHECK rather than a recoverable status.
-  core::SketchParams params{.p = p, .k = static_cast<size_t>(k),
-                            .seed = static_cast<uint64_t>(seed)};
-  auto sketcher = core::Sketcher::Create(params);
-  if (!sketcher.ok()) return Fail(err, sketcher.status());
-  auto estimator = core::DistanceEstimator::Create(params);
-  if (!estimator.ok()) return Fail(err, estimator.status());
+  TABSKETCH_ASSIGN_CLI(const core::Sketcher sketcher,
+                       core::Sketcher::Create(params));
+  TABSKETCH_ASSIGN_CLI(const core::DistanceEstimator estimator,
+                       core::DistanceEstimator::Create(params));
 
-  const table::TableView view1 =
-      matrix->Window(r1[0], r1[1], r1[2], r1[3]);
-  const table::TableView view2 =
-      matrix->Window(r2[0], r2[1], r2[2], r2[3]);
-  const double exact = core::LpDistance(view1, view2, p);
-  const double approx = estimator->Estimate(sketcher->SketchOf(view1),
-                                            sketcher->SketchOf(view2));
+  const table::TableView view1 = rects[0].WindowOf(matrix);
+  const table::TableView view2 = rects[1].WindowOf(matrix);
+  const double exact = core::LpDistance(view1, view2, params.p);
+  const double approx = estimator.Estimate(sketcher.SketchOf(view1),
+                                           sketcher.SketchOf(view2));
   // The exact distance is already on hand here, so auditing costs nothing
   // extra: record the pair whenever the auditor is on.
   if (eval::SketchAuditor::Enabled()) {
@@ -371,52 +398,32 @@ int CmdDistance(const Flags& flags, std::ostream& out, std::ostream& err) {
         .ChannelFor(params.p, params.k, params.sparsity)
         ->Record(exact, approx);
   }
-  out << "L" << p << " distance, " << r1[2] << "x" << r1[3]
-      << " rectangles:\n"
+  out << "L" << params.p << " distance, " << rects[0].rows << "x"
+      << rects[0].cols << " rectangles:\n"
       << "  exact:     " << exact << "\n"
       << "  estimated: " << approx << "  (k=" << params.k << ")\n";
   return 0;
 }
 
 int CmdCluster(const Flags& flags, std::ostream& out, std::ostream& err) {
-  TABSKETCH_RETURN_CLI(flags.AllowOnly(
-      {"table", "tile-rows", "tile-cols", "algo", "k", "p", "seed", "mode",
-       "sketch-k", "sparsity", "cache-bytes", "quant", "epsilon",
-       "min-points", "threads", "out", "metrics-json", "trace-json",
-       "audit-rate"}));
   TABSKETCH_ASSIGN_CLI(const std::string table_path,
                        flags.GetRequired("table"));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_rows,
-                       flags.GetInt("tile-rows", 0));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_cols,
-                       flags.GetInt("tile-cols", 0));
-  TABSKETCH_ASSIGN_CLI(const std::string algo,
-                       flags.GetString("algo", "kmeans"));
-  TABSKETCH_ASSIGN_CLI(const int64_t num_clusters, flags.GetInt("k", 8));
-  TABSKETCH_ASSIGN_CLI(const double p, flags.GetDouble("p", 1.0));
-  TABSKETCH_ASSIGN_CLI(const int64_t seed, flags.GetInt("seed", 42));
+  TABSKETCH_ASSIGN_CLI(const size_t tile_rows, flags.GetSize("tile-rows", 0));
+  TABSKETCH_ASSIGN_CLI(const size_t tile_cols, flags.GetSize("tile-cols", 0));
+  TABSKETCH_ASSIGN_CLI(const size_t num_clusters, flags.GetSize("k", 8));
   TABSKETCH_ASSIGN_CLI(const std::string mode,
                        flags.GetString("mode", "precomputed"));
-  TABSKETCH_ASSIGN_CLI(const int64_t sketch_k, flags.GetInt("sketch-k", 256));
-  TABSKETCH_ASSIGN_CLI(const double sparsity,
-                       flags.GetDouble("sparsity", 1.0));
-  TABSKETCH_RETURN_CLI(ValidateSparsityFlag(sparsity));
-  TABSKETCH_ASSIGN_CLI(const int64_t cache_bytes,
-                       flags.GetInt("cache-bytes", 0));
+  TABSKETCH_ASSIGN_CLI(const core::SketchParams params,
+                       FamilyFromFlags(flags, 256, "sketch-k"));
+  TABSKETCH_ASSIGN_CLI(const size_t cache_bytes,
+                       flags.GetSize("cache-bytes", 0));
   TABSKETCH_ASSIGN_CLI(const std::string quant_text,
                        flags.GetString("quant", "off"));
   TABSKETCH_ASSIGN_CLI(const core::QuantKind quant,
                        core::ParseQuantKind(quant_text));
-  TABSKETCH_ASSIGN_CLI(const double epsilon, flags.GetDouble("epsilon", 1.0));
-  TABSKETCH_ASSIGN_CLI(const int64_t min_points,
-                       flags.GetInt("min-points", 4));
-  TABSKETCH_ASSIGN_CLI(
-      const int64_t threads_flag,
-      flags.GetInt("threads",
-                   static_cast<int64_t>(util::DefaultThreadCount())));
+  TABSKETCH_ASSIGN_CLI(const size_t threads, ThreadsFromFlags(flags));
   TABSKETCH_ASSIGN_CLI(const std::string out_path,
                        flags.GetString("out", ""));
-  const size_t threads = ThreadsFromFlag(threads_flag);
 
   // Flag conflicts fail before any table IO.
   if (mode == "exact") {
@@ -432,80 +439,43 @@ int CmdCluster(const Flags& flags, std::ostream& out, std::ostream& err) {
     }
   }
 
-  auto matrix = table::ReadBinary(table_path);
-  if (!matrix.ok()) return Fail(err, matrix.status());
-  auto grid = table::TileGrid::Create(&*matrix,
-                                      static_cast<size_t>(tile_rows),
-                                      static_cast<size_t>(tile_cols));
-  if (!grid.ok()) return Fail(err, grid.status());
+  TABSKETCH_ASSIGN_CLI(const table::Matrix matrix,
+                       table::ReadBinary(table_path));
+  TABSKETCH_ASSIGN_CLI(const table::TileGrid grid,
+                       table::TileGrid::Create(&matrix, tile_rows, tile_cols));
 
   // Backend per --mode.
   std::unique_ptr<cluster::ClusteringBackend> backend;
   if (mode == "exact") {
-    auto exact = cluster::ExactBackend::Create(&*grid, p);
-    if (!exact.ok()) return Fail(err, exact.status());
-    backend = std::make_unique<cluster::ExactBackend>(
-        std::move(exact).value());
+    TABSKETCH_ASSIGN_CLI(cluster::ExactBackend exact,
+                         cluster::ExactBackend::Create(&grid, params.p));
+    backend = std::make_unique<cluster::ExactBackend>(std::move(exact));
   } else if (mode == "precomputed" || mode == "ondemand") {
-    if (cache_bytes < 0) {
-      return Fail(err, util::Status::InvalidArgument(
-                           "--cache-bytes must be >= 0"));
-    }
-    auto sketch = cluster::SketchBackend::Create(
-        &*grid,
-        {.p = p, .k = static_cast<size_t>(sketch_k),
-         .seed = static_cast<uint64_t>(seed), .sparsity = sparsity},
-        mode == "precomputed" ? cluster::SketchMode::kPrecomputed
-                              : cluster::SketchMode::kOnDemand,
-        core::EstimatorKind::kAuto, threads,
-        static_cast<size_t>(cache_bytes), quant);
-    if (!sketch.ok()) return Fail(err, sketch.status());
-    backend = std::make_unique<cluster::SketchBackend>(
-        std::move(sketch).value());
+    TABSKETCH_ASSIGN_CLI(
+        cluster::SketchBackend sketch,
+        cluster::SketchBackend::Create(
+            &grid, params,
+            mode == "precomputed" ? cluster::SketchMode::kPrecomputed
+                                  : cluster::SketchMode::kOnDemand,
+            core::EstimatorKind::kAuto, threads, cache_bytes, quant));
+    backend = std::make_unique<cluster::SketchBackend>(std::move(sketch));
   } else {
     return Fail(err, util::Status::InvalidArgument(
                          "unknown --mode '" + mode +
                          "' (exact, precomputed, ondemand)"));
   }
 
-  std::vector<int> assignment;
-  if (algo == "kmeans") {
-    auto result = cluster::RunKMeans(
-        backend.get(), {.k = static_cast<size_t>(num_clusters),
-                        .max_iterations = 50,
-                        .seed = static_cast<uint64_t>(seed),
-                        .threads = threads});
-    if (!result.ok()) return Fail(err, result.status());
-    out << "kmeans: " << result->iterations << " iterations, "
-        << (result->converged ? "converged" : "iteration cap") << ", "
-        << result->distance_evaluations << " distance evals, "
-        << result->seconds << "s\n";
-    assignment = std::move(result->assignment);
-  } else if (algo == "kmedoids") {
-    auto result = cluster::RunKMedoids(
-        backend.get(), {.k = static_cast<size_t>(num_clusters),
-                        .max_iterations = 30,
-                        .seed = static_cast<uint64_t>(seed)});
-    if (!result.ok()) return Fail(err, result.status());
-    out << "kmedoids: " << result->iterations << " iterations, objective "
-        << result->objective << ", " << result->seconds << "s\n  medoids:";
-    for (size_t medoid : result->medoids) out << " " << medoid;
-    out << "\n";
-    assignment = std::move(result->assignment);
-  } else if (algo == "dbscan") {
-    auto result = cluster::RunDbscan(
-        backend.get(), {.epsilon = epsilon,
-                        .min_points = static_cast<size_t>(min_points)});
-    if (!result.ok()) return Fail(err, result.status());
-    out << "dbscan: " << result->num_clusters << " clusters, "
-        << result->num_noise << " noise tiles, " << result->seconds
-        << "s\n";
-    assignment = std::move(result->assignment);
-  } else {
-    return Fail(err, util::Status::InvalidArgument(
-                         "unknown --algo '" + algo +
-                         "' (kmeans, kmedoids, dbscan)"));
-  }
+  TABSKETCH_ASSIGN_CLI(
+      const cluster::KMeansResult result,
+      cluster::RunKMeans(backend.get(), {.k = num_clusters,
+                                         .max_iterations = 50,
+                                         .seed = params.seed,
+                                         .threads = threads}));
+  out << "kmeans: " << result.iterations << " iterations, "
+      << (result.converged ? "converged" : "iteration cap") << ", "
+      << result.distance_evaluations << " distance evals, " << result.seconds
+      << "s\n";
+  const std::vector<int>& assignment = result.assignment;
 
   // Cluster sizes summary.
   int max_label = -1;
@@ -538,8 +508,8 @@ int CmdCluster(const Flags& flags, std::ostream& out, std::ostream& err) {
     }
     csv << "tile,grid_row,grid_col,cluster\n";
     for (size_t t = 0; t < assignment.size(); ++t) {
-      csv << t << "," << t / grid->grid_cols() << ","
-          << t % grid->grid_cols() << "," << assignment[t] << "\n";
+      csv << t << "," << t / grid.grid_cols() << ","
+          << t % grid.grid_cols() << "," << assignment[t] << "\n";
     }
     out << "assignments written to " << out_path << "\n";
   }
@@ -547,141 +517,68 @@ int CmdCluster(const Flags& flags, std::ostream& out, std::ostream& err) {
 }
 
 int CmdPoolBuild(const Flags& flags, std::ostream& out, std::ostream& err) {
-  TABSKETCH_RETURN_CLI(flags.AllowOnly(
-      {"table", "out", "p", "k", "seed", "sparsity", "min-log2", "max-log2",
-       "threads", "metrics-json", "trace-json", "audit-rate"}));
   TABSKETCH_ASSIGN_CLI(const std::string table_path,
                        flags.GetRequired("table"));
   TABSKETCH_ASSIGN_CLI(const std::string out_path, flags.GetRequired("out"));
-  TABSKETCH_ASSIGN_CLI(const double p, flags.GetDouble("p", 1.0));
-  TABSKETCH_ASSIGN_CLI(const int64_t k, flags.GetInt("k", 64));
-  TABSKETCH_ASSIGN_CLI(const int64_t seed, flags.GetInt("seed", 42));
-  TABSKETCH_ASSIGN_CLI(const double sparsity,
-                       flags.GetDouble("sparsity", 1.0));
-  TABSKETCH_RETURN_CLI(ValidateSparsityFlag(sparsity));
-  TABSKETCH_ASSIGN_CLI(const int64_t min_log2, flags.GetInt("min-log2", 3));
-  TABSKETCH_ASSIGN_CLI(const int64_t max_log2, flags.GetInt("max-log2", 63));
-  TABSKETCH_ASSIGN_CLI(
-      const int64_t threads,
-      flags.GetInt("threads",
-                   static_cast<int64_t>(util::DefaultThreadCount())));
-
-  auto matrix = table::ReadBinary(table_path);
-  if (!matrix.ok()) return Fail(err, matrix.status());
+  TABSKETCH_ASSIGN_CLI(const core::SketchParams params,
+                       FamilyFromFlags(flags, 64));
   core::PoolOptions options;
-  options.log2_min_rows = static_cast<size_t>(min_log2);
-  options.log2_min_cols = static_cast<size_t>(min_log2);
-  options.log2_max_rows = static_cast<size_t>(max_log2);
-  options.log2_max_cols = static_cast<size_t>(max_log2);
-  options.threads = ThreadsFromFlag(threads);
+  TABSKETCH_ASSIGN_CLI(options.log2_min_rows, flags.GetSize("min-log2", 3));
+  TABSKETCH_ASSIGN_CLI(options.log2_max_rows, flags.GetSize("max-log2", 63));
+  options.log2_min_cols = options.log2_min_rows;
+  options.log2_max_cols = options.log2_max_rows;
+  TABSKETCH_ASSIGN_CLI(options.threads, ThreadsFromFlags(flags));
+
+  TABSKETCH_ASSIGN_CLI(const table::Matrix matrix,
+                       table::ReadBinary(table_path));
   util::WallTimer timer;
-  auto pool = core::SketchPool::Build(
-      *matrix, {.p = p, .k = static_cast<size_t>(k),
-                .seed = static_cast<uint64_t>(seed), .sparsity = sparsity},
-      options);
-  if (!pool.ok()) return Fail(err, pool.status());
+  TABSKETCH_ASSIGN_CLI(const core::SketchPool pool,
+                       core::SketchPool::Build(matrix, params, options));
   const double seconds = timer.ElapsedSeconds();
-  const util::Status written = core::WriteSketchPool(*pool, out_path);
-  if (!written.ok()) return Fail(err, written);
-  out << "pool with " << pool->CanonicalSizes().size()
+  TABSKETCH_RETURN_CLI(core::WriteSketchPool(pool, out_path));
+  out << "pool with " << pool.CanonicalSizes().size()
       << " canonical sizes built in " << seconds << "s -> " << out_path
       << "\n";
   return 0;
 }
 
 int CmdPoolQuery(const Flags& flags, std::ostream& out, std::ostream& err) {
-  TABSKETCH_RETURN_CLI(flags.AllowOnly(
-      {"pool", "rect1", "rect2", "table", "metrics-json", "trace-json", "audit-rate"}));
   TABSKETCH_ASSIGN_CLI(const std::string pool_path,
                        flags.GetRequired("pool"));
-  TABSKETCH_ASSIGN_CLI(const std::string rect1_text,
-                       flags.GetRequired("rect1"));
-  TABSKETCH_ASSIGN_CLI(const std::string rect2_text,
-                       flags.GetRequired("rect2"));
+  TABSKETCH_ASSIGN_CLI(const auto rects, RectsFromFlags(flags));
   TABSKETCH_ASSIGN_CLI(const std::string table_path,
                        flags.GetString("table", ""));
 
-  auto pool = core::ReadSketchPool(pool_path);
-  if (!pool.ok()) return Fail(err, pool.status());
-  auto rect1 = ParseSizeList(rect1_text, 4);
-  if (!rect1.ok()) return Fail(err, rect1.status());
-  auto rect2 = ParseSizeList(rect2_text, 4);
-  if (!rect2.ok()) return Fail(err, rect2.status());
-  const auto& r1 = *rect1;
-  const auto& r2 = *rect2;
-  if (r1[2] != r2[2] || r1[3] != r2[3]) {
-    return Fail(err, util::Status::InvalidArgument(
-                         "rectangles must have equal dimensions"));
-  }
-  auto sketch1 = pool->Query(r1[0], r1[1], r1[2], r1[3]);
-  if (!sketch1.ok()) return Fail(err, sketch1.status());
-  auto sketch2 = pool->Query(r2[0], r2[1], r2[2], r2[3]);
-  if (!sketch2.ok()) return Fail(err, sketch2.status());
-  auto estimator = core::DistanceEstimator::Create(pool->params());
-  if (!estimator.ok()) return Fail(err, estimator.status());
-  out << "compound-sketch estimate: "
-      << estimator->Estimate(*sketch1, *sketch2) << "\n";
+  TABSKETCH_ASSIGN_CLI(const core::SketchPool pool,
+                       core::ReadSketchPool(pool_path));
+  const auto& [r1, r2] = rects;
+  TABSKETCH_ASSIGN_CLI(const core::Sketch sketch1,
+                       pool.Query(r1.row, r1.col, r1.rows, r1.cols));
+  TABSKETCH_ASSIGN_CLI(const core::Sketch sketch2,
+                       pool.Query(r2.row, r2.col, r2.rows, r2.cols));
+  TABSKETCH_ASSIGN_CLI(const core::DistanceEstimator estimator,
+                       core::DistanceEstimator::Create(pool.params()));
+  out << "compound-sketch estimate: " << estimator.Estimate(sketch1, sketch2)
+      << "\n";
   if (!table_path.empty()) {
-    auto matrix = table::ReadBinary(table_path);
-    if (!matrix.ok()) return Fail(err, matrix.status());
+    TABSKETCH_ASSIGN_CLI(const table::Matrix matrix,
+                         table::ReadBinary(table_path));
     out << "exact reference:          "
-        << core::LpDistance(matrix->Window(r1[0], r1[1], r1[2], r1[3]),
-                            matrix->Window(r2[0], r2[1], r2[2], r2[3]),
-                            pool->params().p)
+        << core::LpDistance(r1.WindowOf(matrix), r2.WindowOf(matrix),
+                            pool.params().p)
         << "  (compound estimates carry the Theorem-5 band)\n";
   }
   return 0;
 }
 
 int CmdQuery(const Flags& flags, std::ostream& out, std::ostream& err) {
-  TABSKETCH_RETURN_CLI(flags.AllowOnly(
-      {"table", "tile-rows", "tile-cols", "batch", "p", "k", "seed",
-       "sparsity", "sketches", "cache-bytes", "threads", "refine",
-       "candidates", "quant", "out", "metrics-json", "trace-json",
-       "audit-rate"}));
-  TABSKETCH_ASSIGN_CLI(const std::string table_path,
-                       flags.GetRequired("table"));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_rows,
-                       flags.GetInt("tile-rows", 0));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_cols,
-                       flags.GetInt("tile-cols", 0));
+  TABSKETCH_ASSIGN_CLI(const serve::SnapshotSpec spec,
+                       SnapshotSpecFromFlags(flags));
+  TABSKETCH_RETURN_CLI(flags.GetRequired("table").status());
   TABSKETCH_ASSIGN_CLI(const std::string batch_path,
                        flags.GetRequired("batch"));
-  TABSKETCH_ASSIGN_CLI(const double p, flags.GetDouble("p", 1.0));
-  TABSKETCH_ASSIGN_CLI(const int64_t k, flags.GetInt("k", 256));
-  TABSKETCH_ASSIGN_CLI(const int64_t seed, flags.GetInt("seed", 42));
-  TABSKETCH_ASSIGN_CLI(const double sparsity,
-                       flags.GetDouble("sparsity", 1.0));
-  TABSKETCH_RETURN_CLI(ValidateSparsityFlag(sparsity));
-  TABSKETCH_ASSIGN_CLI(const std::string sketches_path,
-                       flags.GetString("sketches", ""));
-  TABSKETCH_ASSIGN_CLI(const int64_t cache_bytes,
-                       flags.GetInt("cache-bytes", 0));
-  TABSKETCH_ASSIGN_CLI(
-      const int64_t threads_flag,
-      flags.GetInt("threads",
-                   static_cast<int64_t>(util::DefaultThreadCount())));
-  TABSKETCH_ASSIGN_CLI(const bool refine, flags.GetBool("refine", false));
-  TABSKETCH_ASSIGN_CLI(const int64_t candidates,
-                       flags.GetInt("candidates", 0));
-  TABSKETCH_ASSIGN_CLI(const std::string quant_text,
-                       flags.GetString("quant", "off"));
-  TABSKETCH_ASSIGN_CLI(const core::QuantKind quant,
-                       core::ParseQuantKind(quant_text));
   TABSKETCH_ASSIGN_CLI(const std::string out_path,
                        flags.GetString("out", ""));
-  if (cache_bytes < 0 || candidates < 0) {
-    return Fail(err, util::Status::InvalidArgument(
-                         "--cache-bytes and --candidates must be >= 0"));
-  }
-
-  if (!sketches_path.empty() &&
-      (flags.Has("p") || flags.Has("k") || flags.Has("seed") ||
-       flags.Has("sparsity"))) {
-    return Fail(err, util::Status::InvalidArgument(
-                         "--p/--k/--seed/--sparsity come from the "
-                         "--sketches file; drop the flags"));
-  }
   TABSKETCH_ASSIGN_CLI(const std::vector<serve::QueryRequest> batch,
                        serve::ParseBatchFile(batch_path));
 
@@ -691,25 +588,12 @@ int CmdQuery(const Flags& flags, std::ostream& out, std::ostream& err) {
   // precomputed set from disk, or compute through a cache — unbounded
   // on-demand by default, byte-budgeted LRU with --cache-bytes. All three
   // yield byte-identical answers (sketches are deterministic).
-  serve::SnapshotSpec spec;
-  spec.table_path = table_path;
-  spec.tile_rows = static_cast<size_t>(tile_rows);
-  spec.tile_cols = static_cast<size_t>(tile_cols);
-  spec.sketches_path = sketches_path;
-  spec.params = core::SketchParams{.p = p, .k = static_cast<size_t>(k),
-                                   .seed = static_cast<uint64_t>(seed),
-                                   .sparsity = sparsity};
-  spec.cache_bytes = static_cast<size_t>(cache_bytes);
-  spec.engine.threads = ThreadsFromFlag(threads_flag);
-  spec.engine.refine = refine;
-  spec.engine.candidates = static_cast<size_t>(candidates);
-  spec.engine.quant = quant;
   TABSKETCH_ASSIGN_CLI(const std::shared_ptr<const serve::Snapshot> snapshot,
                        serve::Snapshot::Create(spec));
 
   util::WallTimer timer;
-  auto results = snapshot->engine().Run(batch);
-  if (!results.ok()) return Fail(err, results.status());
+  TABSKETCH_ASSIGN_CLI(const std::vector<std::string> results,
+                       snapshot->engine().Run(batch));
   const double seconds = timer.ElapsedSeconds();
 
   if (!out_path.empty()) {
@@ -717,14 +601,14 @@ int CmdQuery(const Flags& flags, std::ostream& out, std::ostream& err) {
     if (!file) {
       return Fail(err, util::Status::IOError("cannot write " + out_path));
     }
-    for (const std::string& line : *results) file << line << "\n";
+    for (const std::string& line : results) file << line << "\n";
   } else {
-    for (const std::string& line : *results) out << line << "\n";
+    for (const std::string& line : results) out << line << "\n";
   }
   // Statistics go to stderr: they vary with --threads/--cache-bytes and
   // timing, while the answers above must not.
   const core::TileSketchCache& cache = snapshot->cache();
-  err << "answered " << results->size() << " requests in " << seconds
+  err << "answered " << results.size() << " requests in " << seconds
       << "s (" << cache.hits() << " cache hits, " << cache.computed()
       << " sketches computed)\n";
   if (const auto* lru = dynamic_cast<const core::LruSketchCache*>(&cache)) {
@@ -749,13 +633,6 @@ extern "C" void TabsketchServeSignalHandler(int /*signum*/) {
     const ssize_t ignored = write(fd, &byte, 1);
     (void)ignored;
   }
-}
-
-/// Writes `port` to `path` atomically (tmp + rename), so a reader polling
-/// for the file never sees a partial write. This is the daemon's readiness
-/// signal for scripts.
-util::Status WritePortFile(const std::string& path, uint16_t port) {
-  return util::WriteFileAtomic(path, std::to_string(port) + "\n");
 }
 
 /// Enables the metrics registry for a daemon's lifetime. The stats verbs
@@ -784,109 +661,63 @@ class ScopedMetricsEnable {
 };
 
 int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
-  TABSKETCH_RETURN_CLI(flags.AllowOnly(
-      {"table", "tile-rows", "tile-cols", "p", "k", "seed", "sparsity",
-       "sketches", "cache-bytes", "threads", "refine", "candidates", "quant",
-       "ingest", "port", "port-file", "max-inflight", "max-queue",
-       "deadline-ms", "slow-ms", "slow-log", "stats-interval", "stats-ring",
-       "metrics-json", "trace-json", "audit-rate"}));
-  TABSKETCH_ASSIGN_CLI(const std::string table_path,
-                       flags.GetString("table", ""));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_rows,
-                       flags.GetInt("tile-rows", 0));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_cols,
-                       flags.GetInt("tile-cols", 0));
-  TABSKETCH_ASSIGN_CLI(const double p, flags.GetDouble("p", 1.0));
-  TABSKETCH_ASSIGN_CLI(const int64_t k, flags.GetInt("k", 256));
-  TABSKETCH_ASSIGN_CLI(const int64_t seed, flags.GetInt("seed", 42));
-  TABSKETCH_ASSIGN_CLI(const double sparsity,
-                       flags.GetDouble("sparsity", 1.0));
-  TABSKETCH_RETURN_CLI(ValidateSparsityFlag(sparsity));
-  TABSKETCH_ASSIGN_CLI(const std::string sketches_path,
-                       flags.GetString("sketches", ""));
-  TABSKETCH_ASSIGN_CLI(const int64_t cache_bytes,
-                       flags.GetInt("cache-bytes", 0));
-  TABSKETCH_ASSIGN_CLI(
-      const int64_t threads_flag,
-      flags.GetInt("threads",
-                   static_cast<int64_t>(util::DefaultThreadCount())));
-  TABSKETCH_ASSIGN_CLI(const bool refine, flags.GetBool("refine", false));
-  TABSKETCH_ASSIGN_CLI(const int64_t candidates,
-                       flags.GetInt("candidates", 0));
-  TABSKETCH_ASSIGN_CLI(const std::string quant_text,
-                       flags.GetString("quant", "off"));
-  TABSKETCH_ASSIGN_CLI(const core::QuantKind quant,
-                       core::ParseQuantKind(quant_text));
+  TABSKETCH_ASSIGN_CLI(const serve::SnapshotSpec spec,
+                       SnapshotSpecFromFlags(flags));
   TABSKETCH_ASSIGN_CLI(const bool ingest_enabled,
                        flags.GetBool("ingest", false));
   TABSKETCH_ASSIGN_CLI(const int64_t port, flags.GetInt("port", 0));
   TABSKETCH_ASSIGN_CLI(const std::string port_file,
                        flags.GetString("port-file", ""));
-  TABSKETCH_ASSIGN_CLI(const int64_t max_inflight,
-                       flags.GetInt("max-inflight", 0));
-  TABSKETCH_ASSIGN_CLI(const int64_t max_queue,
-                       flags.GetInt("max-queue", 64));
-  TABSKETCH_ASSIGN_CLI(const int64_t deadline_ms,
-                       flags.GetInt("deadline-ms", 0));
-  TABSKETCH_ASSIGN_CLI(const double slow_ms, flags.GetDouble("slow-ms", 0.0));
-  TABSKETCH_ASSIGN_CLI(const std::string slow_log_path,
+  serve::ServerOptions options;
+  TABSKETCH_ASSIGN_CLI(options.max_inflight,
+                       flags.GetSize("max-inflight", 0));
+  TABSKETCH_ASSIGN_CLI(options.max_queue, flags.GetSize("max-queue", 64));
+  TABSKETCH_ASSIGN_CLI(const size_t deadline_ms,
+                       flags.GetSize("deadline-ms", 0));
+  TABSKETCH_ASSIGN_CLI(options.slow_ms, flags.GetDouble("slow-ms", 0.0));
+  TABSKETCH_ASSIGN_CLI(options.slow_log_path,
                        flags.GetString("slow-log", ""));
-  TABSKETCH_ASSIGN_CLI(const double stats_interval,
+  util::MetricsTicker::Options ticker_options;
+  TABSKETCH_ASSIGN_CLI(ticker_options.interval_seconds,
                        flags.GetDouble("stats-interval", 1.0));
-  TABSKETCH_ASSIGN_CLI(const int64_t stats_ring,
-                       flags.GetInt("stats-ring", 8));
-  TABSKETCH_ASSIGN_CLI(const std::string metrics_json_path,
+  TABSKETCH_ASSIGN_CLI(ticker_options.ring_capacity,
+                       flags.GetSize("stats-ring", 8));
+  TABSKETCH_ASSIGN_CLI(ticker_options.metrics_json_path,
                        flags.GetString("metrics-json", ""));
-  if (cache_bytes < 0 || candidates < 0) {
-    return Fail(err, util::Status::InvalidArgument(
-                         "--cache-bytes and --candidates must be >= 0"));
-  }
   if (port < 0 || port > 65535) {
     return Fail(err, util::Status::InvalidArgument(
                          "--port must be in [0, 65535]"));
   }
-  if (max_inflight < 0 || max_queue < 0 || deadline_ms < 0) {
-    return Fail(err,
-                util::Status::InvalidArgument(
-                    "--max-inflight/--max-queue/--deadline-ms must be >= 0"));
-  }
-  if (slow_ms < 0.0) {
+  if (options.slow_ms < 0.0) {
     return Fail(err, util::Status::InvalidArgument(
                          "--slow-ms must be >= 0 (0 = off)"));
   }
-  if (!slow_log_path.empty() && slow_ms <= 0.0) {
+  if (!options.slow_log_path.empty() && options.slow_ms <= 0.0) {
     return Fail(err, util::Status::InvalidArgument(
                          "--slow-log needs --slow-ms > 0"));
   }
-  if (!(stats_interval > 0.0)) {
+  if (!(ticker_options.interval_seconds > 0.0)) {
     return Fail(err, util::Status::InvalidArgument(
                          "--stats-interval must be > 0"));
   }
-  if (stats_ring < 1) {
+  if (ticker_options.ring_capacity < 1) {
     return Fail(err, util::Status::InvalidArgument(
                          "--stats-ring must be >= 1"));
   }
-  if (table_path.empty() && sketches_path.empty()) {
+  if (spec.table_path.empty() && spec.sketches_path.empty()) {
     return Fail(err, util::Status::InvalidArgument(
                          "serve needs --table and/or --sketches"));
   }
-  if (!sketches_path.empty() &&
-      (flags.Has("p") || flags.Has("k") || flags.Has("seed") ||
-       flags.Has("sparsity"))) {
-    return Fail(err, util::Status::InvalidArgument(
-                         "--p/--k/--seed/--sparsity come from the "
-                         "--sketches file; drop the flags"));
-  }
-  if (ingest_enabled && table_path.empty()) {
+  if (ingest_enabled && spec.table_path.empty()) {
     return Fail(err, util::Status::InvalidArgument(
                          "--ingest needs --table to seed the window"));
   }
-  if (ingest_enabled && !sketches_path.empty()) {
+  if (ingest_enabled && !spec.sketches_path.empty()) {
     return Fail(err, util::Status::InvalidArgument(
                          "--ingest computes its own sketches; drop "
                          "--sketches"));
   }
-  if (ingest_enabled && cache_bytes != 0) {
+  if (ingest_enabled && spec.cache_bytes != 0) {
     return Fail(err, util::Status::InvalidArgument(
                          "--ingest pins every window sketch; drop "
                          "--cache-bytes"));
@@ -897,19 +728,6 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   // the server so it outlives both.
   const ScopedMetricsEnable metrics_enable;
 
-  serve::SnapshotSpec spec;
-  spec.table_path = table_path;
-  spec.tile_rows = static_cast<size_t>(tile_rows);
-  spec.tile_cols = static_cast<size_t>(tile_cols);
-  spec.sketches_path = sketches_path;
-  spec.params = core::SketchParams{.p = p, .k = static_cast<size_t>(k),
-                                   .seed = static_cast<uint64_t>(seed),
-                                   .sparsity = sparsity};
-  spec.cache_bytes = static_cast<size_t>(cache_bytes);
-  spec.engine.threads = ThreadsFromFlag(threads_flag);
-  spec.engine.refine = refine;
-  spec.engine.candidates = static_cast<size_t>(candidates);
-  spec.engine.quant = quant;
   // With --ingest the StreamingIngest builds the first generation (and all
   // successors); `reload` is disabled — it would publish a snapshot the
   // ingest driver knows nothing about, desyncing its incremental state.
@@ -928,22 +746,13 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   // when --metrics-json is set, atomically rewrites that file every
   // interval so a crash or SIGKILL still leaves fresh metrics behind.
   // Declared before the server so it is destroyed (final tick) after it.
-  util::MetricsTicker::Options ticker_options;
-  ticker_options.interval_seconds = stats_interval;
-  ticker_options.ring_capacity = static_cast<size_t>(stats_ring);
-  ticker_options.metrics_json_path = metrics_json_path;
   util::MetricsTicker ticker(ticker_options);
 
-  serve::ServerOptions options;
   options.port = static_cast<uint16_t>(port);
-  options.max_inflight = static_cast<size_t>(max_inflight);
-  options.max_queue = static_cast<size_t>(max_queue);
   options.deadline_ms = static_cast<uint32_t>(deadline_ms);
   options.enable_reload = !ingest_enabled;
   options.ingest = ingest.get();
   options.ticker = &ticker;
-  options.slow_ms = slow_ms;
-  options.slow_log_path = slow_log_path;
   TABSKETCH_ASSIGN_CLI(const std::unique_ptr<serve::Server> server,
                        serve::Server::Start(&holder, options));
 
@@ -967,8 +776,11 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   out << "serving " << holder.Current()->description() << " (" << tiles
       << " tiles) on 127.0.0.1:" << server->port() << "\n";
   out.flush();
+  // The port file is the daemon's readiness signal for scripts; written
+  // atomically so a reader polling for it never sees a partial write.
   if (!port_file.empty()) {
-    TABSKETCH_RETURN_CLI(WritePortFile(port_file, server->port()));
+    TABSKETCH_RETURN_CLI(util::WriteFileAtomic(
+        port_file, std::to_string(server->port()) + "\n"));
   }
 
   char byte = 0;
@@ -1002,28 +814,15 @@ std::vector<std::string> SplitCommaList(const std::string& text) {
 }
 
 int CmdIngest(const Flags& flags, std::ostream& out, std::ostream& err) {
-  TABSKETCH_RETURN_CLI(flags.AllowOnly(
-      {"pieces", "tile-rows", "tile-cols", "out", "p", "k", "seed",
-       "sparsity", "threads", "window", "table-out", "metrics-json",
-       "trace-json", "audit-rate"}));
   TABSKETCH_ASSIGN_CLI(const std::string pieces_text,
                        flags.GetRequired("pieces"));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_rows,
-                       flags.GetInt("tile-rows", 0));
-  TABSKETCH_ASSIGN_CLI(const int64_t tile_cols,
-                       flags.GetInt("tile-cols", 0));
+  TABSKETCH_ASSIGN_CLI(const size_t tile_rows, flags.GetSize("tile-rows", 0));
+  TABSKETCH_ASSIGN_CLI(const size_t tile_cols, flags.GetSize("tile-cols", 0));
   TABSKETCH_ASSIGN_CLI(const std::string out_path, flags.GetRequired("out"));
-  TABSKETCH_ASSIGN_CLI(const double p, flags.GetDouble("p", 1.0));
-  TABSKETCH_ASSIGN_CLI(const int64_t k, flags.GetInt("k", 256));
-  TABSKETCH_ASSIGN_CLI(const int64_t seed, flags.GetInt("seed", 42));
-  TABSKETCH_ASSIGN_CLI(const double sparsity,
-                       flags.GetDouble("sparsity", 1.0));
-  TABSKETCH_RETURN_CLI(ValidateSparsityFlag(sparsity));
-  TABSKETCH_ASSIGN_CLI(
-      const int64_t threads_flag,
-      flags.GetInt("threads",
-                   static_cast<int64_t>(util::DefaultThreadCount())));
-  TABSKETCH_ASSIGN_CLI(const int64_t window, flags.GetInt("window", 0));
+  TABSKETCH_ASSIGN_CLI(const core::SketchParams params,
+                       FamilyFromFlags(flags, 256));
+  TABSKETCH_ASSIGN_CLI(const size_t threads, ThreadsFromFlags(flags));
+  TABSKETCH_ASSIGN_CLI(const size_t window, flags.GetSize("window", 0));
   TABSKETCH_ASSIGN_CLI(const std::string table_out,
                        flags.GetString("table-out", ""));
   const std::vector<std::string> pieces = SplitCommaList(pieces_text);
@@ -1031,11 +830,6 @@ int CmdIngest(const Flags& flags, std::ostream& out, std::ostream& err) {
     return Fail(err, util::Status::InvalidArgument(
                          "--pieces needs at least one file"));
   }
-  if (window < 0) {
-    return Fail(err, util::Status::InvalidArgument(
-                         "--window must be >= 0 (0 = unbounded)"));
-  }
-  const size_t threads = ThreadsFromFlag(threads_flag);
 
   // The same incremental engine `serve --ingest` runs, driven locally: each
   // piece appends (sketching only tiles it completes), a full window slides
@@ -1043,21 +837,16 @@ int CmdIngest(const Flags& flags, std::ostream& out, std::ostream& err) {
   std::optional<core::GrowingTableSketcher> store;
   util::WallTimer timer;
   for (const std::string& piece_path : pieces) {
-    auto piece = table::ReadBinary(piece_path);
-    if (!piece.ok()) return Fail(err, piece.status());
+    TABSKETCH_ASSIGN_CLI(const table::Matrix piece,
+                         table::ReadBinary(piece_path));
     if (!store.has_value()) {
-      TABSKETCH_ASSIGN_CLI(
-          store, core::GrowingTableSketcher::Create(
-                     core::SketchParams{.p = p, .k = static_cast<size_t>(k),
-                                        .seed = static_cast<uint64_t>(seed),
-                                        .sparsity = sparsity},
-                     piece->rows(), static_cast<size_t>(tile_rows),
-                     static_cast<size_t>(tile_cols)));
+      TABSKETCH_ASSIGN_CLI(store, core::GrowingTableSketcher::Create(
+                                      params, piece.rows(), tile_rows,
+                                      tile_cols));
     }
-    TABSKETCH_RETURN_CLI(store->AppendColumns(*piece, threads));
-    if (window > 0 && store->grid_cols() > static_cast<size_t>(window)) {
-      TABSKETCH_RETURN_CLI(store->RetireColumns(
-          store->grid_cols() - static_cast<size_t>(window)));
+    TABSKETCH_RETURN_CLI(store->AppendColumns(piece, threads));
+    if (window > 0 && store->grid_cols() > window) {
+      TABSKETCH_RETURN_CLI(store->RetireColumns(store->grid_cols() - window));
     }
   }
   const double seconds = timer.ElapsedSeconds();
@@ -1242,9 +1031,6 @@ std::string RenderTopLine(const TopSample& prev, const TopSample& cur) {
 }
 
 int CmdTop(const Flags& flags, std::ostream& out, std::ostream& err) {
-  TABSKETCH_RETURN_CLI(flags.AllowOnly(
-      {"port", "port-file", "interval", "once", "metrics-json", "trace-json",
-       "audit-rate"}));
   TABSKETCH_ASSIGN_CLI(const int64_t port_flag, flags.GetInt("port", 0));
   TABSKETCH_ASSIGN_CLI(const std::string port_file,
                        flags.GetString("port-file", ""));
@@ -1308,21 +1094,65 @@ int CmdTop(const Flags& flags, std::ostream& out, std::ostream& err) {
   }
 }
 
+/// A command: its entry point and every flag it accepts besides the global
+/// --metrics-json, --trace-json and --audit-rate.
+struct Command {
+  std::string_view name;
+  int (*run)(const Flags&, std::ostream&, std::ostream&);
+  std::vector<std::string> flags;
+};
+
 }  // namespace
 
 int RunTabsketchCli(int argc, const char* const* argv, std::ostream& out,
                     std::ostream& err) {
   auto flags = Flags::Parse(argc, argv);
   if (!flags.ok()) return Fail(err, flags.status());
-  const std::string& command = flags->command();
-  if (command.empty() || command == "help") {
+  const std::string& name = flags->command();
+  if (name.empty() || name == "help") {
     out << kUsage;
-    return command.empty() ? 1 : 0;
+    return name.empty() ? 1 : 0;
+  }
+  const Command commands[] = {
+      {"generate", CmdGenerate,
+       {"dataset", "out", "rows", "cols", "days", "seed"}},
+      {"info", CmdInfo, {"table"}},
+      {"sketch", CmdSketch,
+       {"table", "out", "tile-rows", "tile-cols", "p", "k", "seed", "sparsity",
+        "threads"}},
+      {"distance", CmdDistance, {"table", "rect1", "rect2", "p", "k", "seed"}},
+      {"cluster", CmdCluster,
+       {"table", "tile-rows", "tile-cols", "k", "p", "seed", "mode", "sketch-k",
+        "sparsity", "cache-bytes", "quant", "threads", "out"}},
+      {"pool-build", CmdPoolBuild,
+       {"table", "out", "p", "k", "seed", "sparsity", "min-log2", "max-log2",
+        "threads"}},
+      {"pool-query", CmdPoolQuery, {"pool", "rect1", "rect2", "table"}},
+      {"query", CmdQuery,
+       {"table", "tile-rows", "tile-cols", "p", "k", "seed", "sparsity",
+        "sketches", "cache-bytes", "threads", "refine", "candidates", "quant",
+        "batch", "out"}},
+      {"serve", CmdServe,
+       {"table", "tile-rows", "tile-cols", "p", "k", "seed", "sparsity",
+        "sketches", "cache-bytes", "threads", "refine", "candidates", "quant",
+        "ingest", "port", "port-file", "max-inflight", "max-queue",
+        "deadline-ms", "slow-ms", "slow-log", "stats-interval", "stats-ring"}},
+      {"ingest", CmdIngest,
+       {"pieces", "tile-rows", "tile-cols", "out", "p", "k", "seed", "sparsity",
+        "threads", "window", "table-out"}},
+      {"top", CmdTop, {"port", "port-file", "interval", "once"}},
+  };
+  const auto command =
+      std::find_if(std::begin(commands), std::end(commands),
+                   [&](const Command& c) { return c.name == name; });
+  if (command == std::end(commands)) {
+    err << "error: unknown command '" << name << "'\n\n" << kUsage;
+    return 1;
   }
   // The observability flags are handled here, outside the commands: enable
   // the requested subsystems (metrics reset first, so repeated in-process
   // invocations — the tests — each dump only their own run) before dispatch,
-  // flush them after. Commands only have to list the flags in AllowOnly.
+  // flush them after.
   auto metrics_path = flags->GetString("metrics-json", "");
   if (!metrics_path.ok()) return Fail(err, metrics_path.status());
   auto trace_path = flags->GetString("trace-json", "");
@@ -1337,34 +1167,11 @@ int RunTabsketchCli(int argc, const char* const* argv, std::ostream& out,
                                               *audit_rate};
   util::SetupObservability(observability);
 
-  int code = 1;
-  if (command == "generate") {
-    code = CmdGenerate(*flags, out, err);
-  } else if (command == "info") {
-    code = CmdInfo(*flags, out, err);
-  } else if (command == "sketch") {
-    code = CmdSketch(*flags, out, err);
-  } else if (command == "distance") {
-    code = CmdDistance(*flags, out, err);
-  } else if (command == "cluster") {
-    code = CmdCluster(*flags, out, err);
-  } else if (command == "pool-build") {
-    code = CmdPoolBuild(*flags, out, err);
-  } else if (command == "pool-query") {
-    code = CmdPoolQuery(*flags, out, err);
-  } else if (command == "query") {
-    code = CmdQuery(*flags, out, err);
-  } else if (command == "serve") {
-    code = CmdServe(*flags, out, err);
-  } else if (command == "ingest") {
-    code = CmdIngest(*flags, out, err);
-  } else if (command == "top") {
-    code = CmdTop(*flags, out, err);
-  } else {
-    err << "error: unknown command '" << command << "'\n\n" << kUsage;
-    return 1;
-  }
-
+  std::vector<std::string> allowed(command->flags);
+  allowed.insert(allowed.end(), {"metrics-json", "trace-json", "audit-rate"});
+  const util::Status known = flags->AllowOnly(allowed);
+  const int code = known.ok() ? command->run(*flags, out, err)
+                              : Fail(err, known);
   if (!util::FlushObservability(observability, &out, &err)) return 1;
   return code;
 }

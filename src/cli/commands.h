@@ -9,26 +9,32 @@ namespace tabsketch::cli {
 /// so commands are unit-testable. Writes results to `out`, diagnostics to
 /// `err`; returns a process exit code (0 on success).
 ///
-/// Commands:
-///   generate  --dataset=call-volume|six-region|ip-traffic --out=FILE [...]
-///   info      --table=FILE
-///   sketch    --table=FILE --out=FILE --tile-rows=N --tile-cols=N
-///             [--p= --k= --seed= --threads=]
-///   distance  --table=FILE --rect1=r,c,h,w --rect2=r,c,h,w
-///             [--p= --k= --seed=]
-///   cluster   --table=FILE --tile-rows=N --tile-cols=N
-///             [--algo=kmeans|kmedoids|dbscan] [--k= --p= --seed=]
-///             [--mode=exact|precomputed|ondemand] [--sketch-k=]
-///             [--cache-bytes=] [--epsilon= --min-points=] [--out=FILE]
-///   query     --table=FILE --tile-rows=N --tile-cols=N --batch=FILE
-///             [--p= --k= --seed=] [--sketches=FILE] [--cache-bytes=]
-///             [--threads=] [--refine] [--candidates=] [--out=FILE]
-///   serve     --table=FILE --tile-rows=N --tile-cols=N [--sketches=FILE]
-///             [--p= --k= --seed=] [--cache-bytes=] [--threads=] [--refine]
-///             [--candidates=] [--ingest] [--port= --port-file=]
-///             [--max-inflight=] [--max-queue=] [--deadline-ms=]
-///   ingest    --pieces=F1,F2,... --tile-rows=N --tile-cols=N --out=FILE
-///             [--p= --k= --seed= --threads=] [--window=N] [--table-out=FILE]
+/// Commands (`tabsketch help` prints every flag):
+///   generate   --dataset=call-volume|six-region --out=FILE [...]
+///   info       --table=FILE
+///   sketch     --table=FILE --out=FILE --tile-rows=N --tile-cols=N
+///              [--p= --k= --seed= --sparsity= --threads=]
+///   distance   --table=FILE --rect1=r,c,h,w --rect2=r,c,h,w
+///              [--p= --k= --seed=]
+///   cluster    --table=FILE --tile-rows=N --tile-cols=N [--k= --p= --seed=]
+///              [--mode=exact|precomputed|ondemand] [--sketch-k=]
+///              [--sparsity= --cache-bytes= --quant= --threads=] [--out=FILE]
+///   pool-build --table=FILE --out=FILE [--p= --k= --seed= --sparsity=]
+///              [--min-log2= --max-log2= --threads=]
+///   pool-query --pool=FILE --rect1=r,c,h,w --rect2=r,c,h,w [--table=FILE]
+///   query      --table=FILE --tile-rows=N --tile-cols=N --batch=FILE
+///              [--p= --k= --seed= --sparsity=] [--sketches=FILE]
+///              [--cache-bytes= --threads= --refine --candidates= --quant=]
+///              [--out=FILE]
+///   serve      --table=FILE and/or --sketches=FILE --tile-rows=N
+///              --tile-cols=N, query's family/cache/engine flags, plus
+///              [--ingest] [--port= --port-file=] [--max-inflight=]
+///              [--max-queue=] [--deadline-ms=] [--slow-ms= --slow-log=]
+///              [--stats-interval= --stats-ring=]
+///   ingest     --pieces=F1,F2,... --tile-rows=N --tile-cols=N --out=FILE
+///              [--p= --k= --seed= --sparsity= --threads=] [--window=N]
+///              [--table-out=FILE]
+///   top        --port=N | --port-file=FILE [--interval= --once]
 ///   help
 int RunTabsketchCli(int argc, const char* const* argv, std::ostream& out,
                     std::ostream& err);

@@ -77,6 +77,18 @@ util::Result<int64_t> Flags::GetInt(const std::string& name,
   return static_cast<int64_t>(parsed);
 }
 
+util::Result<size_t> Flags::GetSize(const std::string& name,
+                                    size_t fallback) const {
+  if (!Has(name)) return fallback;
+  TABSKETCH_ASSIGN_OR_RETURN(const int64_t value, GetInt(name, 0));
+  if (value < 0) {
+    return util::Status::InvalidArgument(
+        "flag --" + name + " expects a non-negative integer, got '" +
+        values_.at(name) + "'");
+  }
+  return static_cast<size_t>(value);
+}
+
 util::Result<double> Flags::GetDouble(const std::string& name,
                                       double fallback) const {
   auto it = values_.find(name);

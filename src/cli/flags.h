@@ -1,6 +1,7 @@
 #ifndef TABSKETCH_CLI_FLAGS_H_
 #define TABSKETCH_CLI_FLAGS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -14,10 +15,10 @@ namespace tabsketch::cli {
 /// Minimal command-line parser for the tabsketch tool: one positional
 /// command followed by --key=value (or --key value) flags.
 ///
-///   tabsketch cluster --table=data.tbl --algo=kmeans --k=20
+///   tabsketch cluster --table=data.tbl --mode=exact --k=20
 ///
-/// Unknown flags are an error at Validate time (callers list what they
-/// accept), which catches typos like --tile-row=8.
+/// Unknown flags are an error (AllowOnly, checked once per run against the
+/// command's accepted list), which catches typos like --tile-row=8.
 class Flags {
  public:
   /// Parses argv[1..): the first non-flag token is the command, the rest
@@ -36,6 +37,9 @@ class Flags {
                                       const std::string& fallback) const;
   util::Result<int64_t> GetInt(const std::string& name,
                                int64_t fallback) const;
+  /// A count or size: an integer that must not be negative.
+  util::Result<size_t> GetSize(const std::string& name,
+                               size_t fallback) const;
   util::Result<double> GetDouble(const std::string& name,
                                  double fallback) const;
   util::Result<bool> GetBool(const std::string& name, bool fallback) const;

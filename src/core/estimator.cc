@@ -1,12 +1,10 @@
 #include "core/estimator.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "core/scale_factor.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/normal.h"
 #include "util/median.h"
 
 namespace tabsketch::core {
@@ -41,73 +39,6 @@ double DistanceEstimator::EstimateWithScratch(
     return std::sqrt(acc / static_cast<double>(a.size()));
   }
   return util::MedianAbsDifference(a, b, scratch) / scale_;
-}
-
-DistanceEstimator::Interval DistanceEstimator::EstimateWithInterval(
-    std::span<const double> a, std::span<const double> b, double confidence,
-    std::vector<double>* scratch) const {
-  TABSKETCH_CHECK(a.size() == b.size() && !a.empty())
-      << "estimating from mismatched or empty sketches";
-  TABSKETCH_CHECK(confidence > 0.0 && confidence < 1.0)
-      << "confidence must be in (0, 1), got " << confidence;
-  const double k = static_cast<double>(a.size());
-  const double z = util::InverseNormalCdf(0.5 + confidence / 2.0);
-
-  if (kind_ == EstimatorKind::kL2) {
-    double sum_sq = 0.0;
-    for (size_t i = 0; i < a.size(); ++i) {
-      const double d = a[i] - b[i];
-      sum_sq += d * d;
-    }
-    const double estimate = std::sqrt(sum_sq / k);
-    // Components ~ N(0, D^2), so sum_sq / D^2 ~ chi^2_k. Wilson-Hilferty:
-    // chi^2_{k,q} ~ k * (1 - 2/(9k) + z_q * sqrt(2/(9k)))^3.
-    auto chi_square_quantile = [k](double zq) {
-      const double t = 1.0 - 2.0 / (9.0 * k) + zq * std::sqrt(2.0 / (9.0 * k));
-      return k * t * t * t;
-    };
-    const double hi_q = chi_square_quantile(z);
-    const double lo_q = chi_square_quantile(-z);
-    return Interval{std::sqrt(sum_sq / hi_q), estimate,
-                    std::sqrt(sum_sq / (lo_q > 0.0 ? lo_q : 1e-12))};
-  }
-
-  // Median path: order statistics of |a_i - b_i| at the binomial-normal
-  // ranks around the median. Only 3-4 order statistics are needed, so each
-  // is selected in O(k) with nth_element on a shrinking suffix (ascending
-  // ranks leave earlier selections in place) instead of fully sorting.
-  const size_t n = a.size();
-  scratch->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    (*scratch)[i] = std::fabs(a[i] - b[i]);
-  }
-  const double half_width = 0.5 * z * std::sqrt(k);
-  const auto clamp_rank = [&](double rank) {
-    if (rank < 0.0) return static_cast<size_t>(0);
-    if (rank > k - 1.0) return n - 1;
-    return static_cast<size_t>(rank);
-  };
-  const size_t lo_rank = clamp_rank(std::floor(k / 2.0 - half_width));
-  const size_t hi_rank = clamp_rank(std::ceil(k / 2.0 + half_width));
-  size_t ranks[4];
-  size_t num_ranks = 0;
-  ranks[num_ranks++] = lo_rank;
-  if (n % 2 == 0) ranks[num_ranks++] = n / 2 - 1;
-  ranks[num_ranks++] = n / 2;
-  ranks[num_ranks++] = hi_rank;
-  std::sort(ranks, ranks + num_ranks);
-  num_ranks = std::unique(ranks, ranks + num_ranks) - ranks;
-  size_t from = 0;
-  for (size_t i = 0; i < num_ranks; ++i) {
-    std::nth_element(scratch->begin() + from, scratch->begin() + ranks[i],
-                     scratch->end());
-    from = ranks[i] + 1;
-  }
-  const double estimate =
-      (n % 2 == 1) ? (*scratch)[n / 2]
-                   : 0.5 * ((*scratch)[n / 2 - 1] + (*scratch)[n / 2]);
-  return Interval{(*scratch)[lo_rank] / scale_, estimate / scale_,
-                  (*scratch)[hi_rank] / scale_};
 }
 
 double DistanceEstimator::Estimate(std::span<const double> a,

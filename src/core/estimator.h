@@ -50,25 +50,6 @@ class DistanceEstimator {
   double Estimate(std::span<const double> a, std::span<const double> b) const;
   double Estimate(const Sketch& a, const Sketch& b) const;
 
-  /// A distance estimate with a two-sided confidence interval over the
-  /// sketch's randomness.
-  struct Interval {
-    double lower;
-    double estimate;
-    double upper;
-  };
-
-  /// Estimate plus an approximate `confidence` interval (in (0, 1), e.g.
-  /// 0.95). Median path: the classic distribution-free order-statistic
-  /// interval for a median — ranks k/2 -+ z*sqrt(k)/2 of the |component
-  /// differences|, scaled by 1/B(p). L2 path: chi-square interval for the
-  /// scale of N(0, D^2) components (Wilson-Hilferty quantile
-  /// approximation). Both are asymptotic in k; coverage is verified
-  /// empirically in tests.
-  Interval EstimateWithInterval(std::span<const double> a,
-                                std::span<const double> b, double confidence,
-                                std::vector<double>* scratch) const;
-
  private:
   DistanceEstimator(EstimatorKind kind, double p, double scale)
       : kind_(kind), p_(p), scale_(scale) {}

@@ -2,45 +2,16 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "util/logging.h"
 
 namespace tabsketch::core {
 namespace {
-
-constexpr char kMagic[4] = {'T', 'S', 'K', 'Q'};
-constexpr uint32_t kVersion = 2;
-
-/// On-disk header of the TSKQ code-pool format (docs/FORMATS.md). Field
-/// order keeps every member naturally aligned with no padding on any
-/// supported ABI. v2 appends the family sparsity; v1 files end at `offset`
-/// and imply a dense family (sparsity 1.0).
-struct Header {
-  char magic[4];
-  uint32_t version;
-  uint32_t kind;      // QuantKind: 1 = int8, 2 = int16
-  uint32_t reserved;  // zero
-  double p;
-  uint64_t k;
-  uint64_t seed;
-  uint64_t object_rows;
-  uint64_t object_cols;
-  uint64_t count;
-  double scale;
-  double offset;
-  double sparsity;
-};
-constexpr size_t kHeaderBytesV1 = sizeof(Header) - sizeof(double);
-static_assert(sizeof(Header) == 88, "TSKQ header must pack without padding");
 
 /// Relative padding applied to the quantization error bound; dominates every
 /// floating-point rounding term in the threshold comparisons (see
@@ -373,135 +344,6 @@ QuantizedVector QuantizedCodePool::Quantize(
 
 double QuantizedCodePool::Slack(const DistanceEstimator& estimator) const {
   return scale_ / estimator.scale() * kSlackSafety;
-}
-
-util::Status WriteCodePool(const QuantizedCodePool& pool,
-                           const std::string& path) {
-  if (pool.kind() == QuantKind::kOff) {
-    return util::Status::InvalidArgument(
-        "cannot serialize a code pool with quantization off");
-  }
-  const std::string tmp_path = path + ".tmp";
-  std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return util::Status::IOError("cannot open for writing: " + tmp_path);
-  }
-  Header header;
-  std::memcpy(header.magic, kMagic, sizeof(kMagic));
-  header.version = kVersion;
-  header.kind = static_cast<uint32_t>(pool.kind());
-  header.reserved = 0;
-  header.p = pool.params().p;
-  header.k = pool.params().k;
-  header.seed = pool.params().seed;
-  header.object_rows = pool.object_rows();
-  header.object_cols = pool.object_cols();
-  header.count = pool.count();
-  header.scale = pool.scale();
-  header.offset = pool.offset();
-  header.sparsity = pool.params().sparsity;
-  out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-  out.write(reinterpret_cast<const char*>(pool.usable_flags().data()),
-            static_cast<std::streamsize>(pool.usable_flags().size()));
-  out.write(reinterpret_cast<const char*>(pool.raw_codes().data()),
-            static_cast<std::streamsize>(pool.raw_codes().size()));
-  out.close();
-  if (!out) {
-    std::remove(tmp_path.c_str());
-    return util::Status::IOError("write failed: " + tmp_path);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, path, ec);
-  if (ec) {
-    std::remove(tmp_path.c_str());
-    return util::Status::IOError("cannot rename " + tmp_path + " to " + path +
-                                 ": " + ec.message());
-  }
-  return util::Status::OK();
-}
-
-util::Result<QuantizedCodePool> ReadCodePool(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return util::Status::IOError("cannot open for reading: " + path);
-  }
-  Header header;
-  in.read(reinterpret_cast<char*>(&header), kHeaderBytesV1);
-  if (!in || std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
-    return util::Status::IOError("not a tabsketch code pool: " + path);
-  }
-  if (header.version != 1 && header.version != kVersion) {
-    std::ostringstream msg;
-    msg << "unsupported code-pool version " << header.version << " in "
-        << path;
-    return util::Status::IOError(msg.str());
-  }
-  header.sparsity = 1.0;
-  if (header.version >= 2) {
-    in.read(reinterpret_cast<char*>(&header.sparsity),
-            sizeof(header.sparsity));
-    if (!in) {
-      return util::Status::IOError("truncated code pool: " + path);
-    }
-  }
-  const size_t header_bytes =
-      header.version >= 2 ? sizeof(header) : kHeaderBytesV1;
-  if (header.kind != static_cast<uint32_t>(QuantKind::kInt8) &&
-      header.kind != static_cast<uint32_t>(QuantKind::kInt16)) {
-    std::ostringstream msg;
-    msg << "unsupported code-pool quantization kind " << header.kind << " in "
-        << path;
-    return util::Status::IOError(msg.str());
-  }
-  if (!std::isfinite(header.scale) || header.scale < 0.0 ||
-      !std::isfinite(header.offset)) {
-    return util::Status::IOError("corrupt code-pool header in " + path);
-  }
-
-  QuantizedCodePool pool;
-  pool.kind_ = static_cast<QuantKind>(header.kind);
-  pool.params_.p = header.p;
-  pool.params_.k = header.k;
-  pool.params_.seed = header.seed;
-  pool.params_.sparsity = header.sparsity;
-  TABSKETCH_RETURN_IF_ERROR(pool.params_.Validate());
-  pool.count_ = header.count;
-  pool.k_ = header.k;
-  pool.scale_ = header.scale;
-  pool.offset_ = header.offset;
-  pool.object_rows_ = header.object_rows;
-  pool.object_cols_ = header.object_cols;
-
-  // The payload must be exactly count flag bytes + count rows of k codes
-  // (overflow-safe before any allocation).
-  in.seekg(0, std::ios::end);
-  const uint64_t payload_bytes =
-      static_cast<uint64_t>(in.tellg()) - header_bytes;
-  in.seekg(static_cast<std::streamoff>(header_bytes), std::ios::beg);
-  const uint64_t code_bytes = QuantCodeBytes(pool.kind_);
-  if (header.count > payload_bytes) {
-    return util::Status::IOError("corrupt code-pool header in " + path);
-  }
-  const uint64_t code_payload = payload_bytes - header.count;
-  if (header.count != 0 &&
-      header.k > code_payload / (header.count * code_bytes)) {
-    return util::Status::IOError("corrupt code-pool header in " + path);
-  }
-  if (header.count * header.k * code_bytes != code_payload) {
-    return util::Status::IOError("corrupt code-pool header in " + path);
-  }
-
-  pool.usable_.resize(header.count);
-  in.read(reinterpret_cast<char*>(pool.usable_.data()),
-          static_cast<std::streamsize>(pool.usable_.size()));
-  pool.codes_.resize(code_payload);
-  in.read(reinterpret_cast<char*>(pool.codes_.data()),
-          static_cast<std::streamsize>(pool.codes_.size()));
-  if (!in) {
-    return util::Status::IOError("truncated code pool: " + path);
-  }
-  for (uint8_t& flag : pool.usable_) flag = flag != 0 ? 1 : 0;
-  return pool;
 }
 
 }  // namespace tabsketch::core

@@ -154,13 +154,11 @@ class QuantizedCodePool {
     return count * k * QuantCodeBytes(kind) + count;
   }
 
-  /// Raw storage, for serialization and byte-stability tests.
+  /// Raw storage, for byte-stability tests.
   const std::vector<unsigned char>& raw_codes() const { return codes_; }
   const std::vector<uint8_t>& usable_flags() const { return usable_; }
 
  private:
-  friend util::Result<QuantizedCodePool> ReadCodePool(const std::string&);
-
   QuantizedCodePool() = default;
 
   /// Shared two-pass build over any "sketch of tile i" getter.
@@ -195,17 +193,6 @@ class QuantizedCodePool {
   /// One flag per tile (1 = usable).
   std::vector<uint8_t> usable_;
 };
-
-/// Writes `pool` to `path` in the TSKQ v1 binary format (docs/FORMATS.md):
-/// header (magic, version, kind, params, shape, count, scale, offset), then
-/// the usable flags and the code payload. Temp-file + atomic rename like
-/// every other tabsketch writer.
-util::Status WriteCodePool(const QuantizedCodePool& pool,
-                           const std::string& path);
-
-/// Reads a code pool written by WriteCodePool. Corrupt magic/version/kind,
-/// inconsistent sizes and truncation are IOError, mirroring ReadSketchPool.
-util::Result<QuantizedCodePool> ReadCodePool(const std::string& path);
 
 }  // namespace tabsketch::core
 

@@ -17,24 +17,13 @@ uint64_t StableMatrixSeed(uint64_t master_seed, size_t index, size_t rows,
   return rng::MixSeeds(master_seed, shape_tag);
 }
 
-double StableEntry(const SketchParams& params, size_t index, size_t rows,
-                   size_t cols, size_t row, size_t col) {
-  TABSKETCH_DCHECK(row < rows && col < cols)
-      << "(" << row << "," << col << ") out of " << rows << "x" << cols;
-  const uint64_t matrix_seed =
-      StableMatrixSeed(params.seed, index, rows, cols);
-  const uint64_t entry_seed = rng::MixSeeds(
-      matrix_seed, static_cast<uint64_t>(row) * cols + col);
-  return rng::SampleSparseStableAt(params.p, params.sparsity, entry_seed);
-}
-
 table::Matrix StableRandomMatrix(const SketchParams& params, size_t index,
                                  size_t rows, size_t cols) {
   TABSKETCH_CHECK(params.Validate().ok()) << params.Validate();
   TABSKETCH_CHECK(index < params.k) << "matrix index " << index
                                     << " out of range k=" << params.k;
-  // Walks the counter-based per-entry derivation so that bulk matrices and
-  // StableEntry random access agree bit-for-bit.
+  // The same counter walk as SparseStableKernel (core/sparse_kernel.cc), so
+  // bulk matrices and sparse kernels agree bit-for-bit.
   const uint64_t matrix_seed =
       StableMatrixSeed(params.seed, index, rows, cols);
   table::Matrix out(rows, cols);

@@ -18,17 +18,6 @@ namespace tabsketch::core {
 uint64_t StableMatrixSeed(uint64_t master_seed, size_t index, size_t rows,
                           size_t cols);
 
-/// A single entry R[index](row, col) of the family's random matrix,
-/// regenerated in O(1) by counter-based derivation (rng::SampleSparseStableAt
-/// on a per-entry seed; with params.sparsity < 1 the same seed also decides
-/// support membership, so sparse families keep O(1) random access). Bulk
-/// generation (StableRandomMatrix) and CSR extraction (core/sparse_kernel.h)
-/// walk exactly this function, so random access, materialized matrices and
-/// sparse kernels are bit-identical — the invariant behind O(k) streaming
-/// updates (core/updatable_sketch.h).
-double StableEntry(const SketchParams& params, size_t index, size_t rows,
-                   size_t cols, size_t row, size_t col);
-
 /// Generates the index-th random matrix R[index] of the family: rows x cols
 /// entries drawn iid from the symmetric p-stable distribution SaS(params.p)
 /// (paper Section 3.3, "pre-processing phase"), gated and rescaled per entry

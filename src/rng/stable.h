@@ -58,12 +58,10 @@ class StableSampler {
 /// Draws a single SaS(alpha) variate from a dedicated generator seeded with
 /// `seed`, statelessly: the same (alpha, seed) always yields the same value.
 ///
-/// This is the counter-based primitive behind random access into the sketch
-/// family's random matrices: entry (r, c) of matrix i is derived from a
-/// per-entry seed, so a single entry can be regenerated in O(1) without
-/// materializing the matrix — which is what makes O(k) streaming point
-/// updates to sketches possible (core/updatable_sketch.h). `alpha` must be
-/// in (0, 2].
+/// This is the counter-based primitive behind the sketch family's random
+/// matrices: entry (r, c) of matrix i is derived from a per-entry seed, so
+/// bulk matrices and sparse kernels regenerate the same values independently
+/// (core/stable_matrix.h). `alpha` must be in (0, 2].
 double SampleStableAt(double alpha, uint64_t seed);
 
 /// Very sparse stable variant (Ping Li): zero with probability 1 - sparsity,

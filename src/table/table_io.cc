@@ -79,62 +79,4 @@ util::Result<Matrix> ReadBinary(const std::string& path) {
   return Matrix(header.rows, header.cols, std::move(values));
 }
 
-util::Status WriteCsv(const Matrix& matrix, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return util::Status::IOError("cannot open for writing: " + path);
-  }
-  out.precision(17);
-  for (size_t r = 0; r < matrix.rows(); ++r) {
-    auto row = matrix.Row(r);
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) out << ',';
-      out << row[c];
-    }
-    out << '\n';
-  }
-  if (!out) {
-    return util::Status::IOError("write failed: " + path);
-  }
-  return util::Status::OK();
-}
-
-util::Result<Matrix> ReadCsv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return util::Status::IOError("cannot open for reading: " + path);
-  }
-  std::vector<double> values;
-  size_t rows = 0;
-  size_t cols = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    size_t fields = 0;
-    std::istringstream line_stream(line);
-    std::string field;
-    while (std::getline(line_stream, field, ',')) {
-      try {
-        values.push_back(std::stod(field));
-      } catch (const std::exception&) {
-        std::ostringstream msg;
-        msg << "bad numeric field '" << field << "' at row " << rows << " in "
-            << path;
-        return util::Status::IOError(msg.str());
-      }
-      ++fields;
-    }
-    if (rows == 0) {
-      cols = fields;
-    } else if (fields != cols) {
-      std::ostringstream msg;
-      msg << "ragged CSV: row " << rows << " has " << fields
-          << " fields, expected " << cols << " in " << path;
-      return util::Status::IOError(msg.str());
-    }
-    ++rows;
-  }
-  return Matrix(rows, cols, std::move(values));
-}
-
 }  // namespace tabsketch::table

@@ -19,13 +19,6 @@ util::Status WriteBinary(const Matrix& matrix, const std::string& path);
 /// Reads a matrix previously written by WriteBinary.
 util::Result<Matrix> ReadBinary(const std::string& path);
 
-/// Writes `matrix` as comma-separated values, one row per line.
-util::Status WriteCsv(const Matrix& matrix, const std::string& path);
-
-/// Reads a rectangular CSV of doubles. All rows must have the same number of
-/// fields; empty trailing lines are ignored.
-util::Result<Matrix> ReadCsv(const std::string& path);
-
 }  // namespace tabsketch::table
 
 #endif  // TABSKETCH_TABLE_TABLE_IO_H_

@@ -297,9 +297,6 @@ void PreregisterCoreMetrics(MetricsRegistry* registry) {
       "pool.build.canonical_sizes",
       "cluster.kmeans.iterations",
       "cluster.kmeans.converged",
-      "cluster.kmedoids.iterations",
-      "cluster.kmedoids.converged",
-      "cluster.dbscan.clusters",
       "lru.cache.capacity_bytes",
       "lru.cache.peak_bytes",
       "quant.pool.bytes",

@@ -20,6 +20,8 @@
 #include "cli/commands.h"
 #include "cli/flags.h"
 #include "json_checker.h"
+#include "table/matrix.h"
+#include "table/table_io.h"
 #include "util/metrics.h"
 
 namespace tabsketch::cli {
@@ -66,17 +68,22 @@ TEST(FlagsTest, RejectsDuplicateFlags) {
 }
 
 TEST(FlagsTest, TypedGetterErrors) {
-  auto flags = ParseArgs({"cmd", "--n=abc", "--x=1.2.3", "--b=maybe"});
+  auto flags = ParseArgs({"cmd", "--n=abc", "--x=1.2.3", "--b=maybe",
+                          "--size=-1", "--zero=0"});
   ASSERT_TRUE(flags.ok());
   EXPECT_FALSE(flags->GetInt("n", 0).ok());
   EXPECT_FALSE(flags->GetDouble("x", 0.0).ok());
   EXPECT_FALSE(flags->GetBool("b", false).ok());
+  EXPECT_FALSE(flags->GetSize("n", 0).ok());
+  EXPECT_FALSE(flags->GetSize("size", 0).ok());
+  EXPECT_EQ(flags->GetSize("zero", 5).value(), 0u);
 }
 
 TEST(FlagsTest, FallbacksWhenAbsent) {
   auto flags = ParseArgs({"cmd"});
   ASSERT_TRUE(flags.ok());
   EXPECT_EQ(flags->GetInt("n", 7).value(), 7);
+  EXPECT_EQ(flags->GetSize("n", 9).value(), 9u);
   EXPECT_EQ(flags->GetDouble("x", 1.5).value(), 1.5);
   EXPECT_EQ(flags->GetString("s", "d").value(), "d");
   EXPECT_FALSE(flags->GetRequired("s").ok());
@@ -121,6 +128,13 @@ std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 TEST(CliTest, NoCommandPrintsUsageAndFails) {
   const CliRun run = RunCli({});
   EXPECT_EQ(run.code, 1);
@@ -163,6 +177,7 @@ TEST(CliTest, EndToEndPipeline) {
   const std::string table_path = TempPath("cli_test_table.tbl");
   const std::string sketch_path = TempPath("cli_test_sketches.bin");
   const std::string assign_path = TempPath("cli_test_assign.csv");
+  const std::string ondemand_path = TempPath("cli_test_assign_ondemand.csv");
   const std::string table_flag = "--table=" + table_path;
 
   // generate
@@ -205,8 +220,7 @@ TEST(CliTest, EndToEndPipeline) {
     const std::string out_flag = "--out=" + assign_path;
     const CliRun run =
         RunCli({"cluster", table_flag.c_str(), "--tile-rows=8",
-             "--tile-cols=8", "--algo=kmeans", "--k=6", "--p=0.5",
-             out_flag.c_str()});
+             "--tile-cols=8", "--k=6", "--p=0.5", out_flag.c_str()});
     ASSERT_EQ(run.code, 0) << run.err;
     EXPECT_NE(run.out.find("kmeans:"), std::string::npos);
     std::ifstream csv(assign_path);
@@ -220,27 +234,23 @@ TEST(CliTest, EndToEndPipeline) {
     }
     EXPECT_EQ(lines, 128u);
   }
-  // cluster (kmedoids, exact mode)
+  // cluster (kmeans, on-demand sketches): the same sketches computed lazily,
+  // so the assignment CSV is byte-identical to the precomputed run's.
   {
+    const std::string out_flag = "--out=" + ondemand_path;
     const CliRun run =
         RunCli({"cluster", table_flag.c_str(), "--tile-rows=8",
-             "--tile-cols=8", "--algo=kmedoids", "--k=3", "--mode=exact"});
+             "--tile-cols=8", "--k=6", "--p=0.5", "--mode=ondemand",
+             out_flag.c_str()});
     ASSERT_EQ(run.code, 0) << run.err;
-    EXPECT_NE(run.out.find("medoids:"), std::string::npos);
-  }
-  // cluster (dbscan, on-demand sketches)
-  {
-    const CliRun run = RunCli({"cluster", table_flag.c_str(), "--tile-rows=8",
-                            "--tile-cols=8", "--algo=dbscan",
-                            "--epsilon=100000", "--min-points=3",
-                            "--mode=ondemand"});
-    ASSERT_EQ(run.code, 0) << run.err;
-    EXPECT_NE(run.out.find("dbscan:"), std::string::npos);
+    EXPECT_NE(run.out.find("kmeans:"), std::string::npos);
+    EXPECT_EQ(ReadWholeFile(ondemand_path), ReadWholeFile(assign_path));
   }
 
   std::remove(table_path.c_str());
   std::remove(sketch_path.c_str());
   std::remove(assign_path.c_str());
+  std::remove(ondemand_path.c_str());
 }
 
 TEST(CliTest, PoolBuildAndQuery) {
@@ -472,13 +482,6 @@ TEST(CliTest, QuantOutputsAreByteIdenticalToOff) {
   std::remove(table_path.c_str());
   std::remove(batch_path.c_str());
   std::remove(csv_path.c_str());
-}
-
-std::string ReadWholeFile(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 /// Extracts the numeric value of `"key": <number>` from a metrics dump.
@@ -1102,10 +1105,12 @@ TEST(CliTest, ClusterRejectsUnknownAlgoAndMode) {
                 .code,
             0);
   const std::string table_flag = "--table=" + table_path;
-  EXPECT_EQ(RunCli({"cluster", table_flag.c_str(), "--tile-rows=8",
-                 "--tile-cols=8", "--algo=zzz"})
-                .code,
-            1);
+  // k-means is the only algorithm, so --algo is not a flag.
+  const CliRun algo = RunCli({"cluster", table_flag.c_str(), "--tile-rows=8",
+                              "--tile-cols=8", "--algo=zzz"});
+  EXPECT_EQ(algo.code, 1);
+  EXPECT_NE(algo.err.find("unknown flag --algo"), std::string::npos)
+      << algo.err;
   EXPECT_EQ(RunCli({"cluster", table_flag.c_str(), "--tile-rows=8",
                  "--tile-cols=8", "--mode=zzz"})
                 .code,
@@ -1117,6 +1122,109 @@ TEST(CliTest, InfoMissingFileFails) {
   const CliRun run = RunCli({"info", "--table=/tmp/definitely_missing.tbl"});
   EXPECT_EQ(run.code, 1);
   EXPECT_NE(run.err.find("error"), std::string::npos);
+}
+
+TEST(CliTest, NegativeKIsAnErrorInEveryFamilyCommand) {
+  // --k=-1 used to wrap to SIZE_MAX and abort with std::length_error once a
+  // sketch was sized; it is now rejected before any work starts.
+  const std::string table_path = TempPath("cli_test_negk.tbl");
+  const std::string batch_path = TempPath("cli_test_negk.batch");
+  const std::string skt_path = TempPath("cli_test_negk.skt");
+  const std::string pool_path = TempPath("cli_test_negk.pool");
+  const std::string gen_flag = "--out=" + table_path;
+  ASSERT_EQ(RunCli({"generate", "--dataset=six-region", gen_flag.c_str(),
+                    "--rows=32", "--cols=32"})
+                .code,
+            0);
+  {
+    std::ofstream batch(batch_path);
+    batch << "distance 0 1\n";
+  }
+  const std::string table_flag = "--table=" + table_path;
+  const std::string pieces_flag = "--pieces=" + table_path;
+  const std::string batch_flag = "--batch=" + batch_path;
+  const std::string skt_flag = "--out=" + skt_path;
+  const std::string pool_flag = "--out=" + pool_path;
+  const std::vector<std::vector<const char*>> commands = {
+      {"sketch", table_flag.c_str(), skt_flag.c_str(), "--tile-rows=8",
+       "--tile-cols=8"},
+      {"pool-build", table_flag.c_str(), pool_flag.c_str()},
+      {"query", table_flag.c_str(), "--tile-rows=8", "--tile-cols=8",
+       batch_flag.c_str()},
+      {"serve", table_flag.c_str(), "--tile-rows=8", "--tile-cols=8",
+       "--ingest"},
+      {"ingest", pieces_flag.c_str(), "--tile-rows=8", "--tile-cols=8",
+       skt_flag.c_str()},
+  };
+  for (std::vector<const char*> argv : commands) {
+    const std::string command = argv[0];
+    argv.push_back("--k=-1");
+    const CliRun run = RunCli(argv);
+    EXPECT_EQ(run.code, 1) << command;
+    EXPECT_NE(run.err.find("--k"), std::string::npos)
+        << command << ": " << run.err;
+  }
+  std::remove(table_path.c_str());
+  std::remove(batch_path.c_str());
+}
+
+TEST(CliTest, GenerateRejectsNegativeRows) {
+  // --rows=-1 used to wrap to SIZE_MAX and abort allocating the table.
+  const std::string out_flag = "--out=" + TempPath("cli_test_negrows.tbl");
+  for (const char* dataset :
+       {"--dataset=six-region", "--dataset=call-volume"}) {
+    const CliRun run = RunCli({"generate", dataset, out_flag.c_str(),
+                               "--rows=-1"});
+    EXPECT_EQ(run.code, 1) << dataset;
+    EXPECT_NE(run.err.find("--rows"), std::string::npos) << run.err;
+  }
+}
+
+TEST(CliTest, NegativeTileSizeErrorNamesTheFlag) {
+  // --tile-rows=-8 used to wrap and surface as
+  // "tile 18446744073709551608x8 exceeds table".
+  const std::string table_path = TempPath("cli_test_negtile.tbl");
+  const std::string gen_flag = "--out=" + table_path;
+  ASSERT_EQ(RunCli({"generate", "--dataset=six-region", gen_flag.c_str(),
+                    "--rows=32", "--cols=32"})
+                .code,
+            0);
+  const std::string table_flag = "--table=" + table_path;
+  const std::string out_flag = "--out=" + TempPath("cli_test_negtile.skt");
+  const CliRun run = RunCli({"sketch", table_flag.c_str(), out_flag.c_str(),
+                             "--tile-rows=-8", "--tile-cols=8"});
+  EXPECT_EQ(run.code, 1);
+  EXPECT_NE(run.err.find("--tile-rows"), std::string::npos) << run.err;
+  std::remove(table_path.c_str());
+}
+
+TEST(CliTest, DistanceRejectsEmptyRectangles) {
+  // Zero-area rectangles used to reach the sketcher's non-empty CHECK.
+  const std::string table_path = TempPath("cli_test_emptyrect.tbl");
+  const std::string out_flag = "--out=" + table_path;
+  ASSERT_EQ(RunCli({"generate", "--dataset=six-region", out_flag.c_str(),
+                    "--rows=32", "--cols=32"})
+                .code,
+            0);
+  const std::string table_flag = "--table=" + table_path;
+  const CliRun run = RunCli({"distance", table_flag.c_str(),
+                             "--rect1=0,0,0,0", "--rect2=1,1,0,0"});
+  EXPECT_EQ(run.code, 1);
+  EXPECT_NE(run.err.find("--rect1"), std::string::npos) << run.err;
+  std::remove(table_path.c_str());
+}
+
+TEST(CliTest, InfoReportsAnEmptyTable) {
+  // ReadBinary accepts a table with 0 rows; info used to read its first
+  // value anyway.
+  const std::string table_path = TempPath("cli_test_empty.tbl");
+  ASSERT_TRUE(table::WriteBinary(table::Matrix(0, 5), table_path).ok());
+  const std::string table_flag = "--table=" + table_path;
+  const CliRun run = RunCli({"info", table_flag.c_str()});
+  EXPECT_EQ(run.code, 0) << run.err;
+  EXPECT_NE(run.out.find("0x5 (0 bytes)"), std::string::npos) << run.out;
+  EXPECT_NE(run.out.find("empty table"), std::string::npos) << run.out;
+  std::remove(table_path.c_str());
 }
 
 // The ISSUE-3 acceptance scenario: cluster a 256x256 demo table with
@@ -1136,7 +1244,7 @@ TEST(CliMetricsTest, ClusterDumpCarriesDocumentedSchema) {
   }
   const CliRun run =
       RunCli({"cluster", table_flag.c_str(), "--tile-rows=8", "--tile-cols=8",
-              "--algo=kmeans", "--k=6", "--sketch-k=64", json_flag.c_str()});
+              "--k=6", "--sketch-k=64", json_flag.c_str()});
   ASSERT_EQ(run.code, 0) << run.err;
   EXPECT_NE(run.out.find("metrics written to"), std::string::npos);
 
@@ -1188,7 +1296,7 @@ TEST(CliMetricsTest, ExactModeSplitsEvaluationsToExact) {
   }
   const CliRun run =
       RunCli({"cluster", table_flag.c_str(), "--tile-rows=8", "--tile-cols=8",
-              "--algo=kmeans", "--k=4", "--mode=exact", json_flag.c_str()});
+              "--k=4", "--mode=exact", json_flag.c_str()});
   ASSERT_EQ(run.code, 0) << run.err;
   const std::string json = ReadWholeFile(json_path);
   EXPECT_TRUE(tabsketch::testing::JsonChecker::Valid(json)) << json;
@@ -1314,7 +1422,7 @@ TEST(CliTraceTest, ClusterTraceJsonIsValidChromeTrace) {
   }
   const CliRun run =
       RunCli({"cluster", table_flag.c_str(), "--tile-rows=8", "--tile-cols=8",
-              "--algo=kmeans", "--k=4", "--sketch-k=64", trace_flag.c_str()});
+              "--k=4", "--sketch-k=64", trace_flag.c_str()});
   ASSERT_EQ(run.code, 0) << run.err;
   EXPECT_NE(run.out.find("trace written to"), std::string::npos);
 
@@ -1355,7 +1463,7 @@ TEST(CliTraceTest, ObservabilityDoesNotPerturbClusterOutput) {
   const std::string plain_out_flag = "--out=" + plain_csv;
   const CliRun plain =
       RunCli({"cluster", table_flag.c_str(), "--tile-rows=8", "--tile-cols=8",
-              "--algo=kmeans", "--k=4", "--sketch-k=64", "--seed=9",
+              "--k=4", "--sketch-k=64", "--seed=9",
               plain_out_flag.c_str()});
   ASSERT_EQ(plain.code, 0) << plain.err;
 
@@ -1363,7 +1471,7 @@ TEST(CliTraceTest, ObservabilityDoesNotPerturbClusterOutput) {
   const std::string trace_flag = "--trace-json=" + trace_path;
   const CliRun traced =
       RunCli({"cluster", table_flag.c_str(), "--tile-rows=8", "--tile-cols=8",
-              "--algo=kmeans", "--k=4", "--sketch-k=64", "--seed=9",
+              "--k=4", "--sketch-k=64", "--seed=9",
               traced_out_flag.c_str(), trace_flag.c_str(),
               "--audit-rate=1"});
   ASSERT_EQ(traced.code, 0) << traced.err;
@@ -1485,7 +1593,7 @@ TEST(CliAuditTest, RateOneDumpReportsEnvelopeConsistentErrors) {
   }
   const CliRun run =
       RunCli({"cluster", table_flag.c_str(), "--tile-rows=8", "--tile-cols=8",
-              "--algo=kmeans", "--k=4", "--sketch-k=64", "--p=1",
+              "--k=4", "--sketch-k=64", "--p=1",
               "--audit-rate=1", json_flag.c_str()});
   ASSERT_EQ(run.code, 0) << run.err;
 

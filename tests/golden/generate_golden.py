@@ -13,7 +13,6 @@ in IEEE-754 doubles: the fixtures are independent of FFT/optimization-level
 floating-point details and identical on every little-endian platform.
 """
 
-import math
 import struct
 from pathlib import Path
 
@@ -84,69 +83,6 @@ def write_pool_v2():
     (HERE / "pool_v2.pool").write_bytes(blob)
 
 
-def quant_encode(value, offset, scale, max_code):
-    """Mirror of QuantizedCodePool::EncodeValue (llround = half away from
-    zero; q is non-negative here so floor(q + 0.5) is identical)."""
-    if scale == 0.0:
-        return 0
-    q = (value - offset) / scale
-    if not q > 0.0:
-        return 0
-    if q >= max_code:
-        return max_code
-    return int(math.floor(q + 0.5))
-
-
-def write_code_pool():
-    """TSKQ v1 (magic TSKQ): the int8 code pool quantized_sketch_test.cc's
-    GoldenPool() builds — same sketch values as the sketch-set fixture, with
-    one NaN making tile 1 unusable (all-zero code row, flag 0)."""
-    p, k, seed = 0.5, 6, 1234
-    object_rows, object_cols, count = 8, 16, 3
-    kind, max_code = 1, 255  # int8
-    values = [[sketch_set_value(s, j) for j in range(k)] for s in range(count)]
-    values[1][2] = float("nan")
-    finite = [v for row in values for v in row if math.isfinite(v)]
-    offset = min(finite)
-    scale = (max(finite) - offset) / max_code
-    usable = [0 if any(not math.isfinite(v) for v in row) else 1
-              for row in values]
-    blob = struct.pack("<4s3Id5Qdd", b"TSKQ", 1, kind, 0, p, k, seed,
-                       object_rows, object_cols, count, scale, offset)
-    blob += bytes(usable)
-    for s in range(count):
-        for j in range(k):
-            code = (quant_encode(values[s][j], offset, scale, max_code)
-                    if usable[s] else 0)
-            blob += struct.pack("<B", code)
-    (HERE / "code_pool_v1.tskq").write_bytes(blob)
-
-
-def write_code_pool_v2():
-    """TSKQ version 2: the v1 layout with the family sparsity appended to the
-    header (88 bytes total), pinned at sparsity 0.25."""
-    p, k, seed, sparsity = 0.5, 6, 1234, 0.25
-    object_rows, object_cols, count = 8, 16, 3
-    kind, max_code = 1, 255  # int8
-    values = [[sketch_set_value(s, j) for j in range(k)] for s in range(count)]
-    values[1][2] = float("nan")
-    finite = [v for row in values for v in row if math.isfinite(v)]
-    offset = min(finite)
-    scale = (max(finite) - offset) / max_code
-    usable = [0 if any(not math.isfinite(v) for v in row) else 1
-              for row in values]
-    blob = struct.pack("<4s3Id5Qddd", b"TSKQ", 2, kind, 0, p, k, seed,
-                       object_rows, object_cols, count, scale, offset,
-                       sparsity)
-    blob += bytes(usable)
-    for s in range(count):
-        for j in range(k):
-            code = (quant_encode(values[s][j], offset, scale, max_code)
-                    if usable[s] else 0)
-            blob += struct.pack("<B", code)
-    (HERE / "code_pool_v2.tskq").write_bytes(blob)
-
-
 def append_piece_value(row, col):
     return row * 2.0 + col * 0.5 - 4.0
 
@@ -170,7 +106,5 @@ if __name__ == "__main__":
     write_sketch_set_v2()
     write_pool()
     write_pool_v2()
-    write_code_pool()
-    write_code_pool_v2()
     write_append_piece()
     print("golden fixtures regenerated in", HERE)

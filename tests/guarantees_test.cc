@@ -171,7 +171,7 @@ TEST(GoldenValuesTest, SeedDerivationPipelineIsStable) {
   EXPECT_DOUBLE_EQ(rng::SampleStableAt(0.5, 7), -9.3463490772798288);
 
   core::SketchParams params{.p = 1.0, .k = 4, .seed = 123};
-  EXPECT_DOUBLE_EQ(core::StableEntry(params, 1, 3, 3, 1, 2),
+  EXPECT_DOUBLE_EQ(core::StableRandomMatrix(params, 1, 3, 3).At(1, 2),
                    6.8965956471859728);
 
   auto sketcher = core::Sketcher::Create(params);

@@ -1,12 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,10 +12,6 @@
 
 namespace tabsketch::core {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 std::vector<Sketch> RandomSketches(size_t count, size_t k, uint64_t seed,
                                    double lo = -50.0, double hi = 50.0) {
@@ -214,218 +205,6 @@ TEST(QuantizedCodePoolTest, BuildIsDeterministic) {
   EXPECT_EQ(a.usable_flags(), b.usable_flags());
   EXPECT_EQ(a.scale(), b.scale());
   EXPECT_EQ(a.offset(), b.offset());
-}
-
-// ---------------------------------------------------------------------------
-// TSKQ serialization: round trip, atomicity, rejection of corrupt files, and
-// the golden byte-stability fixture (tests/golden/code_pool_v1.tskq).
-
-QuantizedCodePool GoldenPool(double sparsity = 1.0) {
-  // Exactly-representable values mirroring tests/golden/generate_golden.py.
-  const SketchParams params{
-      .p = 0.5, .k = 6, .seed = 1234, .sparsity = sparsity};
-  std::vector<Sketch> sketches(3);
-  for (int s = 0; s < 3; ++s) {
-    sketches[s].values.resize(6);
-    for (int j = 0; j < 6; ++j) {
-      sketches[s].values[j] = s * 1.5 + j * 0.25 - 2.0;
-    }
-  }
-  sketches[1].values[2] = std::nan("");  // one unusable tile in the fixture
-  auto pool = QuantizedCodePool::BuildFromSketches(
-      sketches, QuantKind::kInt8, params, 8, 16);
-  EXPECT_TRUE(pool.ok());
-  return std::move(pool).value();
-}
-
-std::string GoldenPath(const std::string& name) {
-  return std::string(TABSKETCH_TEST_GOLDEN_DIR) + "/" + name;
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-TEST(CodePoolIoTest, RoundTripBothWidths) {
-  const SketchParams params{.p = 1.5, .k = 12, .seed = 31};
-  const auto sketches = RandomSketches(11, 12, 99);
-  for (QuantKind kind : {QuantKind::kInt8, QuantKind::kInt16}) {
-    const QuantizedCodePool pool = BuildPool(sketches, kind, params);
-    const std::string path = TempPath("tabsketch_codepool_rt.tskq");
-    ASSERT_TRUE(WriteCodePool(pool, path).ok());
-    auto loaded = ReadCodePool(path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded->kind(), pool.kind());
-    EXPECT_EQ(loaded->count(), pool.count());
-    EXPECT_EQ(loaded->k(), pool.k());
-    EXPECT_EQ(loaded->scale(), pool.scale());
-    EXPECT_EQ(loaded->offset(), pool.offset());
-    EXPECT_EQ(loaded->params(), pool.params());
-    EXPECT_EQ(loaded->object_rows(), pool.object_rows());
-    EXPECT_EQ(loaded->object_cols(), pool.object_cols());
-    EXPECT_EQ(loaded->raw_codes(), pool.raw_codes());
-    EXPECT_EQ(loaded->usable_flags(), pool.usable_flags());
-    std::remove(path.c_str());
-  }
-}
-
-TEST(CodePoolIoTest, SuccessfulWriteLeavesNoTempFile) {
-  const std::string path = TempPath("tabsketch_codepool_atomic.tskq");
-  ASSERT_TRUE(WriteCodePool(GoldenPool(), path).ok());
-  EXPECT_TRUE(std::filesystem::exists(path));
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  std::remove(path.c_str());
-}
-
-TEST(CodePoolIoGoldenTest, SerializationIsByteStable) {
-  // The writer emits version 2 (88-byte header with the family sparsity);
-  // the v2 fixture pins those bytes for a sparsity-0.25 family.
-  const std::string golden = ReadFileBytes(GoldenPath("code_pool_v2.tskq"));
-  ASSERT_FALSE(golden.empty()) << "missing golden fixture";
-  const std::string path = TempPath("tabsketch_codepool_golden.tskq");
-  ASSERT_TRUE(WriteCodePool(GoldenPool(0.25), path).ok());
-  EXPECT_EQ(ReadFileBytes(path), golden)
-      << "code-pool serialization bytes changed; if intentional, bump the "
-         "TSKQ version and regenerate tests/golden";
-  std::remove(path.c_str());
-}
-
-TEST(CodePoolIoGoldenTest, GoldenFileRoundTrips) {
-  // The v1 fixture has no sparsity field; reading it must imply a dense
-  // family (sparsity 1.0) so pre-v2 archives keep loading byte-identically.
-  auto loaded = ReadCodePool(GoldenPath("code_pool_v1.tskq"));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const QuantizedCodePool expected = GoldenPool();
-  EXPECT_EQ(loaded->kind(), expected.kind());
-  EXPECT_EQ(loaded->count(), expected.count());
-  EXPECT_EQ(loaded->scale(), expected.scale());
-  EXPECT_EQ(loaded->offset(), expected.offset());
-  EXPECT_EQ(loaded->params().sparsity, 1.0);
-  EXPECT_EQ(loaded->raw_codes(), expected.raw_codes());
-  EXPECT_EQ(loaded->usable_flags(), expected.usable_flags());
-  EXPECT_FALSE(loaded->tile_usable(1));
-}
-
-TEST(CodePoolIoGoldenTest, V2GoldenFileRoundTrips) {
-  auto loaded = ReadCodePool(GoldenPath("code_pool_v2.tskq"));
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const QuantizedCodePool expected = GoldenPool(0.25);
-  EXPECT_EQ(loaded->params(), expected.params());
-  EXPECT_EQ(loaded->params().sparsity, 0.25);
-  EXPECT_EQ(loaded->raw_codes(), expected.raw_codes());
-  EXPECT_EQ(loaded->usable_flags(), expected.usable_flags());
-}
-
-TEST(CodePoolIoGoldenTest, CorruptedSparsityIsRejected) {
-  // Out-of-range sparsity in a v2 header (the double at offset 80) must
-  // fail parameter validation.
-  std::string bytes = ReadFileBytes(GoldenPath("code_pool_v2.tskq"));
-  ASSERT_FALSE(bytes.empty());
-  const double bad = 2.0;
-  std::memcpy(bytes.data() + 80, &bad, sizeof(bad));
-  const std::string path = TempPath("tabsketch_codepool_badsparsity.tskq");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  auto loaded = ReadCodePool(path);
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
-}
-
-TEST(CodePoolIoGoldenTest, TruncatedSparsityFieldIsCleanIOError) {
-  // A v2 file cut mid-sparsity (84 of 88 header bytes) must be IOError.
-  const std::string bytes = ReadFileBytes(GoldenPath("code_pool_v2.tskq"));
-  ASSERT_FALSE(bytes.empty());
-  const std::string path = TempPath("tabsketch_codepool_shortsparsity.tskq");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(bytes.data(), 84);
-  }
-  auto loaded = ReadCodePool(path);
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), util::StatusCode::kIOError);
-  std::remove(path.c_str());
-}
-
-TEST(CodePoolIoGoldenTest, CorruptedMagicIsCleanIOError) {
-  std::string bytes = ReadFileBytes(GoldenPath("code_pool_v1.tskq"));
-  ASSERT_FALSE(bytes.empty());
-  bytes[0] = 'X';
-  const std::string path = TempPath("tabsketch_codepool_badmagic.tskq");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  auto loaded = ReadCodePool(path);
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), util::StatusCode::kIOError);
-  std::remove(path.c_str());
-}
-
-TEST(CodePoolIoGoldenTest, CorruptedVersionAndKindAreCleanIOErrors) {
-  const std::string bytes = ReadFileBytes(GoldenPath("code_pool_v1.tskq"));
-  ASSERT_FALSE(bytes.empty());
-  const std::string path = TempPath("tabsketch_codepool_badfield.tskq");
-  // version is the u32 at offset 4, kind the u32 at offset 8.
-  for (const size_t offset : {size_t{4}, size_t{8}}) {
-    std::string mutated = bytes;
-    const uint32_t bogus = 0x7fffffff;
-    std::memcpy(mutated.data() + offset, &bogus, sizeof(bogus));
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(mutated.data(),
-                static_cast<std::streamsize>(mutated.size()));
-    }
-    auto loaded = ReadCodePool(path);
-    EXPECT_FALSE(loaded.ok()) << "field at offset " << offset;
-    EXPECT_EQ(loaded.status().code(), util::StatusCode::kIOError);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CodePoolIoGoldenTest, TruncatedHeaderAndPayloadAreCleanIOErrors) {
-  const std::string bytes = ReadFileBytes(GoldenPath("code_pool_v1.tskq"));
-  ASSERT_FALSE(bytes.empty());
-  const std::string path = TempPath("tabsketch_codepool_trunc.tskq");
-  for (const size_t keep :
-       {size_t{0}, size_t{5}, size_t{40}, size_t{79}, bytes.size() - 1}) {
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(bytes.data(), static_cast<std::streamsize>(keep));
-    }
-    auto loaded = ReadCodePool(path);
-    EXPECT_FALSE(loaded.ok()) << "truncated to " << keep << " bytes";
-    EXPECT_EQ(loaded.status().code(), util::StatusCode::kIOError);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CodePoolIoGoldenTest, OversizedCountIsCleanIOError) {
-  std::string bytes = ReadFileBytes(GoldenPath("code_pool_v1.tskq"));
-  ASSERT_FALSE(bytes.empty());
-  const uint64_t huge = ~uint64_t{0} / 8;
-  // count is the u64 at offset 56 of the TSKQ header.
-  std::memcpy(bytes.data() + 56, &huge, sizeof(huge));
-  const std::string path = TempPath("tabsketch_codepool_hugecount.tskq");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  auto loaded = ReadCodePool(path);
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), util::StatusCode::kIOError);
-  std::remove(path.c_str());
-}
-
-TEST(CodePoolIoTest, MissingFileIsIOError) {
-  auto loaded = ReadCodePool(TempPath("does_not_exist.tskq"));
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), util::StatusCode::kIOError);
 }
 
 }  // namespace

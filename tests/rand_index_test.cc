@@ -2,13 +2,8 @@
 
 #include <vector>
 
-#include "core/estimator.h"
-#include "core/lp_distance.h"
-#include "core/sketcher.h"
 #include "eval/rand_index.h"
 #include "rng/xoshiro256.h"
-#include "table/matrix.h"
-#include "util/normal.h"
 
 namespace tabsketch {
 namespace {
@@ -75,99 +70,6 @@ TEST(RandIndexTest, DegenerateSingleClusterConvention) {
   const std::vector<int> a = {0, 0, 0};
   EXPECT_DOUBLE_EQ(AdjustedRandIndex(a, a), 1.0);
 }
-
-TEST(InverseNormalCdfTest, KnownQuantiles) {
-  EXPECT_NEAR(util::InverseNormalCdf(0.5), 0.0, 1e-9);
-  EXPECT_NEAR(util::InverseNormalCdf(0.975), 1.959963985, 1e-6);
-  EXPECT_NEAR(util::InverseNormalCdf(0.025), -1.959963985, 1e-6);
-  EXPECT_NEAR(util::InverseNormalCdf(0.84134474), 1.0, 1e-5);
-  EXPECT_NEAR(util::InverseNormalCdf(0.999), 3.090232306, 1e-6);
-}
-
-TEST(InverseNormalCdfTest, SymmetryAndMonotonicity) {
-  for (double q : {0.01, 0.1, 0.3, 0.45}) {
-    EXPECT_NEAR(util::InverseNormalCdf(q), -util::InverseNormalCdf(1.0 - q),
-                1e-9);
-  }
-  double previous = util::InverseNormalCdf(0.001);
-  for (double q = 0.01; q < 1.0; q += 0.01) {
-    const double value = util::InverseNormalCdf(q);
-    EXPECT_GT(value, previous);
-    previous = value;
-  }
-}
-
-TEST(EstimateIntervalTest, ContainsEstimateAndOrdersBounds) {
-  for (double p : {0.5, 1.0, 2.0}) {
-    core::SketchParams params{.p = p, .k = 256, .seed = 3};
-    auto sketcher = core::Sketcher::Create(params);
-    auto estimator = core::DistanceEstimator::Create(params);
-    ASSERT_TRUE(sketcher.ok() && estimator.ok());
-    rng::Xoshiro256 gen(5);
-    table::Matrix x(8, 8), y(8, 8);
-    for (double& v : x.Values()) v = gen.NextDouble();
-    for (double& v : y.Values()) v = gen.NextDouble();
-    const core::Sketch sx = sketcher->SketchOf(x.View());
-    const core::Sketch sy = sketcher->SketchOf(y.View());
-    std::vector<double> scratch;
-    const auto interval = estimator->EstimateWithInterval(
-        sx.values, sy.values, 0.95, &scratch);
-    EXPECT_LE(interval.lower, interval.estimate) << "p=" << p;
-    EXPECT_LE(interval.estimate, interval.upper) << "p=" << p;
-    EXPECT_GT(interval.lower, 0.0) << "p=" << p;
-  }
-}
-
-TEST(EstimateIntervalTest, WiderAtHigherConfidence) {
-  core::SketchParams params{.p = 1.0, .k = 256, .seed = 3};
-  auto sketcher = core::Sketcher::Create(params);
-  auto estimator = core::DistanceEstimator::Create(params);
-  ASSERT_TRUE(sketcher.ok() && estimator.ok());
-  rng::Xoshiro256 gen(9);
-  table::Matrix x(8, 8), y(8, 8);
-  for (double& v : x.Values()) v = gen.NextDouble();
-  for (double& v : y.Values()) v = gen.NextDouble();
-  const core::Sketch sx = sketcher->SketchOf(x.View());
-  const core::Sketch sy = sketcher->SketchOf(y.View());
-  std::vector<double> scratch;
-  const auto narrow =
-      estimator->EstimateWithInterval(sx.values, sy.values, 0.80, &scratch);
-  const auto wide =
-      estimator->EstimateWithInterval(sx.values, sy.values, 0.99, &scratch);
-  EXPECT_LE(wide.lower, narrow.lower);
-  EXPECT_GE(wide.upper, narrow.upper);
-}
-
-class IntervalCoverageTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(IntervalCoverageTest, TrueDistanceCoveredAtNominalRate) {
-  const double p = GetParam();
-  rng::Xoshiro256 gen(21);
-  table::Matrix x(10, 10), y(10, 10);
-  for (double& v : x.Values()) v = gen.NextDouble() * 50.0;
-  for (double& v : y.Values()) v = gen.NextDouble() * 50.0;
-  const double exact = core::LpDistance(x.View(), y.View(), p);
-
-  constexpr int kTrials = 120;
-  int covered = 0;
-  std::vector<double> scratch;
-  for (int trial = 0; trial < kTrials; ++trial) {
-    core::SketchParams params{.p = p, .k = 300,
-                              .seed = 5000 + static_cast<uint64_t>(trial)};
-    auto sketcher = core::Sketcher::Create(params);
-    auto estimator = core::DistanceEstimator::Create(params);
-    ASSERT_TRUE(sketcher.ok() && estimator.ok());
-    const auto interval = estimator->EstimateWithInterval(
-        sketcher->SketchOf(x.View()).values,
-        sketcher->SketchOf(y.View()).values, 0.95, &scratch);
-    if (exact >= interval.lower && exact <= interval.upper) ++covered;
-  }
-  // 95% nominal; allow binomial noise and the asymptotic approximations.
-  EXPECT_GE(static_cast<double>(covered) / kTrials, 0.88) << "p=" << p;
-}
-
-INSTANTIATE_TEST_SUITE_P(Ps, IntervalCoverageTest,
-                         ::testing::Values(0.5, 1.0, 2.0));
 
 }  // namespace
 }  // namespace tabsketch

@@ -1,7 +1,6 @@
 // Very sparse stable projections (Ping Li; DESIGN.md Section 16):
-//   - counter-based derivation: the sparse gate + rescale primitive, its
-//     dense (sparsity = 1) bit-identity, and O(1) random access agreeing
-//     with bulk generation;
+//   - counter-based derivation: the sparse gate + rescale primitive and its
+//     dense (sparsity = 1) bit-identity;
 //   - CSR-style kernels: Dense() reproduces StableRandomMatrix bit-for-bit
 //     and the O(nnz) correlation paths match the dense walks bit-for-bit;
 //   - deterministic FFT-vs-direct path selection and the resulting
@@ -76,25 +75,6 @@ TEST(SparseStableTest, NonzeroDrawsAreRescaledDenseDraws) {
   // draws is ~0.3% at this level).
   const double rate = static_cast<double>(nonzero) / kSeeds;
   EXPECT_NEAR(rate, sparsity, 0.02);
-}
-
-TEST(SparseStableTest, RandomAccessMatchesBulkGeneration) {
-  // StableEntry (the O(1) random-access primitive behind streaming updates)
-  // and StableRandomMatrix (bulk generation) must agree bit-for-bit for
-  // sparse families, exactly as they do for dense ones.
-  const core::SketchParams params{
-      .p = 1.0, .k = 3, .seed = 99, .sparsity = 0.2};
-  for (size_t index = 0; index < params.k; ++index) {
-    const table::Matrix bulk =
-        core::StableRandomMatrix(params, index, 6, 9);
-    for (size_t r = 0; r < 6; ++r) {
-      for (size_t c = 0; c < 9; ++c) {
-        EXPECT_EQ(core::StableEntry(params, index, 6, 9, r, c),
-                  bulk.At(r, c))
-            << "index=" << index << " (" << r << "," << c << ")";
-      }
-    }
-  }
 }
 
 // --- CSR kernels ------------------------------------------------------------

@@ -172,37 +172,5 @@ TEST(TableIoTest, BinaryMissingFile) {
   EXPECT_FALSE(loaded.ok());
 }
 
-TEST(TableIoTest, CsvRoundTrip) {
-  Matrix m(2, 3, {1.25, -2.5, 3.0, 0.0, 1e6, -7.125});
-  const std::string path = TempPath("tabsketch_io_test.csv");
-  ASSERT_TRUE(WriteCsv(m, path).ok());
-  auto loaded = ReadCsv(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_TRUE(*loaded == m);
-  std::remove(path.c_str());
-}
-
-TEST(TableIoTest, CsvRejectsRaggedRows) {
-  const std::string path = TempPath("tabsketch_io_ragged.csv");
-  {
-    std::ofstream out(path);
-    out << "1,2,3\n4,5\n";
-  }
-  auto loaded = ReadCsv(path);
-  EXPECT_FALSE(loaded.ok());
-  std::remove(path.c_str());
-}
-
-TEST(TableIoTest, CsvRejectsNonNumeric) {
-  const std::string path = TempPath("tabsketch_io_alpha.csv");
-  {
-    std::ofstream out(path);
-    out << "1,banana\n";
-  }
-  auto loaded = ReadCsv(path);
-  EXPECT_FALSE(loaded.ok());
-  std::remove(path.c_str());
-}
-
 }  // namespace
 }  // namespace tabsketch::table
