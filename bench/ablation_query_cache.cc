@@ -1,24 +1,23 @@
-// Ablation of the query engine's sketch-cache policy on a repeated-query
-// batch: the same mixed distance/knn workload runs uncached (every lookup
-// re-sketches its tile), through the unbounded on-demand cache, and through
-// the byte-budgeted LRU cache at two budgets — one sized for the whole tile
-// set and one tight enough to churn. Every policy must produce byte-identical
-// answers (sketches are deterministic; retention only moves compute), so the
-// only thing that varies is time and residency. Rows land in
-// BENCH_query.json; CI asserts that the sized LRU beats the uncached path
-// while peak residency stays under its budget.
+// Ablation of the query engine's sketch-cache budget on a repeated-query
+// batch: the same mixed distance/knn workload runs through LruSketchCache at
+// four budgets — 1 byte ("uncached": too small for one entry, so every
+// lookup re-sketches its tile), 0 ("ondemand": keep every tile, the paper's
+// scenario (2)), one sized for the whole tile set ("lru") and one tight
+// enough to churn ("lru-tight"). Every budget must produce byte-identical
+// answers (sketches are deterministic; retention only moves compute), so
+// the only thing that varies is time and residency. Rows land in
+// BENCH_query.json; the bench exits non-zero unless the answers are
+// identical, the sized LRU beats the uncached run, and peak residency stays
+// within budget for both bounded rows.
 //
 // usage: ablation_query_cache [--metrics-json=FILE] [--trace-json=FILE]
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/estimator.h"
 #include "core/lru_sketch_cache.h"
-#include "core/ondemand.h"
-#include "core/sketch_cache.h"
 #include "core/sketcher.h"
 #include "data/six_region.h"
 #include "serve/query_engine.h"
@@ -29,7 +28,6 @@
 namespace {
 
 using tabsketch::core::LruSketchCache;
-using tabsketch::core::TileSketchCache;
 using tabsketch::serve::QueryRequest;
 
 struct Row {
@@ -39,7 +37,7 @@ struct Row {
   size_t hits = 0;
   size_t evictions = 0;
   size_t peak_bytes = 0;
-  size_t budget_bytes = 0;  // 0 for unbounded policies
+  size_t budget_bytes = 0;  // 0 keeps every tile
 };
 
 /// A serving-shaped workload: a handful of hot query tiles asked for
@@ -106,10 +104,9 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   std::vector<std::string> reference;
   bool identical_output = true;
-  const auto run = [&](const std::string& policy,
-                       std::unique_ptr<TileSketchCache> cache,
-                       size_t budget) {
-    tabsketch::serve::QueryEngine engine(&*grid, cache.get(), &*estimator,
+  const auto run = [&](const std::string& policy, size_t budget) {
+    LruSketchCache cache(&*sketcher, &*grid, {.capacity_bytes = budget});
+    tabsketch::serve::QueryEngine engine(&*grid, &cache, &*estimator,
                                          {.threads = 1});
     tabsketch::util::WallTimer timer;
     auto results = engine.Run(batch);
@@ -127,39 +124,42 @@ int main(int argc, char** argv) {
     Row row;
     row.policy = policy;
     row.seconds = seconds;
-    row.computed = cache->computed();
-    row.hits = cache->hits();
+    row.computed = cache.computed();
+    row.hits = cache.hits();
+    row.evictions = cache.evictions();
+    row.peak_bytes = cache.peak_bytes();
     row.budget_bytes = budget;
-    if (const auto* lru = dynamic_cast<const LruSketchCache*>(cache.get())) {
-      row.evictions = lru->evictions();
-      row.peak_bytes = lru->peak_bytes();
-    }
     rows.push_back(row);
     std::printf("%-10s %10.4f %10zu %10zu %10zu %12zu\n", policy.c_str(),
                 row.seconds, row.computed, row.hits, row.evictions,
                 row.peak_bytes);
+    return row;
   };
 
-  run("uncached",
-      std::make_unique<tabsketch::core::UncachedSketchSource>(&*sketcher,
-                                                              &*grid),
-      0);
-  run("ondemand",
-      std::make_unique<tabsketch::core::OnDemandSketchCache>(&*sketcher,
-                                                             &*grid),
-      0);
-  LruSketchCache::Options sized;
-  sized.capacity_bytes = sized_budget;
-  run("lru", std::make_unique<LruSketchCache>(&*sketcher, &*grid, sized),
-      sized_budget);
-  LruSketchCache::Options tight;
-  tight.capacity_bytes = tight_budget;
-  run("lru-tight",
-      std::make_unique<LruSketchCache>(&*sketcher, &*grid, tight),
-      tight_budget);
+  const Row uncached = run("uncached", 1);
+  run("ondemand", 0);
+  const Row sized = run("lru", sized_budget);
+  const Row tight = run("lru-tight", tight_budget);
 
   std::printf("identical output across policies: %s\n",
               identical_output ? "yes" : "NO");
+  bool failed = false;
+  if (!identical_output) {
+    failed = true;
+    std::fprintf(stderr, "FAIL: cache budgets disagreed on answers\n");
+  }
+  if (!(sized.seconds < uncached.seconds)) {
+    failed = true;
+    std::fprintf(stderr, "FAIL: lru %.4fs is not faster than uncached %.4fs\n",
+                 sized.seconds, uncached.seconds);
+  }
+  for (const Row& row : {sized, tight}) {
+    if (row.peak_bytes > row.budget_bytes) {
+      failed = true;
+      std::fprintf(stderr, "FAIL: %s peak %zu bytes exceeds its %zu budget\n",
+                   row.policy.c_str(), row.peak_bytes, row.budget_bytes);
+    }
+  }
 
   const char* json_path = "BENCH_query.json";
   std::FILE* json = std::fopen(json_path, "w");
@@ -191,5 +191,6 @@ int main(int argc, char** argv) {
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
   std::printf("results -> %s\n", json_path);
-  return tabsketch::util::FlushObservability(observability) ? 0 : 1;
+  if (!tabsketch::util::FlushObservability(observability)) return 1;
+  return failed ? 1 : 0;
 }

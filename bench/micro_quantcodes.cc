@@ -28,7 +28,6 @@
 #include "core/code_kernels.h"
 #include "core/estimator.h"
 #include "core/lru_sketch_cache.h"
-#include "core/ondemand.h"
 #include "core/quantized_sketch.h"
 #include "core/sketcher.h"
 #include "data/six_region.h"
@@ -112,8 +111,9 @@ int main(int argc, char** argv) {
   }
   const size_t tiles = grid->num_tiles();
 
-  // Materialize every tile sketch once; scans below are pure reads.
-  tabsketch::core::OnDemandSketchCache warm(&*sketcher, &*grid);
+  // Materialize every tile sketch once (budget 0 keeps them all); scans
+  // below are pure reads.
+  LruSketchCache warm(&*sketcher, &*grid, {.capacity_bytes = 0});
   std::vector<std::shared_ptr<const tabsketch::core::Sketch>> sketches(tiles);
   for (size_t i = 0; i < tiles; ++i) sketches[i] = warm.Get(i);
 

@@ -563,6 +563,10 @@ int CmdPoolQuery(const Flags& flags, std::ostream& out, std::ostream& err) {
   if (!table_path.empty()) {
     TABSKETCH_ASSIGN_CLI(const table::Matrix matrix,
                          table::ReadBinary(table_path));
+    if (!r1.FitsIn(matrix) || !r2.FitsIn(matrix)) {
+      return Fail(err, util::Status::OutOfRange(
+                           "rectangle exceeds the table"));
+    }
     out << "exact reference:          "
         << core::LpDistance(r1.WindowOf(matrix), r2.WindowOf(matrix),
                             pool.params().p)
@@ -585,9 +589,9 @@ int CmdQuery(const Flags& flags, std::ostream& out, std::ostream& err) {
   // The whole serving pipeline (table, grid, sketch source, estimator,
   // engine) is one Snapshot — the same composition `tabsketch serve`
   // publishes per generation. Sketch source selection lives there: a
-  // precomputed set from disk, or compute through a cache — unbounded
-  // on-demand by default, byte-budgeted LRU with --cache-bytes. All three
-  // yield byte-identical answers (sketches are deterministic).
+  // precomputed set from disk, or compute through the LRU cache — keeping
+  // every tile by default, byte-budgeted with --cache-bytes. Every source
+  // and budget yields byte-identical answers (sketches are deterministic).
   TABSKETCH_ASSIGN_CLI(const std::shared_ptr<const serve::Snapshot> snapshot,
                        serve::Snapshot::Create(spec));
 
@@ -611,7 +615,8 @@ int CmdQuery(const Flags& flags, std::ostream& out, std::ostream& err) {
   err << "answered " << results.size() << " requests in " << seconds
       << "s (" << cache.hits() << " cache hits, " << cache.computed()
       << " sketches computed)\n";
-  if (const auto* lru = dynamic_cast<const core::LruSketchCache*>(&cache)) {
+  const auto* lru = dynamic_cast<const core::LruSketchCache*>(&cache);
+  if (lru != nullptr && lru->capacity_bytes() > 0) {
     err << "lru cache: " << lru->evictions() << " evictions, peak "
         << lru->peak_bytes() << " of " << lru->capacity_bytes()
         << " budget bytes\n";

@@ -28,15 +28,11 @@ util::Result<SketchBackend> SketchBackend::Create(
   if (mode == SketchMode::kPrecomputed) {
     backend.cache_ = std::make_unique<core::FixedSketchSource>(
         core::SketchAllTilesParallel(*backend.sketcher_, *grid, threads));
-  } else if (cache_bytes > 0) {
+  } else {
     core::LruSketchCache::Options options;
     options.capacity_bytes = cache_bytes;
     backend.cache_ = std::make_unique<core::LruSketchCache>(
         backend.sketcher_.get(), grid, options);
-    backend.bounded_cache_ = true;
-  } else {
-    backend.cache_ = std::make_unique<core::OnDemandSketchCache>(
-        backend.sketcher_.get(), grid);
   }
   if (quant != core::QuantKind::kOff) {
     // Built through the cache so peak memory stays bounded even when the
@@ -254,8 +250,8 @@ int SketchBackend::NearestCentroid(size_t object) {
 }
 
 std::string SketchBackend::name() const {
-  if (mode_ == SketchMode::kPrecomputed) return "sketch-precomputed";
-  return bounded_cache_ ? "sketch-lru" : "sketch-on-demand";
+  return mode_ == SketchMode::kPrecomputed ? "sketch-precomputed"
+                                           : "sketch-on-demand";
 }
 
 size_t SketchBackend::sketches_computed() const {

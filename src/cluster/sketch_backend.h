@@ -36,8 +36,7 @@ enum class SketchMode {
 ///
 /// Distance()/ObjectDistance() are safe to call concurrently in both modes:
 /// estimator scratch is per-thread, precomputed sketches are read-only, and
-/// the on-demand caches (unbounded or byte-budgeted LRU, see Create) are
-/// internally synchronized.
+/// the on-demand LruSketchCache is internally synchronized.
 ///
 /// When the global SketchAuditor is enabled at Create() time, a sampled
 /// fraction of estimates is shadow-checked against the exact Lp distance.
@@ -50,11 +49,10 @@ class SketchBackend : public ClusteringBackend {
   /// `grid` must outlive the backend. In kPrecomputed mode this sketches
   /// every tile eagerly before returning, fanning the tiles over `threads`
   /// workers (bit-identical output for any thread count; ignored in
-  /// kOnDemand mode). `cache_bytes` bounds the kOnDemand sketch cache: 0
-  /// keeps every computed sketch resident (the classic unbounded
-  /// OnDemandSketchCache), a positive budget swaps in the sharded
-  /// LruSketchCache so long runs over huge grids stay under a memory cap —
-  /// the clustering output is bit-identical either way, eviction only costs
+  /// kOnDemand mode). `cache_bytes` is the byte budget of the kOnDemand
+  /// LruSketchCache: 0 keeps every computed sketch resident, a positive
+  /// budget keeps long runs over huge grids under a memory cap — the
+  /// clustering output is bit-identical either way, eviction only costs
   /// recompute time. Ignored in kPrecomputed mode.
   ///
   /// `quant` (not kOff) builds a QuantizedCodePool over the tile sketches
@@ -111,12 +109,8 @@ class SketchBackend : public ClusteringBackend {
   std::shared_ptr<core::Sketcher> sketcher_;
   core::DistanceEstimator estimator_;
   SketchMode mode_;
-  /// True when a kOnDemand backend runs behind a byte-budgeted LRU cache
-  /// instead of the unbounded grow-only one (only affects name()).
-  bool bounded_cache_ = false;
-  /// Tile-sketch source: FixedSketchSource (kPrecomputed),
-  /// OnDemandSketchCache (kOnDemand, unbounded) or LruSketchCache
-  /// (kOnDemand with a byte budget).
+  /// Tile-sketch source: FixedSketchSource (kPrecomputed) or LruSketchCache
+  /// (kOnDemand).
   std::unique_ptr<core::TileSketchCache> cache_;
   /// Quantized code tier over the tile sketches; non-null only when Create
   /// was given a quant kind. Immutable after construction.

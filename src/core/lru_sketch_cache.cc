@@ -1,6 +1,7 @@
 #include "core/lru_sketch_cache.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "util/logging.h"
@@ -42,9 +43,11 @@ LruSketchCache::LruSketchCache(const Sketcher* sketcher,
     : sketcher_(sketcher),
       grid_(grid),
       capacity_bytes_(options.capacity_bytes),
-      compute_hook_(options.compute_hook),
-      shards_(std::max<size_t>(options.shards, 1)) {
-  shard_budget_ = capacity_bytes_ / shards_.size();
+      entry_bytes_(EntryBytes(sketcher->params().k)),
+      shards_(std::max<size_t>(options.shards, 1)),
+      shard_budget_(capacity_bytes_ == 0
+                        ? std::numeric_limits<size_t>::max()
+                        : capacity_bytes_ / shards_.size()) {
   for (Shard& shard : shards_) {
     shard.lru.prev = &shard.lru;
     shard.lru.next = &shard.lru;
@@ -74,11 +77,11 @@ size_t LruSketchCache::EvictOverBudget(Shard* shard) {
   while (shard->bytes > shard_budget_ && shard->lru.prev != &shard->lru) {
     Entry* coldest = shard->lru.prev;
     Unlink(coldest);
-    shard->bytes -= coldest->bytes;
-    freed += coldest->bytes;
+    shard->bytes -= entry_bytes_;
+    freed += entry_bytes_;
     ++evicted;
-    // Outstanding shared_ptrs returned from Get keep the sketch itself
-    // alive; only the cache's reference dies here.
+    // Callers still holding the entry or its sketch keep them alive; only
+    // the cache's reference dies here.
     shard->entries.erase(coldest->tile);
   }
   if (evicted > 0) {
@@ -107,72 +110,63 @@ void LruSketchCache::NoteBytesDelta(size_t added, size_t removed) {
   RecordPeakBytesMetric(peak_bytes_.load(std::memory_order_relaxed));
 }
 
-std::shared_ptr<const Sketch> LruSketchCache::Get(size_t index) {
-  bool computed = false;
-  return GetTracked(index, &computed);
-}
-
-std::shared_ptr<const Sketch> LruSketchCache::GetTracked(size_t index,
-                                                         bool* computed) {
+std::shared_ptr<const Sketch> LruSketchCache::Get(size_t index,
+                                                  bool* computed) {
   TABSKETCH_CHECK(index < grid_->num_tiles())
       << "tile " << index << " out of " << grid_->num_tiles();
-  *computed = false;
   Shard& shard = ShardFor(index);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(index);
-    if (it != shard.entries.end()) {
-      Entry* entry = it->second.get();
-      Unlink(entry);
-      PushFront(&shard, entry);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      TABSKETCH_METRIC_COUNT("lru.cache.hits");
-      return entry->sketch;
-    }
-  }
-
-  // Miss: compute outside the lock so a slow sketch never serializes the
-  // shard. Concurrent misses on the same tile may compute twice; the results
-  // are bit-identical and only one is retained.
   std::shared_ptr<const Sketch> sketch;
-  {
-    TABSKETCH_TRACE_SPAN("lru.cache.compute");
-    sketch = std::make_shared<const Sketch>(
-        sketcher_->SketchOf(grid_->Tile(index)));
-  }
-  computed_.fetch_add(1, std::memory_order_relaxed);
-  TABSKETCH_METRIC_COUNT("lru.cache.misses");
-  *computed = true;
-  if (compute_hook_) compute_hook_(index);
-
-  size_t added = 0;
+  // Held only while the entry's sketch is not built yet, so an eviction in
+  // the meantime cannot free it.
+  std::shared_ptr<Entry> entry;
+  bool inserted = false;
   size_t removed = 0;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(index);
-    if (it != shard.entries.end()) {
-      // Lost the insert race; the sketch this thread just computed is
-      // discarded, but it was already counted above — hence
-      // computed() == misses_retained + races() (see the class comment).
-      // Serve (and touch) the retained entry.
-      races_.fetch_add(1, std::memory_order_relaxed);
-      TABSKETCH_METRIC_COUNT("lru.cache.races");
-      Entry* entry = it->second.get();
-      Unlink(entry);
-      PushFront(&shard, entry);
-      return entry->sketch;
+    std::shared_ptr<Entry>& slot = shard.entries[index];
+    if (slot == nullptr) {
+      // Miss: insert the entry before computing, so concurrent lookups of
+      // this tile find it and wait on its once_flag instead of computing.
+      slot = std::make_shared<Entry>();
+      slot->tile = index;
+      shard.bytes += entry_bytes_;
+      inserted = true;
+    } else {
+      Unlink(slot.get());
     }
-    auto entry = std::make_unique<Entry>();
-    entry->tile = index;
-    entry->bytes = EntryBytes(sketch->size());
-    entry->sketch = sketch;
-    shard.bytes += entry->bytes;
-    added = entry->bytes;
-    PushFront(&shard, entry.get());
-    shard.entries.emplace(index, std::move(entry));
-    removed = EvictOverBudget(&shard);
+    PushFront(&shard, slot.get());
+    sketch = slot->sketch;
+    if (sketch == nullptr) entry = slot;
+    // Last, because eviction may erase `slot` itself.
+    if (inserted) removed = EvictOverBudget(&shard);
   }
-  NoteBytesDelta(added, removed);
+  if (inserted) NoteBytesDelta(entry_bytes_, removed);
+
+  bool ran = false;
+  if (sketch == nullptr) {
+    // Outside the shard lock, so a slow sketch never serializes the shard.
+    std::call_once(entry->once, [&] {
+      std::shared_ptr<const Sketch> built;
+      {
+        TABSKETCH_TRACE_SPAN("lru.cache.compute");
+        built = std::make_shared<const Sketch>(
+            sketcher_->SketchOf(grid_->Tile(index)));
+      }
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      entry->sketch = std::move(built);
+      ran = true;
+    });
+    // call_once orders the one write before this read; none follows it.
+    sketch = entry->sketch;
+  }
+  if (ran) {
+    computed_.fetch_add(1, std::memory_order_relaxed);
+    TABSKETCH_METRIC_COUNT("lru.cache.misses");
+  } else {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    TABSKETCH_METRIC_COUNT("lru.cache.hits");
+  }
+  if (computed != nullptr) *computed = ran;
   return sketch;
 }
 

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -15,50 +14,46 @@
 
 namespace tabsketch::core {
 
-/// Sharded, memory-budgeted LRU tile-sketch cache — the serving-shaped
-/// replacement for the grow-only OnDemandSketchCache: a long-lived query
-/// workload over a large tile grid keeps its working set hot while total
-/// residency stays under a caller-set byte budget, instead of eventually
-/// holding every sketch in memory.
+/// Sharded, memory-budgeted LRU tile-sketch cache — the library's one sketch
+/// source that computes. It serves the paper's scenario (2), "sketches are
+/// not available and so they have to be computed on demand" and then kept
+/// for reuse, so the first comparison of a tile pays O(k * tile_size) and
+/// every later one O(k); a byte budget lets a long-lived query workload over
+/// a large grid keep its working set hot under a memory cap instead.
+///
+/// Budget: `capacity_bytes == 0` keeps every computed tile (what
+/// `--cache-bytes=0` means). A positive budget splits evenly across shards;
+/// after every insert a shard evicts from its cold end until it is back
+/// under its slice, so global residency never settles above the budget. A
+/// budget too small for even one entry degrades to compute-and-release
+/// (every lookup computes and its entry is evicted at once).
 ///
 /// Structure (the leveldb ShardedLRUCache shape): tile indices stripe over N
 /// independent shards (tile % N), each with its own mutex, hash map and an
-/// intrusive circular LRU list threaded through the entries. The byte budget
-/// splits evenly across shards; after every insert a shard evicts from its
-/// cold end until it is back under its slice, so global residency never
-/// settles above the budget. A budget too small for even one entry degrades
-/// gracefully to compute-and-release (every lookup misses and the entry is
-/// evicted immediately) — results are still correct, only retention is lost.
+/// intrusive circular LRU list threaded through the entries.
 ///
-/// Lookups are bit-identical to the uncached path for every budget and
-/// thread count: sketches are deterministic functions of (family, tile), so
-/// eviction can only ever cost recompute time, never change a value. Misses
-/// compute outside the shard lock; two threads racing on the same absent
-/// tile may both compute it (identical results, one retained). The loser of
-/// that insert race still counts as a miss and a compute, so the counters
-/// obey `computed() >= misses_retained`, where `misses_retained` is the
-/// number of misses whose sketch was actually inserted:
-/// `computed() == misses_retained + races()`. Hit-rate math that treats
-/// every miss as one retained insert must subtract races() first.
+/// Compute once: a miss inserts an empty entry under the shard lock and
+/// builds the sketch outside it under the entry's std::once_flag, so
+/// concurrent lookups of one tile compute it once and later callers wait for
+/// the first. Every lookup either computes (computed()) or is served
+/// (hits()), so hits() + computed() == lookups; a tile is computed again only
+/// after its entry was evicted. Sketches are deterministic functions of
+/// (family, tile), so lookups are bit-identical for every budget and thread
+/// count — eviction can only cost recompute time, never change a value.
 ///
 /// Observability (all gated on the usual TABSKETCH_METRICS switches):
-/// counters lru.cache.{hits,misses,evictions,races}, gauges
+/// counters lru.cache.{hits,misses,evictions}, gauges
 /// lru.cache.{capacity_bytes,peak_bytes}, and a lru.cache.compute trace span
-/// around every miss's sketch construction.
+/// around every sketch construction.
 class LruSketchCache : public TileSketchCache {
  public:
   struct Options {
     /// Total byte budget across all shards (entry payload + bookkeeping,
-    /// see EntryBytes()).
+    /// see EntryBytes()); 0 keeps every tile.
     size_t capacity_bytes = size_t{64} << 20;
     /// Mutex stripes. Clamped to >= 1; use 1 for exactly predictable
     /// whole-cache eviction order (tests), more for concurrency.
     size_t shards = 8;
-    /// Test-only hook, called on the miss path after the sketch is computed
-    /// and before the shard is re-locked for insert — the window in which
-    /// the insert race is decided. Lets tests park a thread there to make
-    /// the race deterministic. Leave unset in production.
-    std::function<void(size_t)> compute_hook;
   };
 
   /// `sketcher` and `grid` must outlive the cache.
@@ -69,12 +64,8 @@ class LruSketchCache : public TileSketchCache {
   LruSketchCache(const LruSketchCache&) = delete;
   LruSketchCache& operator=(const LruSketchCache&) = delete;
 
-  std::shared_ptr<const Sketch> Get(size_t index) override;
-  /// `*computed` reports whether this lookup paid a sketch construction —
-  /// true on every miss, including insert-race losers (they computed even
-  /// though the retained entry came from the race winner).
-  std::shared_ptr<const Sketch> GetTracked(size_t index,
-                                           bool* computed) override;
+  std::shared_ptr<const Sketch> Get(size_t index,
+                                    bool* computed = nullptr) override;
   size_t num_tiles() const override { return grid_->num_tiles(); }
   size_t computed() const override {
     return computed_.load(std::memory_order_relaxed);
@@ -87,10 +78,6 @@ class LruSketchCache : public TileSketchCache {
   size_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
-  /// Lost insert races: misses whose computed sketch was discarded because
-  /// a concurrent miss on the same tile inserted first. See the class
-  /// comment for the computed()/misses/races relationship.
-  size_t races() const { return races_.load(std::memory_order_relaxed); }
   /// Bytes currently resident across all shards.
   size_t bytes_used() const {
     return bytes_.load(std::memory_order_relaxed);
@@ -110,7 +97,9 @@ class LruSketchCache : public TileSketchCache {
  private:
   struct Entry {
     size_t tile = 0;
-    size_t bytes = 0;
+    /// Guards the entry's one sketch construction.
+    std::once_flag once;
+    /// Null until computed; written once, under the shard mutex.
     std::shared_ptr<const Sketch> sketch;
     /// Intrusive circular LRU links; the shard's sentinel closes the ring
     /// (sentinel.next = hottest, sentinel.prev = coldest).
@@ -120,7 +109,9 @@ class LruSketchCache : public TileSketchCache {
 
   struct Shard {
     std::mutex mutex;
-    std::unordered_map<size_t, std::unique_ptr<Entry>> entries;
+    /// Shared with lookups still computing or waiting on an entry, so
+    /// eviction never frees an entry a caller is using.
+    std::unordered_map<size_t, std::shared_ptr<Entry>> entries;
     Entry lru;  // sentinel
     size_t bytes = 0;
   };
@@ -136,14 +127,15 @@ class LruSketchCache : public TileSketchCache {
   const Sketcher* sketcher_;
   const table::TileGrid* grid_;
   const size_t capacity_bytes_;
-  size_t shard_budget_ = 0;
-  std::function<void(size_t)> compute_hook_;
+  /// EntryBytes(k): every sketch of one family has the same length.
+  const size_t entry_bytes_;
   std::vector<Shard> shards_;
+  /// Per-shard slice of the budget; SIZE_MAX when the budget is 0 (keep all).
+  const size_t shard_budget_;
 
   std::atomic<size_t> computed_{0};
   std::atomic<size_t> hits_{0};
   std::atomic<size_t> evictions_{0};
-  std::atomic<size_t> races_{0};
   std::atomic<size_t> bytes_{0};
   std::atomic<size_t> peak_bytes_{0};
 };

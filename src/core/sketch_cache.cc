@@ -3,16 +3,8 @@
 #include <utility>
 
 #include "util/logging.h"
-#include "util/metrics.h"
 
 namespace tabsketch::core {
-
-std::shared_ptr<const Sketch> UncachedSketchSource::Get(size_t index) {
-  TABSKETCH_CHECK(index < grid_->num_tiles())
-      << "tile " << index << " out of " << grid_->num_tiles();
-  computed_.fetch_add(1, std::memory_order_relaxed);
-  return std::make_shared<const Sketch>(sketcher_->SketchOf(grid_->Tile(index)));
-}
 
 FixedSketchSource::FixedSketchSource(std::vector<Sketch> sketches) {
   sketches_.reserve(sketches.size());
@@ -29,9 +21,11 @@ FixedSketchSource::FixedSketchSource(
   }
 }
 
-std::shared_ptr<const Sketch> FixedSketchSource::Get(size_t index) {
+std::shared_ptr<const Sketch> FixedSketchSource::Get(size_t index,
+                                                     bool* computed) {
   TABSKETCH_CHECK(index < sketches_.size())
       << "tile " << index << " out of " << sketches_.size();
+  if (computed != nullptr) *computed = false;
   hits_.fetch_add(1, std::memory_order_relaxed);
   return sketches_[index];
 }

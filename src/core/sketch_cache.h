@@ -7,18 +7,16 @@
 #include <vector>
 
 #include "core/sketcher.h"
-#include "table/tiling.h"
 
 namespace tabsketch::core {
 
 /// Interface over "the sketch of tile `index`" with a pluggable retention
-/// policy. Implementations: OnDemandSketchCache (grow-only, unbounded),
-/// LruSketchCache (sharded, memory-budgeted), UncachedSketchSource (no
-/// retention, the serving baseline) and FixedSketchSource (preloaded, e.g. a
-/// SketchSet read from disk). Because every implementation derives its
-/// sketches from the same deterministic Sketcher family, callers get
-/// bit-identical values whichever policy is plugged in — retention only moves
-/// compute cost, never results.
+/// policy. Two implementations: LruSketchCache computes on demand and keeps
+/// what its byte budget allows (0 keeps every tile), and FixedSketchSource
+/// serves sketches materialized up front (e.g. a SketchSet read from disk).
+/// Both derive their sketches from the same deterministic Sketcher family,
+/// so callers get bit-identical values whichever source is plugged in —
+/// retention only moves compute cost, never results.
 ///
 /// All implementations are safe for concurrent Get() calls.
 class TileSketchCache {
@@ -26,21 +24,14 @@ class TileSketchCache {
   virtual ~TileSketchCache() = default;
 
   /// The sketch of tile `index`. Shared ownership: the returned pointer
-  /// stays valid even if the entry is evicted (or the cache cleared)
-  /// concurrently.
-  virtual std::shared_ptr<const Sketch> Get(size_t index) = 0;
-
-  /// Get() plus per-lookup attribution: sets `*computed` to whether this
-  /// lookup computed the sketch (a miss) instead of serving a retained or
-  /// preloaded one. The serve path threads these flags into per-request
-  /// RequestStats (serve/query_engine.h) so the slow-query log can say
-  /// which requests paid compute. The default forwards to Get() and reports
-  /// a hit — correct for sources that never compute (FixedSketchSource).
-  virtual std::shared_ptr<const Sketch> GetTracked(size_t index,
-                                                   bool* computed) {
-    *computed = false;
-    return Get(index);
-  }
+  /// stays valid even if the entry is evicted concurrently. When `computed`
+  /// is non-null it is set to whether this lookup computed the sketch (a
+  /// miss) instead of serving a retained or preloaded one; the serve path
+  /// threads these flags into per-request RequestStats
+  /// (serve/query_engine.h) so the slow-query log can say which requests
+  /// paid compute.
+  virtual std::shared_ptr<const Sketch> Get(size_t index,
+                                            bool* computed = nullptr) = 0;
 
   /// Number of tiles addressable through this cache.
   virtual size_t num_tiles() const = 0;
@@ -50,34 +41,6 @@ class TileSketchCache {
 
   /// Lookups served without computing.
   virtual size_t hits() const = 0;
-};
-
-/// No retention at all: every Get() sketches the tile afresh. This is the
-/// "pay O(k * tile_size) on every comparison" baseline the paper's scenario
-/// (2) improves on; the query-cache ablation measures cache policies against
-/// it.
-class UncachedSketchSource : public TileSketchCache {
- public:
-  /// `sketcher` and `grid` must outlive the source.
-  UncachedSketchSource(const Sketcher* sketcher, const table::TileGrid* grid)
-      : sketcher_(sketcher), grid_(grid) {}
-
-  std::shared_ptr<const Sketch> Get(size_t index) override;
-  std::shared_ptr<const Sketch> GetTracked(size_t index,
-                                           bool* computed) override {
-    *computed = true;  // no retention: every lookup computes
-    return Get(index);
-  }
-  size_t num_tiles() const override { return grid_->num_tiles(); }
-  size_t computed() const override {
-    return computed_.load(std::memory_order_relaxed);
-  }
-  size_t hits() const override { return 0; }
-
- private:
-  const Sketcher* sketcher_;
-  const table::TileGrid* grid_;
-  std::atomic<size_t> computed_{0};
 };
 
 /// Serves sketches that were materialized up front (the paper's scenario (1):
@@ -92,7 +55,8 @@ class FixedSketchSource : public TileSketchCache {
   explicit FixedSketchSource(
       std::vector<std::shared_ptr<const Sketch>> sketches);
 
-  std::shared_ptr<const Sketch> Get(size_t index) override;
+  std::shared_ptr<const Sketch> Get(size_t index,
+                                    bool* computed = nullptr) override;
   size_t num_tiles() const override { return sketches_.size(); }
   size_t computed() const override { return 0; }
   size_t hits() const override {

@@ -133,31 +133,4 @@ util::Result<table::Matrix> GenerateCallVolume(
   return out;
 }
 
-util::Result<table::Matrix> StitchColumns(
-    std::span<const table::Matrix> pieces) {
-  if (pieces.empty()) {
-    return util::Status::InvalidArgument("nothing to stitch");
-  }
-  const size_t rows = pieces.front().rows();
-  size_t total_cols = 0;
-  for (const auto& piece : pieces) {
-    if (piece.rows() != rows) {
-      return util::Status::InvalidArgument(
-          "all stitched pieces must have the same number of rows");
-    }
-    total_cols += piece.cols();
-  }
-  table::Matrix out(rows, total_cols);
-  size_t col_offset = 0;
-  for (const auto& piece : pieces) {
-    for (size_t r = 0; r < rows; ++r) {
-      auto src = piece.Row(r);
-      std::copy(src.begin(), src.end(),
-                out.Row(r).begin() + static_cast<std::ptrdiff_t>(col_offset));
-    }
-    col_offset += piece.cols();
-  }
-  return out;
-}
-
 }  // namespace tabsketch::data

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "table/matrix.h"
@@ -52,12 +51,6 @@ struct CallVolumeOptions {
 
 /// Generates the table: num_stations rows x (bins_per_day * num_days) cols.
 util::Result<table::Matrix> GenerateCallVolume(const CallVolumeOptions& options);
-
-/// Concatenates matrices along the time (column) axis; all inputs must have
-/// the same number of rows. Used to stitch independently generated days into
-/// the multi-day datasets of the clustering experiments.
-util::Result<table::Matrix> StitchColumns(
-    std::span<const table::Matrix> pieces);
 
 }  // namespace tabsketch::data
 

@@ -107,8 +107,7 @@ QueryEngine::QueryEngine(const table::TileGrid* grid,
 std::shared_ptr<const core::Sketch> QueryEngine::GetSketch(
     size_t index, RequestStats* stats) const {
   bool computed = false;
-  std::shared_ptr<const core::Sketch> sketch =
-      cache_->GetTracked(index, &computed);
+  std::shared_ptr<const core::Sketch> sketch = cache_->Get(index, &computed);
   if (stats != nullptr) {
     if (computed) {
       ++stats->cache_misses;

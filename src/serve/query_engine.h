@@ -77,7 +77,7 @@ util::Result<std::vector<QueryRequest>> ParseBatchFile(
 struct RequestStats {
   /// Sketch lookups served from retained/preloaded entries.
   uint64_t cache_hits = 0;
-  /// Sketch lookups that computed (TileSketchCache::GetTracked miss).
+  /// Sketch lookups that computed (a TileSketchCache::Get miss).
   uint64_t cache_misses = 0;
   /// Quantized-code candidates scanned (0 when quant is off).
   uint64_t quant_scanned = 0;
@@ -120,8 +120,8 @@ struct QueryEngineOptions {
 /// Answers batches of mixed distance / knn requests over the tiles of a
 /// grid, routing every sketch lookup through a TileSketchCache — the
 /// serving-path composition of the paper's filter-then-refine pipeline: the
-/// cache bounds memory (LruSketchCache) or pins everything
-/// (OnDemandSketchCache / FixedSketchSource), and answers are bit-identical
+/// cache computes under a byte budget (LruSketchCache) or serves preloaded
+/// sketches (FixedSketchSource), and answers are bit-identical
 /// whichever policy and thread count is used, because sketches are
 /// deterministic and each request's output slot is fixed up front.
 class QueryEngine {

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "core/lru_sketch_cache.h"
-#include "core/ondemand.h"
 #include "core/sketch_io.h"
 #include "table/table_io.h"
 #include "util/metrics.h"
@@ -83,25 +82,20 @@ util::Result<std::shared_ptr<const Snapshot>> Snapshot::Create(
                                core::Sketcher::Create(snapshot->params_));
     snapshot->sketcher_ =
         std::make_unique<core::Sketcher>(std::move(sketcher));
-    if (spec.cache_bytes > 0) {
-      core::LruSketchCache::Options options;
-      // The pinned code tier spends part of the budget; the LRU sketch
-      // cache gets what is left (at least one byte — LruSketchCache
-      // degrades to compute-and-release under sub-entry budgets), keeping
-      // `cache_bytes` a bound on total sketch memory.
-      size_t budget = spec.cache_bytes;
-      if (spec.engine.quant != core::QuantKind::kOff) {
-        const size_t pool_bytes = core::QuantizedCodePool::PoolBytes(
-            spec.engine.quant, grid->num_tiles(), snapshot->params_.k);
-        budget = budget > pool_bytes ? budget - pool_bytes : 1;
-      }
-      options.capacity_bytes = budget;
-      snapshot->cache_ = std::make_unique<core::LruSketchCache>(
-          snapshot->sketcher_.get(), grid, options);
-    } else {
-      snapshot->cache_ = std::make_unique<core::OnDemandSketchCache>(
-          snapshot->sketcher_.get(), grid);
+    // The pinned code tier spends part of a positive budget; the sketch
+    // cache gets what is left (at least one byte — LruSketchCache degrades
+    // to compute-and-release under sub-entry budgets), keeping `cache_bytes`
+    // a bound on total sketch memory. A zero budget keeps every tile.
+    core::LruSketchCache::Options options;
+    options.capacity_bytes = spec.cache_bytes;
+    if (spec.cache_bytes > 0 && spec.engine.quant != core::QuantKind::kOff) {
+      const size_t pool_bytes = core::QuantizedCodePool::PoolBytes(
+          spec.engine.quant, grid->num_tiles(), snapshot->params_.k);
+      options.capacity_bytes =
+          spec.cache_bytes > pool_bytes ? spec.cache_bytes - pool_bytes : 1;
     }
+    snapshot->cache_ = std::make_unique<core::LruSketchCache>(
+        snapshot->sketcher_.get(), grid, options);
     snapshot->description_ = "table " + spec.table_path;
   }
 

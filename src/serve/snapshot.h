@@ -30,11 +30,11 @@ struct SnapshotSpec {
   /// Sketch family; ignored (taken from the file) when `sketches_path` is
   /// set.
   core::SketchParams params;
-  /// Total sketch-memory byte budget; 0 keeps every computed sketch
-  /// resident (OnDemandSketchCache). Ignored when serving a preloaded
-  /// sketch set. When `engine.quant` is on, the pinned code tier's exact
-  /// byte footprint (QuantizedCodePool::PoolBytes) is taken off the top and
-  /// the LRU sketch cache gets the remainder, so the flag stays a true
+  /// Total sketch-memory byte budget of the LruSketchCache; 0 keeps every
+  /// computed sketch resident. Ignored when serving a preloaded sketch set.
+  /// When `engine.quant` is on, the pinned code tier's exact byte footprint
+  /// (QuantizedCodePool::PoolBytes) is taken off the top of a positive
+  /// budget and the cache gets the remainder, so the flag stays a true
   /// total bound.
   size_t cache_bytes = 0;
   QueryEngineOptions engine;
@@ -59,8 +59,9 @@ class Snapshot {
   };
 
   /// Builds a snapshot from scratch — the `tabsketch query` composition:
-  /// read table (optional), read or compute sketches, pick the cache policy
-  /// from `spec.cache_bytes`, create the estimator and engine.
+  /// read table (optional), read sketches or compute them through an
+  /// LruSketchCache budgeted by `spec.cache_bytes`, create the estimator and
+  /// engine.
   static util::Result<std::shared_ptr<const Snapshot>> Create(
       const SnapshotSpec& spec);
 

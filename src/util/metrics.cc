@@ -255,13 +255,9 @@ void PreregisterCoreMetrics(MetricsRegistry* registry) {
       "fft.correlate_pair.calls",
       "sketcher.sketch_of.calls",
       "estimator.estimate.calls",
-      "ondemand.cache.hits",
-      "ondemand.cache.misses",
-      "ondemand.cache.evictions",
       "lru.cache.hits",
       "lru.cache.misses",
       "lru.cache.evictions",
-      "lru.cache.races",
       "query.requests.distance",
       "query.requests.knn",
       "serve.connections.accepted",

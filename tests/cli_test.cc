@@ -292,6 +292,42 @@ TEST(CliTest, PoolBuildAndQuery) {
   std::remove(pool_path.c_str());
 }
 
+TEST(CliTest, PoolQueryRejectsRectanglesOutsideTheTable) {
+  // The exact reference used to reach Matrix::Window's CHECK when --table
+  // is smaller than the queried rectangles; distance already said this.
+  const std::string big_path = TempPath("cli_poolrect_big.tbl");
+  const std::string small_path = TempPath("cli_poolrect_small.tbl");
+  const std::string pool_path = TempPath("cli_poolrect.pool");
+  {
+    const std::string out_flag = "--out=" + big_path;
+    ASSERT_EQ(RunCli({"generate", "--dataset=six-region", out_flag.c_str(),
+                      "--rows=64", "--cols=128"})
+                  .code,
+              0);
+  }
+  {
+    const std::string table_flag = "--table=" + big_path;
+    const std::string out_flag = "--out=" + pool_path;
+    const CliRun run =
+        RunCli({"pool-build", table_flag.c_str(), out_flag.c_str(), "--k=8",
+                "--min-log2=3", "--max-log2=3"});
+    ASSERT_EQ(run.code, 0) << run.err;
+  }
+  ASSERT_TRUE(table::WriteBinary(table::Matrix(16, 16), small_path).ok());
+  const std::string pool_flag = "--pool=" + pool_path;
+  const std::string table_flag = "--table=" + small_path;
+  const CliRun run =
+      RunCli({"pool-query", pool_flag.c_str(), "--rect1=0,0,12,12",
+              "--rect2=40,100,12,12", table_flag.c_str()});
+  EXPECT_EQ(run.code, 1);
+  EXPECT_NE(run.err.find("OutOfRange: rectangle exceeds the table"),
+            std::string::npos)
+      << run.err;
+  std::remove(big_path.c_str());
+  std::remove(small_path.c_str());
+  std::remove(pool_path.c_str());
+}
+
 TEST(CliTest, QueryOutputIsByteIdenticalAcrossThreadsAndCaches) {
   const std::string table_path = TempPath("cli_query_table.tbl");
   const std::string batch_path = TempPath("cli_query_batch.txt");
@@ -658,7 +694,7 @@ TEST(CliTest, ServeDaemonMatchesQueryAndReloads) {
   EXPECT_NE(serve_run.out.find("serving "), std::string::npos);
   EXPECT_NE(serve_run.err.find("1 snapshot swaps"), std::string::npos);
 
-  // The metrics dump carries the serve.* schema and the LRU race counter.
+  // The metrics dump carries the serve.* schema and the LRU cache counters.
   const std::string json = ReadWholeFile(json_path);
   EXPECT_GE(MetricValue(json, "serve.connections.accepted"), 0.0);
   EXPECT_GE(MetricValue(json, "serve.requests.distance"), 0.0);
@@ -666,7 +702,10 @@ TEST(CliTest, ServeDaemonMatchesQueryAndReloads) {
   EXPECT_GE(MetricValue(json, "serve.requests.reload"), 0.0);
   EXPECT_GE(MetricValue(json, "serve.snapshot.swaps"), 0.0);
   EXPECT_GE(MetricValue(json, "serve.queue.depth"), 0.0);
-  EXPECT_GE(MetricValue(json, "lru.cache.races"), 0.0);
+  for (const char* key :
+       {"lru.cache.hits", "lru.cache.misses", "lru.cache.evictions"}) {
+    EXPECT_GE(MetricValue(json, key), 0.0) << key;
+  }
   EXPECT_NE(json.find("serve.request.latency.seconds"), std::string::npos);
 #if TABSKETCH_METRICS_ENABLED
   EXPECT_EQ(MetricValue(json, "serve.connections.accepted"), 1.0);

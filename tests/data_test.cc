@@ -118,29 +118,6 @@ TEST(CallVolumeTest, MetrosCreateSpatialVolumeVariation) {
   EXPECT_GT(max_total, 10.0 * min_total);
 }
 
-TEST(StitchColumnsTest, ConcatenatesAlongTime) {
-  table::Matrix a(2, 2, {1, 2, 3, 4});
-  table::Matrix b(2, 1, {9, 8});
-  const std::array<table::Matrix, 2> pieces = {a, b};
-  auto stitched = StitchColumns(pieces);
-  ASSERT_TRUE(stitched.ok());
-  EXPECT_EQ(stitched->rows(), 2u);
-  EXPECT_EQ(stitched->cols(), 3u);
-  EXPECT_DOUBLE_EQ(stitched->At(0, 2), 9.0);
-  EXPECT_DOUBLE_EQ(stitched->At(1, 0), 3.0);
-}
-
-TEST(StitchColumnsTest, RejectsMismatchedRows) {
-  table::Matrix a(2, 2);
-  table::Matrix b(3, 2);
-  const std::array<table::Matrix, 2> pieces = {a, b};
-  EXPECT_FALSE(StitchColumns(pieces).ok());
-}
-
-TEST(StitchColumnsTest, RejectsEmptyInput) {
-  EXPECT_FALSE(StitchColumns({}).ok());
-}
-
 TEST(SixRegionTest, ValidatesOptions) {
   SixRegionOptions options;
   options.rows = 3;  // fewer than six regions

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
+#include <latch>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -64,47 +64,60 @@ TEST_F(LruSketchCacheTest, HitMissAccounting) {
   EXPECT_EQ(cache.evictions(), 0u);
 }
 
-TEST_F(LruSketchCacheTest, LostInsertRaceIsCountedSeparately) {
-  // Deterministic two-thread insert race on the same absent tile: the first
-  // thread to finish computing parks in the compute_hook until the second
-  // has computed AND inserted, so the parked thread is guaranteed to lose
-  // the race when it re-locks the shard.
-  std::promise<void> winner_inserted;
-  std::shared_future<void> winner_done = winner_inserted.get_future().share();
-  std::atomic<int> computes{0};
-  LruSketchCache::Options options;
-  options.capacity_bytes = LruSketchCache::EntryBytes(kSketchK) * 4;
-  options.shards = 1;
-  options.compute_hook = [&](size_t) {
-    if (computes.fetch_add(1) == 0) winner_done.wait();
-  };
-  LruSketchCache cache(&sketcher_, &grid_, options);
+TEST_F(LruSketchCacheTest, ZeroBudgetKeepsEveryTile) {
+  // Budget 0 is the paper's scenario (2): each tile is sketched on first use
+  // and kept, so a second sweep is all hits and nothing is ever evicted.
+  const std::vector<Sketch> eager = SketchAllTilesParallel(sketcher_, grid_);
+  LruSketchCache cache(&sketcher_, &grid_, {.capacity_bytes = 0});
+  const size_t tiles = grid_.num_tiles();
+  for (size_t round = 0; round < 2; ++round) {
+    for (size_t t = 0; t < tiles; ++t) {
+      bool computed = false;
+      EXPECT_EQ(cache.Get(t, &computed)->values, eager[t].values)
+          << "tile " << t;
+      EXPECT_EQ(computed, round == 0) << "tile " << t << " round " << round;
+    }
+  }
+  EXPECT_EQ(cache.computed(), tiles);
+  EXPECT_EQ(cache.hits(), tiles);
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.bytes_used(), tiles * LruSketchCache::EntryBytes(kSketchK));
+}
 
-  std::shared_ptr<const Sketch> loser_sketch;
-  std::thread loser([&] { loser_sketch = cache.Get(0); });
-  while (computes.load() == 0) std::this_thread::yield();
-  const std::shared_ptr<const Sketch> winner_sketch = cache.Get(0);
-  winner_inserted.set_value();
-  loser.join();
-
-  // Both lookups were misses and both computed (computed() == 2), but only
-  // one insert was retained: computed() == misses_retained + races(), i.e.
-  // 2 == 1 + 1. The loser is served the winner's retained entry, so the
-  // values are identical either way (sketches are deterministic) and it is
-  // NOT a hit.
-  EXPECT_EQ(cache.computed(), 2u);
-  EXPECT_EQ(cache.races(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
-  ASSERT_NE(loser_sketch, nullptr);
-  EXPECT_EQ(loser_sketch->values, winner_sketch->values);
-  // The loser was handed the retained entry itself, not its own discarded
-  // compute.
-  EXPECT_EQ(loser_sketch.get(), winner_sketch.get());
-
-  // A subsequent lookup is a plain hit; no race counted.
-  cache.Get(0);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.races(), 1u);
+TEST_F(LruSketchCacheTest, ConcurrentMissesComputeEachTileOnce) {
+  // 8 threads, released together, each sweep every tile of a cold keep-all
+  // cache 8 times: concurrent lookups of one tile wait for the first instead
+  // of computing again, so each tile is computed exactly once and every
+  // other lookup is a hit — with one shard (all tiles behind one mutex) and
+  // with four.
+  const std::vector<Sketch> eager = SketchAllTilesParallel(sketcher_, grid_);
+  const size_t tiles = grid_.num_tiles();
+  constexpr size_t kThreads = 8;
+  constexpr size_t kRounds = 8;
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    LruSketchCache cache(&sketcher_, &grid_,
+                         {.capacity_bytes = 0, .shards = shards});
+    std::atomic<size_t> computed_lookups{0};
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        start.arrive_and_wait();
+        for (size_t round = 0; round < kRounds; ++round) {
+          for (size_t tile = 0; tile < tiles; ++tile) {
+            bool computed = false;
+            EXPECT_EQ(cache.Get(tile, &computed)->values, eager[tile].values);
+            if (computed) computed_lookups.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(cache.computed(), tiles) << shards << " shards";
+    EXPECT_EQ(computed_lookups.load(), tiles) << shards << " shards";
+    EXPECT_EQ(cache.hits() + cache.computed(), kThreads * kRounds * tiles)
+        << shards << " shards";
+  }
 }
 
 TEST_F(LruSketchCacheTest, ByteBudgetEvictionMath) {
@@ -215,24 +228,22 @@ TEST_F(LruSketchCacheTest, ConcurrentHammerStaysCorrectAndUnderBudget) {
   });
   EXPECT_LE(cache.peak_bytes(), cache.capacity_bytes());
   EXPECT_GT(cache.evictions(), 0u);
-  // Racing misses may compute the same tile more than once (only one copy is
-  // retained), so computed + hits can exceed the call count but hits alone
-  // cannot.
-  EXPECT_GE(cache.computed() + cache.hits(), tiles * kRounds);
+  // Every lookup either computed or was served.
+  EXPECT_EQ(cache.computed() + cache.hits(), tiles * kRounds);
   EXPECT_LT(cache.hits(), tiles * kRounds);
 }
 
 TEST_F(LruSketchCacheTest, PolymorphicUseThroughInterface) {
-  // The three cache families answer identically behind TileSketchCache.
+  // Both sources answer identically behind TileSketchCache, the LRU at
+  // every kind of budget: keep-all, two entries, and compute-and-release.
   const std::vector<Sketch> eager = SketchAllTilesParallel(sketcher_, grid_);
-  LruSketchCache::Options options;
-  options.capacity_bytes = LruSketchCache::EntryBytes(kSketchK) * 2;
-  options.shards = 1;
   std::vector<std::unique_ptr<TileSketchCache>> caches;
-  caches.push_back(std::make_unique<UncachedSketchSource>(&sketcher_, &grid_));
-  caches.push_back(std::make_unique<OnDemandSketchCache>(&sketcher_, &grid_));
-  caches.push_back(
-      std::make_unique<LruSketchCache>(&sketcher_, &grid_, options));
+  for (size_t budget :
+       {size_t{0}, LruSketchCache::EntryBytes(kSketchK) * 2, size_t{1}}) {
+    caches.push_back(std::make_unique<LruSketchCache>(
+        &sketcher_, &grid_,
+        LruSketchCache::Options{.capacity_bytes = budget, .shards = 1}));
+  }
   caches.push_back(std::make_unique<FixedSketchSource>(eager));
   for (const auto& cache : caches) {
     ASSERT_EQ(cache->num_tiles(), grid_.num_tiles());

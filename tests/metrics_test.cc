@@ -261,8 +261,8 @@ TEST(MetricsJsonTest, DumpIsValidJsonWithDocumentedShape) {
   for (const char* key :
        {"fft.plan.constructions", "fft.correlate.calls",
         "sketcher.sketch_of.calls", "estimator.estimate.calls",
-        "ondemand.cache.hits", "ondemand.cache.misses",
-        "ondemand.cache.evictions", "cluster.distance_evals.exact",
+        "lru.cache.hits", "lru.cache.misses",
+        "lru.cache.evictions", "cluster.distance_evals.exact",
         "cluster.distance_evals.sketch", "pool.build.canonical_sizes",
         "span.fft.correlate.seconds", "span.pool.build.seconds",
         "span.cluster.assign.seconds", "span.cluster.update.seconds"}) {

@@ -129,7 +129,7 @@ class QueryEngineTest : public ::testing::Test {
         estimator_(
             core::DistanceEstimator::Create({.p = 1.0, .k = 64, .seed = 5})
                 .value()),
-        cache_(&sketcher_, &grid_) {}
+        cache_(&sketcher_, &grid_, {.capacity_bytes = 0}) {}
 
   std::vector<QueryRequest> MixedBatch() const {
     std::vector<QueryRequest> batch;
@@ -146,7 +146,7 @@ class QueryEngineTest : public ::testing::Test {
   table::TileGrid grid_;
   core::Sketcher sketcher_;
   core::DistanceEstimator estimator_;
-  core::OnDemandSketchCache cache_;
+  core::LruSketchCache cache_;
 };
 
 TEST_F(QueryEngineTest, DistanceMatchesEstimatorOnSketches) {
@@ -236,8 +236,6 @@ TEST_F(QueryEngineTest, IdenticalAcrossThreadsAndCachePolicies) {
   tiny.capacity_bytes = 1;
   tiny.shards = 2;
   std::vector<std::unique_ptr<core::TileSketchCache>> caches;
-  caches.push_back(
-      std::make_unique<core::UncachedSketchSource>(&sketcher_, &grid_));
   caches.push_back(
       std::make_unique<core::LruSketchCache>(&sketcher_, &grid_, tiny));
   caches.push_back(
@@ -373,7 +371,7 @@ TEST_F(QueryEngineTest, QuantHandlesNaNDataIdentically) {
   poisoned.Row(7)[13] = std::numeric_limits<double>::quiet_NaN();
   auto grid = table::TileGrid::Create(&poisoned, 6, 6);
   ASSERT_TRUE(grid.ok());
-  core::OnDemandSketchCache cache(&sketcher_, &*grid);
+  core::LruSketchCache cache(&sketcher_, &*grid, {.capacity_bytes = 0});
   const std::vector<QueryRequest> batch = MixedBatch();
   QueryEngine reference_engine(&*grid, &cache, &estimator_, {});
   auto reference = reference_engine.Run(batch);
@@ -416,7 +414,8 @@ TEST_F(QueryEngineTest, QuantValidatesPoolWiring) {
   table::Matrix small = RandomTable(12, 12, 10);
   auto small_grid = table::TileGrid::Create(&small, 6, 6);
   ASSERT_TRUE(small_grid.ok());
-  core::OnDemandSketchCache small_cache(&sketcher_, &*small_grid);
+  core::LruSketchCache small_cache(&sketcher_, &*small_grid,
+                                  {.capacity_bytes = 0});
   auto small_pool = core::QuantizedCodePool::Build(
       &small_cache, core::QuantKind::kInt8, params, 6, 6);
   ASSERT_TRUE(small_pool.ok());
