@@ -1,4 +1,4 @@
-// Micro-benchmark of the FFT engine: 1-D and 2-D transform throughput plus
+// Micro-benchmark of the FFT engine: 1-D transform throughput plus
 // valid-mode correlate latency per kernel — single-kernel Correlate vs the
 // real-pair-packed CorrelatePair — across transform sizes. Writes the rows
 // to BENCH_fft.json so future FFT changes have a trajectory to compare
@@ -14,7 +14,6 @@
 
 #include "fft/complex_fft.h"
 #include "fft/correlate.h"
-#include "fft/fft2d.h"
 #include "rng/xoshiro256.h"
 #include "table/matrix.h"
 #include "util/metrics.h"
@@ -23,7 +22,6 @@
 
 namespace {
 
-using tabsketch::fft::ComplexGrid;
 using tabsketch::fft::CorrelationPlan;
 using tabsketch::table::Matrix;
 
@@ -50,7 +48,6 @@ Matrix RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
 struct Row {
   size_t n;
   double fft1d_us;        // per 1-D transform of length n
-  double fft2d_ms;        // per 2-D transform of an n x n grid
   double correlate_ms;    // per kernel, single-kernel Correlate
   double pair_ms;         // per kernel, CorrelatePair (2 kernels per call)
 };
@@ -93,8 +90,8 @@ int main(int argc, char** argv) {
                : std::vector<size_t>{256, 512, 1024, 2048};
 
   std::printf("=== Micro-benchmark: FFT engine ===\n");
-  std::printf("%6s %12s %12s %16s %16s %10s\n", "n", "fft1d_us", "fft2d_ms",
-              "corr_ms/kern", "pair_ms/kern", "pair_gain");
+  std::printf("%6s %12s %16s %16s %10s\n", "n", "fft1d_us", "corr_ms/kern",
+              "pair_ms/kern", "pair_gain");
 
   std::vector<Row> rows;
   for (size_t n : sizes) {
@@ -118,23 +115,6 @@ int main(int argc, char** argv) {
       }
       row.fft1d_us =
           timer.ElapsedSeconds() * 1e6 / (2.0 * static_cast<double>(reps));
-    }
-
-    {
-      ComplexGrid grid(n, n);
-      for (auto& value : grid.values()) {
-        value = {gen.NextDouble() - 0.5, gen.NextDouble() - 0.5};
-      }
-      const size_t reps = (1u << 26) / (n * n) + 1;
-      tabsketch::fft::Forward2D(&grid);
-      tabsketch::fft::Inverse2D(&grid);
-      tabsketch::util::WallTimer timer;
-      for (size_t r = 0; r < reps; ++r) {
-        tabsketch::fft::Forward2D(&grid);
-        tabsketch::fft::Inverse2D(&grid);
-      }
-      row.fft2d_ms =
-          timer.ElapsedSeconds() * 1e3 / (2.0 * static_cast<double>(reps));
     }
 
     {
@@ -165,8 +145,8 @@ int main(int argc, char** argv) {
     }
 
     rows.push_back(row);
-    std::printf("%6zu %12.2f %12.3f %16.3f %16.3f %9.2fx\n", row.n,
-                row.fft1d_us, row.fft2d_ms, row.correlate_ms, row.pair_ms,
+    std::printf("%6zu %12.2f %16.3f %16.3f %9.2fx\n", row.n, row.fft1d_us,
+                row.correlate_ms, row.pair_ms,
                 row.correlate_ms / row.pair_ms);
   }
 
@@ -210,12 +190,12 @@ int main(int argc, char** argv) {
                kRegressTolerance);
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(json,
-                 "    {\"n\": %zu, \"fft1d_us\": %.3f, \"fft2d_ms\": %.4f, "
+                 "    {\"n\": %zu, \"fft1d_us\": %.3f, "
                  "\"correlate_ms_per_kernel\": %.4f, "
                  "\"pair_ms_per_kernel\": %.4f, \"pair_speedup\": %.3f, "
                  "\"pair_speedup_baseline\": %.3f, \"status\": \"%s\"}%s\n",
-                 rows[i].n, rows[i].fft1d_us, rows[i].fft2d_ms,
-                 rows[i].correlate_ms, rows[i].pair_ms,
+                 rows[i].n, rows[i].fft1d_us, rows[i].correlate_ms,
+                 rows[i].pair_ms,
                  rows[i].correlate_ms / rows[i].pair_ms, BaselineFor(rows[i].n),
                  statuses[i], i + 1 < rows.size() ? "," : "");
   }

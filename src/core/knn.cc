@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-
-#include "core/lp_distance.h"
-#include "util/logging.h"
 
 namespace tabsketch::core {
 
@@ -22,81 +18,11 @@ bool NeighborBefore(const Neighbor& a, const Neighbor& b) {
   return a.index < b.index;
 }
 
-std::vector<Neighbor> SmallestKNeighbors(std::vector<Neighbor> all,
-                                         size_t k) {
-  SmallestKNeighborsInPlace(&all, k);
-  return all;
-}
-
 void SmallestKNeighborsInPlace(std::vector<Neighbor>* all, size_t k) {
   k = std::min(k, all->size());
   std::partial_sort(all->begin(), all->begin() + static_cast<ptrdiff_t>(k),
                     all->end(), NeighborBefore);
   all->resize(k);
-}
-
-std::vector<Neighbor> TopKBySketch(const Sketch& query,
-                                   std::span<const Sketch> corpus,
-                                   const DistanceEstimator& estimator,
-                                   size_t k, std::optional<size_t> skip) {
-  std::vector<Neighbor> all;
-  all.reserve(corpus.size());
-  std::vector<double> scratch;
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    if (skip && *skip == i) continue;
-    all.push_back(Neighbor{
-        i, estimator.EstimateWithScratch(query.values, corpus[i].values,
-                                         &scratch)});
-  }
-  return SmallestKNeighbors(std::move(all), k);
-}
-
-util::Result<std::vector<Neighbor>> TopKFilterRefine(
-    const table::TileGrid& grid, std::span<const Sketch> sketches,
-    const DistanceEstimator& estimator, size_t query_tile, size_t k,
-    size_t candidates) {
-  const size_t n = grid.num_tiles();
-  if (sketches.size() != n) {
-    return util::Status::InvalidArgument(
-        "sketch count does not match tile count");
-  }
-  if (query_tile >= n) {
-    return util::Status::OutOfRange("query tile out of range");
-  }
-  if (k == 0 || candidates < k || candidates > n - 1) {
-    std::ostringstream msg;
-    msg << "need 1 <= k <= candidates <= tiles-1, got k=" << k
-        << " candidates=" << candidates << " tiles=" << n;
-    return util::Status::InvalidArgument(msg.str());
-  }
-
-  // Filter: cheap sketch scan for the candidate set.
-  const std::vector<Neighbor> filtered = TopKBySketch(
-      sketches[query_tile], sketches, estimator, candidates, query_tile);
-
-  // Refine: exact distances on the candidates only.
-  const table::TableView query_view = grid.Tile(query_tile);
-  std::vector<Neighbor> refined;
-  refined.reserve(filtered.size());
-  for (const Neighbor& candidate : filtered) {
-    refined.push_back(Neighbor{
-        candidate.index,
-        LpDistance(query_view, grid.Tile(candidate.index), estimator.p())});
-  }
-  return SmallestKNeighbors(std::move(refined), k);
-}
-
-std::vector<Neighbor> TopKExact(const table::TileGrid& grid, double p,
-                                size_t query_tile, size_t k) {
-  TABSKETCH_CHECK(query_tile < grid.num_tiles());
-  const table::TableView query_view = grid.Tile(query_tile);
-  std::vector<Neighbor> all;
-  all.reserve(grid.num_tiles() - 1);
-  for (size_t i = 0; i < grid.num_tiles(); ++i) {
-    if (i == query_tile) continue;
-    all.push_back(Neighbor{i, LpDistance(query_view, grid.Tile(i), p)});
-  }
-  return SmallestKNeighbors(std::move(all), k);
 }
 
 }  // namespace tabsketch::core

@@ -2,14 +2,7 @@
 #define TABSKETCH_CORE_KNN_H_
 
 #include <cstddef>
-#include <optional>
-#include <span>
 #include <vector>
-
-#include "core/estimator.h"
-#include "core/sketcher.h"
-#include "table/tiling.h"
-#include "util/result.h"
 
 namespace tabsketch::core {
 
@@ -31,44 +24,11 @@ struct Neighbor {
 /// order and sorting with it is never UB.
 bool NeighborBefore(const Neighbor& a, const Neighbor& b);
 
-/// The smallest `k` of `all` under NeighborBefore, in sorted order
-/// (k is clamped to all.size()).
-std::vector<Neighbor> SmallestKNeighbors(std::vector<Neighbor> all, size_t k);
-
-/// SmallestKNeighbors without giving up the vector's storage: partial-sorts
-/// `*all` and truncates it to k, keeping its capacity for reuse (the query
-/// engine's per-thread workspace leans on this to stay allocation-free
-/// across batch requests).
+/// Keeps the smallest `k` of `*all` under NeighborBefore, in sorted order
+/// (k is clamped to all->size()): partial-sorts `*all` and truncates it to
+/// k, keeping its capacity for reuse (the query engine's per-thread
+/// workspace leans on this to stay allocation-free across batch requests).
 void SmallestKNeighborsInPlace(std::vector<Neighbor>* all, size_t k);
-
-/// The `k` corpus sketches closest to `query` under the estimator, sorted by
-/// ascending estimated distance (ties by index). `skip` (if set) excludes
-/// one corpus index — pass the query's own index for self-search. The paper
-/// frames sketches as serving "any mining or similarity algorithms that use
-/// Lp norms"; nearest-neighbor scan over constant-size sketches is the
-/// simplest instance: O(corpus * k) regardless of object size.
-std::vector<Neighbor> TopKBySketch(const Sketch& query,
-                                   std::span<const Sketch> corpus,
-                                   const DistanceEstimator& estimator,
-                                   size_t k,
-                                   std::optional<size_t> skip = std::nullopt);
-
-/// Filter-and-refine search over the tiles of a grid: sketches select
-/// `candidates` promising tiles cheaply, exact Lp distances re-rank them and
-/// the best `k` are returned with *exact* distances. With candidates >= k
-/// modestly above k, recall approaches exhaustive exact search at a fraction
-/// of the cost (ablation-benchmarked). Requires:
-///   - `sketches[i]` is the sketch of grid tile i in the estimator's family,
-///   - candidates >= k, and both <= number of tiles minus one.
-util::Result<std::vector<Neighbor>> TopKFilterRefine(
-    const table::TileGrid& grid, std::span<const Sketch> sketches,
-    const DistanceEstimator& estimator, size_t query_tile, size_t k,
-    size_t candidates);
-
-/// Exhaustive exact top-k over grid tiles (the baseline for recall
-/// measurements). Excludes the query tile itself.
-std::vector<Neighbor> TopKExact(const table::TileGrid& grid, double p,
-                                size_t query_tile, size_t k);
 
 }  // namespace tabsketch::core
 

@@ -158,6 +158,13 @@ util::Result<SketchPool> ReadSketchPool(const std::string& path) {
             header.data_cols - field_header.window_cols + 1) {
       return util::Status::IOError("corrupt pool field header in " + path);
     }
+    // The header's k planes of this field must fit in the file before any of
+    // them is allocated (overflow-safe: the plane size is already bounded by
+    // max_positions above).
+    if (params.k > max_positions / (field_header.position_rows *
+                                    field_header.position_cols)) {
+      return util::Status::IOError("corrupt pool header in " + path);
+    }
     std::vector<table::Matrix> planes;
     planes.reserve(params.k);
     for (uint64_t i = 0; i < params.k; ++i) {

@@ -110,8 +110,8 @@ class Sketcher {
 
   /// Sketches of all positions of every window shape in `shapes` over `data`
   /// (paper Theorems 3 and 6), one field per shape in order. This is the
-  /// one all-positions path: the single-shape overload, SketchPool::Build
-  /// and the 1-D SeriesSketcher all run through it.
+  /// one all-positions path: the single-shape overload and SketchPool::Build
+  /// both run through it.
   ///
   /// Each kernel's path is picked once, up front: kNaive correlates
   /// directly; kFft rides one CorrelationPlan of `data`, built at most once

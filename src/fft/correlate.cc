@@ -5,7 +5,6 @@
 #include <span>
 
 #include "fft/complex_fft.h"
-#include "fft/fft2d.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -14,6 +13,32 @@ namespace tabsketch::fft {
 namespace {
 
 std::atomic<size_t> plan_constructions{0};
+
+// 32x32 complex<double> tiles are 16 KB for the source plus 16 KB for the
+// destination — comfortably inside L1/L2 — while amortizing the strided side
+// of the copy over a full cache line.
+constexpr size_t kTransposeBlock = 32;
+
+/// Cache-blocked out-of-place transpose: `dst` (cols x rows, row-major)
+/// receives the transpose of `src` (rows x cols, row-major). Tiled so both
+/// the source reads and destination writes stay within a few cache lines per
+/// tile; this is what turns the 2-D column pass into contiguous row
+/// transforms. `src` and `dst` must not alias.
+void TransposeInto(const std::complex<double>* src, size_t rows, size_t cols,
+                   std::complex<double>* dst) {
+  for (size_t rb = 0; rb < rows; rb += kTransposeBlock) {
+    const size_t rend = std::min(rows, rb + kTransposeBlock);
+    for (size_t cb = 0; cb < cols; cb += kTransposeBlock) {
+      const size_t cend = std::min(cols, cb + kTransposeBlock);
+      for (size_t r = rb; r < rend; ++r) {
+        const std::complex<double>* src_row = src + r * cols;
+        for (size_t c = cb; c < cend; ++c) {
+          dst[c * rows + r] = src_row[c];
+        }
+      }
+    }
+  }
+}
 
 /// Per-thread scratch for the correlation engine. Reused across calls, so a
 /// pool build's steady state allocates nothing per correlation: `time` holds

@@ -35,7 +35,7 @@ table::Matrix CrossCorrelateNaive(const table::Matrix& data,
 /// The engine prunes the row passes: the forward transform only runs over
 /// the kernel's nonzero rows and the inverse only over the valid output
 /// rows, which together cost one full row pass instead of two. Column passes
-/// run as blocked transposes + contiguous transforms (fft2d.h).
+/// run as cache-blocked transposes + contiguous transforms.
 ///
 /// Thread safety: Correlate()/CorrelatePair() are const and use thread-local
 /// workspaces (allocation-free after each thread's first call at a given

@@ -198,8 +198,8 @@ std::string QueryEngine::AnswerKnn(const QueryRequest& request,
 
   size_t want = request.k;
   if (options_.refine) {
-    // Candidate-set sizing mirrors the TopKFilterRefine guidance: modestly
-    // above k unless the caller pinned it, clamped to the corpus.
+    // Candidate-set sizing: modestly above k unless the caller pinned it,
+    // clamped to the corpus.
     want = options_.candidates > 0
                ? options_.candidates
                : std::max(3 * request.k, request.k + 8);
@@ -228,7 +228,7 @@ std::string QueryEngine::AnswerKnn(const QueryRequest& request,
   std::vector<core::Neighbor>* top = &all;
   if (options_.refine) {
     // Refine: exact Lp distances re-rank the candidates, so the reported
-    // distances are exact (TopKFilterRefine semantics).
+    // distances are exact.
     const table::TableView query_view = grid_->Tile(request.a);
     std::vector<core::Neighbor>& refined = workspace->refined;
     refined.clear();

@@ -97,10 +97,10 @@ struct QueryEngineOptions {
   /// byte-identical for every value.
   size_t threads = 1;
 
-  /// When set, knn requests are answered filter-and-refine (TopKFilterRefine
-  /// semantics): sketches select `candidates` promising tiles, exact Lp
-  /// distances re-rank them, and the reported distances are exact. Requires
-  /// a grid with data (not just sketches).
+  /// When set, knn requests are answered filter-and-refine: sketches select
+  /// `candidates` promising tiles, exact Lp distances re-rank them, and the
+  /// reported distances are exact. With candidates = tiles - 1 this is
+  /// exhaustive exact search. Requires a grid with data (not just sketches).
   bool refine = false;
 
   /// Candidate-set size for refined knn; 0 picks max(3k, k + 8), clamped to

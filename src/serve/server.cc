@@ -75,17 +75,23 @@ bool SendAll(int fd, const std::string& data) {
 
 /// recv-backed line splitter with std::getline semantics ('\n' framing, the
 /// terminator consumed and not returned; trailing '\r' is left for
-/// ParseBatchLine to strip).
+/// ParseBatchLine to strip). Buffers at most kMaxLineBytes of one line.
 class LineReader {
  public:
   explicit LineReader(int fd) : fd_(fd) {}
 
-  /// Reads the next line into `*line`. Returns false on EOF / error. A final
+  /// Reads the next line into `*line`. Returns false on EOF / error, or once
+  /// a line runs past kMaxLineBytes (too_long() then says so). A final
   /// unterminated chunk before EOF is returned as a line, like getline.
   bool Next(std::string* line) {
     line->clear();
     while (true) {
       const size_t newline = buffer_.find('\n', scanned_);
+      if ((newline == std::string::npos ? buffer_.size() : newline) >
+          kMaxLineBytes) {
+        too_long_ = true;
+        return false;
+      }
       if (newline != std::string::npos) {
         line->assign(buffer_, 0, newline);
         buffer_.erase(0, newline + 1);
@@ -109,10 +115,13 @@ class LineReader {
     }
   }
 
+  bool too_long() const { return too_long_; }
+
  private:
   int fd_;
   std::string buffer_;
   size_t scanned_ = 0;
+  bool too_long_ = false;
 };
 
 /// RAII +1/-1 on a gauge; a null gauge (metrics disabled or compiled out)
@@ -330,6 +339,16 @@ void Server::HandleConnection(int fd) {
         ProcessLine(line, &close_connection);
     if (!response.has_value()) continue;
     if (!SendAll(fd, *response + "\n")) break;
+  }
+  if (reader.too_long()) {
+    // Answer, then send FIN ahead of the close: the unread rest of the line
+    // makes close() reset the connection, and the client should read the
+    // error and a clean EOF before that reset lands.
+    SendAll(fd, ErrorLine(util::Status::InvalidArgument(
+                    "line exceeds " + std::to_string(kMaxLineBytes) +
+                    " bytes")) +
+                    "\n");
+    ::shutdown(fd, SHUT_WR);
   }
   // Deregister before close so Shutdown never touches a recycled fd number:
   // it only shutdown(2)s fds still present in the registry, under the same

@@ -73,6 +73,13 @@ class AdmissionController {
   bool closed_ = false;
 };
 
+/// Longest request line a connection may send, excluding the '\n': 16x
+/// PATH_MAX, room for the longest valid `append` or `reload` path. A client
+/// that sends more without a newline gets one `error invalid-argument` line
+/// and is disconnected, so no connection grows the daemon's memory without
+/// bound.
+inline constexpr size_t kMaxLineBytes = 64 * 1024;
+
 struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (read it back from
   /// Server::port()).

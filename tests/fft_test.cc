@@ -7,7 +7,6 @@
 
 #include "fft/complex_fft.h"
 #include "fft/correlate.h"
-#include "fft/fft2d.h"
 #include "fft/twiddle.h"
 #include "rng/xoshiro256.h"
 #include "table/matrix.h"
@@ -181,56 +180,6 @@ TEST(ComplexFftTest, ParsevalEnergyConservation) {
   double freq_energy = 0.0;
   for (const auto& value : data) freq_energy += std::norm(value);
   EXPECT_NEAR(freq_energy / static_cast<double>(kN), time_energy, 1e-9);
-}
-
-TEST(Fft2dTest, RoundTrip) {
-  constexpr size_t kRows = 16;
-  constexpr size_t kCols = 32;
-  rng::Xoshiro256 gen(88);
-  ComplexGrid grid(kRows, kCols);
-  std::vector<Complex> original;
-  for (size_t r = 0; r < kRows; ++r) {
-    for (size_t c = 0; c < kCols; ++c) {
-      grid.At(r, c) = Complex(gen.NextDouble() - 0.5, gen.NextDouble() - 0.5);
-      original.push_back(grid.At(r, c));
-    }
-  }
-  Forward2D(&grid);
-  Inverse2D(&grid);
-  size_t index = 0;
-  for (size_t r = 0; r < kRows; ++r) {
-    for (size_t c = 0; c < kCols; ++c, ++index) {
-      EXPECT_NEAR(grid.At(r, c).real(), original[index].real(), 1e-10);
-      EXPECT_NEAR(grid.At(r, c).imag(), original[index].imag(), 1e-10);
-    }
-  }
-}
-
-TEST(Fft2dTest, SeparabilityMatchesDirect2dDft) {
-  // A rank-1 grid outer(u, v) has FFT outer(FFT(u), FFT(v)).
-  constexpr size_t kN = 8;
-  rng::Xoshiro256 gen(99);
-  std::vector<Complex> u(kN), v(kN);
-  for (auto& value : u) value = Complex(gen.NextDouble(), 0.0);
-  for (auto& value : v) value = Complex(gen.NextDouble(), 0.0);
-
-  ComplexGrid grid(kN, kN);
-  for (size_t r = 0; r < kN; ++r) {
-    for (size_t c = 0; c < kN; ++c) grid.At(r, c) = u[r] * v[c];
-  }
-  Forward2D(&grid);
-
-  std::vector<Complex> fu = u;
-  std::vector<Complex> fv = v;
-  Forward(fu);
-  Forward(fv);
-  for (size_t r = 0; r < kN; ++r) {
-    for (size_t c = 0; c < kN; ++c) {
-      const Complex expected = fu[r] * fv[c];
-      EXPECT_NEAR(grid.At(r, c).real(), expected.real(), 1e-9);
-      EXPECT_NEAR(grid.At(r, c).imag(), expected.imag(), 1e-9);
-    }
-  }
 }
 
 TEST(CrossCorrelateNaiveTest, HandComputedExample) {

@@ -4,7 +4,8 @@
 //   - golden values pinning the deterministic random-number pipeline, so
 //     accidental changes to seeding/derivation (which would silently break
 //     compatibility of persisted sketches) fail loudly;
-//   - robustness of the binary readers against corrupted input.
+//   - robustness of the binary readers and the batch-line parser against
+//     corrupted and truncated input.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 
 #include "core/estimator.h"
 #include "core/lp_distance.h"
+#include "core/pool_io.h"
 #include "core/sketch_io.h"
 #include "core/sketch_pool.h"
 #include "core/sketcher.h"
@@ -25,6 +27,7 @@
 #include "rng/splitmix64.h"
 #include "rng/stable.h"
 #include "rng/xoshiro256.h"
+#include "serve/query_engine.h"
 #include "table/matrix.h"
 #include "table/table_io.h"
 
@@ -200,6 +203,17 @@ void WriteAll(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// One seeded corruption round: XORs 1-4 random bytes of `bytes` with
+/// nonzero masks.
+template <typename Bytes>
+void FlipRandomBytes(Bytes* bytes, rng::Xoshiro256* fuzz) {
+  const size_t flips = 1 + fuzz->NextBounded(4);
+  for (size_t f = 0; f < flips; ++f) {
+    (*bytes)[fuzz->NextBounded(bytes->size())] ^=
+        static_cast<char>(1 + fuzz->NextBounded(255));
+  }
+}
+
 TEST(CorruptionRobustnessTest, TableReaderNeverCrashes) {
   const std::string path = TempPath("fuzz_table.tbl");
   table::Matrix m(6, 7);
@@ -211,18 +225,19 @@ TEST(CorruptionRobustnessTest, TableReaderNeverCrashes) {
   rng::Xoshiro256 fuzz(99);
   for (int round = 0; round < 60; ++round) {
     std::vector<char> corrupted = pristine;
-    // Flip 1-4 random bytes.
-    const size_t flips = 1 + fuzz.NextBounded(4);
-    for (size_t f = 0; f < flips; ++f) {
-      corrupted[fuzz.NextBounded(corrupted.size())] ^=
-          static_cast<char>(1 + fuzz.NextBounded(255));
-    }
+    FlipRandomBytes(&corrupted, &fuzz);
     WriteAll(path, corrupted);
     auto loaded = table::ReadBinary(path);
     // Must not crash; on success the shape must be internally consistent.
     if (loaded.ok()) {
       EXPECT_EQ(loaded->size(), loaded->rows() * loaded->cols());
     }
+  }
+  // Every proper prefix of the file is an error, never a crash.
+  for (size_t keep = 0; keep < pristine.size(); ++keep) {
+    WriteAll(path,
+             std::vector<char>(pristine.begin(), pristine.begin() + keep));
+    EXPECT_FALSE(table::ReadBinary(path).ok()) << "kept " << keep << " bytes";
   }
   std::remove(path.c_str());
 }
@@ -246,11 +261,7 @@ TEST(CorruptionRobustnessTest, SketchSetReaderNeverCrashes) {
   rng::Xoshiro256 fuzz(101);
   for (int round = 0; round < 60; ++round) {
     std::vector<char> corrupted = pristine;
-    const size_t flips = 1 + fuzz.NextBounded(4);
-    for (size_t f = 0; f < flips; ++f) {
-      corrupted[fuzz.NextBounded(corrupted.size())] ^=
-          static_cast<char>(1 + fuzz.NextBounded(255));
-    }
+    FlipRandomBytes(&corrupted, &fuzz);
     WriteAll(path, corrupted);
     auto loaded = core::ReadSketchSet(path);
     if (loaded.ok()) {
@@ -259,7 +270,71 @@ TEST(CorruptionRobustnessTest, SketchSetReaderNeverCrashes) {
       }
     }
   }
+  for (size_t keep = 0; keep < pristine.size(); ++keep) {
+    WriteAll(path,
+             std::vector<char>(pristine.begin(), pristine.begin() + keep));
+    EXPECT_FALSE(core::ReadSketchSet(path).ok())
+        << "kept " << keep << " bytes";
+  }
   std::remove(path.c_str());
+}
+
+TEST(CorruptionRobustnessTest, PoolReaderNeverCrashes) {
+  // Both pool format versions, from the golden fixtures: seeded byte flips
+  // (a flipped k, field count or field dimension must not reach an
+  // allocation) and every truncation.
+  const std::string path = TempPath("fuzz_pool.pool");
+  rng::Xoshiro256 fuzz(103);
+  for (const char* name : {"pool_v1.pool", "pool_v2.pool"}) {
+    const std::vector<char> pristine =
+        ReadAll(std::string(TABSKETCH_TEST_GOLDEN_DIR) + "/" + name);
+    ASSERT_FALSE(pristine.empty()) << name;
+    for (int round = 0; round < 400; ++round) {
+      std::vector<char> corrupted = pristine;
+      FlipRandomBytes(&corrupted, &fuzz);
+      WriteAll(path, corrupted);
+      auto loaded = core::ReadSketchPool(path);
+      if (!loaded.ok()) continue;
+      // A pool that loads must be internally consistent: k planes per field,
+      // each spanning every position of its window over the table.
+      for (const auto& [window, field] : loaded->fields()) {
+        ASSERT_EQ(field.k(), loaded->params().k) << name;
+        for (size_t i = 0; i < field.k(); ++i) {
+          EXPECT_EQ(field.plane(i).rows(),
+                    loaded->data_rows() - window.first + 1);
+          EXPECT_EQ(field.plane(i).cols(),
+                    loaded->data_cols() - window.second + 1);
+        }
+      }
+    }
+    for (size_t keep = 0; keep < pristine.size(); ++keep) {
+      WriteAll(path,
+               std::vector<char>(pristine.begin(), pristine.begin() + keep));
+      EXPECT_FALSE(core::ReadSketchPool(path).ok())
+          << name << " kept " << keep << " bytes";
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CorruptionRobustnessTest, BatchLineParserNeverCrashes) {
+  // Seeded byte flips of valid request lines: every result is a request, a
+  // skipped (blank or comment) line, or an InvalidArgument with the line
+  // number.
+  const std::string valid[] = {"distance 3 17", "knn 5 4",
+                               "  knn 12 3   # nearest three",
+                               "distance 0 0\r", "knn 18446744073709551615 1"};
+  rng::Xoshiro256 fuzz(107);
+  for (int round = 0; round < 2000; ++round) {
+    std::string line = valid[fuzz.NextBounded(std::size(valid))];
+    FlipRandomBytes(&line, &fuzz);
+    auto parsed = serve::ParseBatchLine(line, 7);
+    if (parsed.ok()) continue;
+    EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument)
+        << parsed.status().ToString();
+    EXPECT_NE(parsed.status().ToString().find("line 7"), std::string::npos)
+        << parsed.status().ToString();
+  }
 }
 
 }  // namespace

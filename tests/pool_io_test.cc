@@ -307,6 +307,25 @@ TEST(PoolIoGoldenTest, CorruptedWindowDimsAreCleanIOError) {
   }
 }
 
+TEST(PoolIoGoldenTest, HeaderKBeyondFileSizeIsCleanIOError) {
+  // k sits at offset 16 of both header versions. A k of 2^40 planes cannot
+  // fit in a 1.3 KB file; the reader must say so instead of reserving 2^40
+  // planes and dying of std::bad_alloc.
+  for (const char* name : {"pool_v1.pool", "pool_v2.pool"}) {
+    const std::string bytes = ReadFileBytes(GoldenPath(name));
+    ASSERT_FALSE(bytes.empty()) << name;
+    const std::string path = WritePatched(bytes, 16, uint64_t{1} << 40,
+                                          "tabsketch_pool_hugek.bin");
+    auto loaded = ReadSketchPool(path);
+    ASSERT_FALSE(loaded.ok()) << name;
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kIOError) << name;
+    EXPECT_NE(loaded.status().ToString().find("corrupt pool header"),
+              std::string::npos)
+        << name << ": " << loaded.status().ToString();
+    std::remove(path.c_str());
+  }
+}
+
 TEST(PoolIoTest, SuccessfulWriteLeavesNoTempFile) {
   const table::Matrix data = RandomTable(16, 16, 4);
   const SketchPool pool = BuildSmallPool(data);

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <memory>
+#include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/estimator.h"
 #include "core/knn.h"
+#include "core/lp_distance.h"
 #include "core/lru_sketch_cache.h"
 #include "core/ondemand.h"
 #include "core/sketch_cache.h"
@@ -25,6 +29,31 @@ table::Matrix RandomTable(size_t rows, size_t cols, uint64_t seed) {
   rng::Xoshiro256 gen(seed);
   table::Matrix out(rows, cols);
   for (double& value : out.Values()) value = gen.NextDouble();
+  return out;
+}
+
+/// The line QueryEngine prints for `knn query k` answered with `neighbors`.
+std::string KnnLine(size_t query, size_t k,
+                    const std::vector<core::Neighbor>& neighbors) {
+  std::ostringstream line;
+  line.precision(kAnswerPrecision);
+  line << "knn " << query << " " << k << " =";
+  for (const core::Neighbor& neighbor : neighbors) {
+    line << " " << neighbor.index << ":" << neighbor.distance;
+  }
+  return line.str();
+}
+
+/// The `index:distance` tokens of a knn answer line, in printed order.
+std::vector<core::Neighbor> ParseKnnLine(const std::string& line) {
+  std::vector<core::Neighbor> out;
+  std::istringstream tokens(line.substr(line.find('=') + 1));
+  std::string token;
+  while (tokens >> token) {
+    const size_t colon = token.find(':');
+    out.push_back(core::Neighbor{std::stoul(token.substr(0, colon)),
+                                 std::stod(token.substr(colon + 1))});
+  }
   return out;
 }
 
@@ -181,28 +210,29 @@ TEST_F(QueryEngineTest, AnswersRoundTripAtFullDoublePrecision) {
   EXPECT_EQ(std::stod(printed), expected);
 }
 
-TEST_F(QueryEngineTest, KnnAgreesWithTopKBySketch) {
+TEST_F(QueryEngineTest, KnnMatchesBruteForceEstimateScan) {
   QueryEngine engine(&grid_, &cache_, &estimator_, {});
   const std::vector<QueryRequest> batch = {
       QueryRequest{QueryRequest::Kind::kKnn, 4, 0, 3}};
   auto results = engine.Run(batch);
   ASSERT_TRUE(results.ok()) << results.status().ToString();
 
+  // Reference: the estimated distance to every other tile, smallest 3.
   const std::vector<Sketch> sketches = SketchAllTilesParallel(sketcher_, grid_);
-  const std::vector<core::Neighbor> expected =
-      core::TopKBySketch(sketches[4], sketches, estimator_, 3, 4);
-  std::ostringstream line;
-  line.precision(kAnswerPrecision);
-  line << "knn 4 3 =";
-  for (const core::Neighbor& neighbor : expected) {
-    line << " " << neighbor.index << ":" << neighbor.distance;
+  std::vector<core::Neighbor> expected;
+  for (size_t i = 0; i < sketches.size(); ++i) {
+    if (i == 4) continue;
+    expected.push_back(
+        core::Neighbor{i, estimator_.Estimate(sketches[4], sketches[i])});
   }
-  EXPECT_EQ((*results)[0], line.str());
+  core::SmallestKNeighborsInPlace(&expected, 3);
+  EXPECT_EQ((*results)[0], KnnLine(4, 3, expected));
 }
 
-TEST_F(QueryEngineTest, RefinedKnnWithFullCandidatesMatchesTopKExact) {
+TEST_F(QueryEngineTest, RefinedKnnWithFullCandidatesMatchesExactScan) {
   // With the candidate set widened to the whole corpus, filter-and-refine is
-  // exhaustive exact search: results must equal TopKExact, distances and all.
+  // exhaustive exact search: results must equal the exact Lp distance to
+  // every other tile, smallest first, distances and all.
   const size_t n = grid_.num_tiles();
   QueryEngineOptions options;
   options.refine = true;
@@ -213,15 +243,119 @@ TEST_F(QueryEngineTest, RefinedKnnWithFullCandidatesMatchesTopKExact) {
   auto results = engine.Run(batch);
   ASSERT_TRUE(results.ok()) << results.status().ToString();
 
-  const std::vector<core::Neighbor> expected =
-      core::TopKExact(grid_, 1.0, 6, 4);
-  std::ostringstream line;
-  line.precision(kAnswerPrecision);
-  line << "knn 6 4 =";
-  for (const core::Neighbor& neighbor : expected) {
-    line << " " << neighbor.index << ":" << neighbor.distance;
+  std::vector<core::Neighbor> expected;
+  for (size_t i = 0; i < n; ++i) {
+    if (i == 6) continue;
+    expected.push_back(core::Neighbor{
+        i, core::LpDistance(grid_.Tile(6), grid_.Tile(i), 1.0)});
   }
-  EXPECT_EQ((*results)[0], line.str());
+  core::SmallestKNeighborsInPlace(&expected, 4);
+  EXPECT_EQ((*results)[0], KnnLine(6, 4, expected));
+}
+
+TEST_F(QueryEngineTest, KnnRanksNaNTilesLastInIndexOrder) {
+  // NaN data gives NaN estimates. Over the whole corpus the two poisoned
+  // tiles must form the tail, in index order, and every clean tile keeps the
+  // rank and distance it has on clean data.
+  const size_t n = grid_.num_tiles();
+  const std::vector<QueryRequest> batch = {
+      QueryRequest{QueryRequest::Kind::kKnn, 0, 0, n - 1}};
+  QueryEngine clean_engine(&grid_, &cache_, &estimator_, {});
+  auto clean = clean_engine.Run(batch);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+
+  table::Matrix poisoned = data_;
+  poisoned.Row(0)[13] = std::numeric_limits<double>::quiet_NaN();  // tile 2
+  poisoned.Row(7)[19] = std::numeric_limits<double>::quiet_NaN();  // tile 7
+  auto grid = table::TileGrid::Create(&poisoned, 6, 6);
+  ASSERT_TRUE(grid.ok());
+  core::LruSketchCache cache(&sketcher_, &*grid, {.capacity_bytes = 0});
+  QueryEngine engine(&*grid, &cache, &estimator_, {});
+  auto results = engine.Run(batch);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+
+  const std::vector<core::Neighbor> got = ParseKnnLine((*results)[0]);
+  ASSERT_EQ(got.size(), n - 1);
+  std::vector<core::Neighbor> clean_tiles;
+  for (const core::Neighbor& neighbor : ParseKnnLine((*clean)[0])) {
+    if (neighbor.index != 2 && neighbor.index != 7) {
+      clean_tiles.push_back(neighbor);
+    }
+  }
+  ASSERT_EQ(clean_tiles.size(), n - 3);
+  for (size_t i = 0; i < clean_tiles.size(); ++i) {
+    EXPECT_EQ(got[i], clean_tiles[i]) << "position " << i;
+  }
+  EXPECT_EQ(got[n - 3].index, 2u);
+  EXPECT_TRUE(std::isnan(got[n - 3].distance));
+  EXPECT_EQ(got[n - 2].index, 7u);
+  EXPECT_TRUE(std::isnan(got[n - 2].distance));
+
+  // Deterministic: a rerun, on a fresh cache and more threads, reproduces
+  // the bytes.
+  core::LruSketchCache fresh(&sketcher_, &*grid, {.capacity_bytes = 0});
+  QueryEngineOptions options;
+  options.threads = 4;
+  QueryEngine rerun_engine(&*grid, &fresh, &estimator_, options);
+  auto rerun = rerun_engine.Run(batch);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  EXPECT_EQ(*rerun, *results);
+}
+
+TEST_F(QueryEngineTest, RefinedKnnFindsTheQueryGroupWithExactDistances) {
+  // 50 tiles in 5 well-separated level groups: tile t holds values near
+  // 100 * (1 + t % 5), so its nearest tiles are the others of its group. A
+  // modest candidate buffer (15 for k = 5) must recover them, sorted, with
+  // exact distances.
+  constexpr size_t kGroups = 5;
+  constexpr size_t kTiles = 50;
+  constexpr size_t kSide = 4;
+  table::Matrix grouped(kSide, kSide * kTiles);
+  rng::Xoshiro256 gen(8);
+  for (size_t t = 0; t < kTiles; ++t) {
+    const double level = 100.0 * static_cast<double>(1 + t % kGroups);
+    for (size_t r = 0; r < kSide; ++r) {
+      for (size_t c = 0; c < kSide; ++c) {
+        grouped.At(r, t * kSide + c) = level + gen.NextDouble();
+      }
+    }
+  }
+  auto grid = table::TileGrid::Create(&grouped, kSide, kSide);
+  ASSERT_TRUE(grid.ok());
+  const core::SketchParams params{.p = 1.0, .k = 128, .seed = 3};
+  auto sketcher = core::Sketcher::Create(params);
+  auto estimator = core::DistanceEstimator::Create(params);
+  ASSERT_TRUE(sketcher.ok() && estimator.ok());
+  core::LruSketchCache cache(&*sketcher, &*grid, {.capacity_bytes = 0});
+  QueryEngineOptions options;
+  options.refine = true;
+  options.candidates = 15;
+  QueryEngine engine(&*grid, &cache, &*estimator, options);
+
+  std::vector<QueryRequest> batch;
+  for (size_t t = 0; t < kTiles; ++t) {
+    batch.push_back(QueryRequest{QueryRequest::Kind::kKnn, t, 0, 5});
+  }
+  auto results = engine.Run(batch);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  for (size_t t = 0; t < kTiles; ++t) {
+    const std::vector<core::Neighbor> neighbors = ParseKnnLine((*results)[t]);
+    ASSERT_EQ(neighbors.size(), 5u) << "query " << t;
+    std::set<size_t> seen;
+    for (size_t j = 0; j < neighbors.size(); ++j) {
+      const core::Neighbor& neighbor = neighbors[j];
+      EXPECT_EQ(neighbor.index % kGroups, t % kGroups) << "query " << t;
+      EXPECT_NE(neighbor.index, t);
+      EXPECT_TRUE(seen.insert(neighbor.index).second) << "query " << t;
+      EXPECT_EQ(neighbor.distance,
+                core::LpDistance(grid->Tile(t), grid->Tile(neighbor.index),
+                                 1.0))
+          << "query " << t << " neighbor " << neighbor.index;
+      if (j > 0) {
+        EXPECT_GE(neighbor.distance, neighbors[j - 1].distance);
+      }
+    }
+  }
 }
 
 TEST_F(QueryEngineTest, IdenticalAcrossThreadsAndCachePolicies) {

@@ -2,6 +2,7 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -76,6 +77,28 @@ class TestClient {
       ASSERT_GT(n, 0);
       sent += static_cast<size_t>(n);
     }
+  }
+
+  /// Makes a blocking receive give up (as EOF) after `seconds`, so a reply
+  /// that never comes fails the test instead of hanging it.
+  void SetRecvTimeout(int seconds) {
+    const timeval timeout{seconds, 0};
+    EXPECT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+  }
+
+  /// Sends `bytes` as-is until done or the peer hangs up; returns whether
+  /// every byte went out.
+  bool SendRaw(const std::string& bytes) {
+    size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      sent += static_cast<size_t>(n);
+    }
+    return true;
   }
 
   /// Next response line, or "" on EOF.
@@ -382,6 +405,33 @@ TEST_F(ServeTest, PingQuitAndBlankLineProtocol) {
   client.SendLine("quit");
   EXPECT_EQ(client.RecvLine(), "ok bye");
   EXPECT_TRUE(client.AtEof());
+  (*server)->Shutdown();
+}
+
+TEST_F(ServeTest, OverlongLineGetsOneErrorThenEofOthersUnaffected) {
+  auto snapshot = Snapshot::Create(TableSpec());
+  ASSERT_TRUE(snapshot.ok());
+  SnapshotHolder holder(*snapshot);
+  auto server = Server::Start(&holder, ServerOptions{});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  TestClient bystander((*server)->port());
+  TestClient flooder((*server)->port());
+  flooder.SetRecvTimeout(10);
+  // 1 MiB with no newline. The daemon stops reading at the cap, so the tail
+  // of the send may fail once it hangs up; only the reply matters.
+  std::thread send_thread(
+      [&flooder] { flooder.SendRaw(std::string(size_t{1} << 20, 'x')); });
+  EXPECT_EQ(flooder.RecvLine(), "error invalid-argument line exceeds " +
+                                    std::to_string(kMaxLineBytes) + " bytes");
+  EXPECT_TRUE(flooder.AtEof());
+  send_thread.join();
+
+  bystander.SendLine("ping");
+  EXPECT_EQ(bystander.RecvLine(), "ok ping");
+  TestClient newcomer((*server)->port());
+  newcomer.SendLine("ping");
+  EXPECT_EQ(newcomer.RecvLine(), "ok ping");
   (*server)->Shutdown();
 }
 

@@ -16,7 +16,6 @@
 
 #include "core/estimator.h"
 #include "core/lp_distance.h"
-#include "core/series_sketch.h"
 #include "core/sketch_pool.h"
 #include "core/sketcher.h"
 #include "core/sparse_kernel.h"
@@ -33,13 +32,6 @@ table::Matrix RandomTable(size_t rows, size_t cols, uint64_t seed) {
   rng::Xoshiro256 gen(seed);
   table::Matrix out(rows, cols);
   for (double& v : out.Values()) v = gen.NextDouble() * 20.0 - 10.0;
-  return out;
-}
-
-std::vector<double> RandomSeries(size_t n, uint64_t seed) {
-  rng::Xoshiro256 gen(seed);
-  std::vector<double> out(n);
-  for (double& v : out) v = gen.NextDouble() * 20.0 - 10.0;
   return out;
 }
 
@@ -168,51 +160,42 @@ TEST(SparseSketcherTest, SketchOfMatchesDenseKernelWalk) {
 }
 
 TEST(SparseSketcherTest, AllAlgorithmsAgreeOnSparseFields) {
+  // A 2-D table, and a time series as a 1 x n table (the paper's 1-D
+  // predecessor case runs through the same path).
   const core::SketchParams params{
       .p = 1.0, .k = 6, .seed = 29, .sparsity = 0.15};
   auto sketcher = core::Sketcher::Create(params);
   ASSERT_TRUE(sketcher.ok());
-  const table::Matrix data = RandomTable(24, 20, 31);
-  auto naive = sketcher->SketchAllPositions(data, 4, 5,
-                                            core::SketchAlgorithm::kNaive);
-  auto fft = sketcher->SketchAllPositions(data, 4, 5,
-                                          core::SketchAlgorithm::kFft);
-  auto auto_path = sketcher->SketchAllPositions(data, 4, 5,
-                                                core::SketchAlgorithm::kAuto);
-  ASSERT_TRUE(naive.ok() && fft.ok() && auto_path.ok());
-  for (size_t r = 0; r < naive->position_rows(); ++r) {
-    for (size_t c = 0; c < naive->position_cols(); ++c) {
-      const core::Sketch sn = naive->SketchAt(r, c);
-      const core::Sketch sf = fft->SketchAt(r, c);
-      const core::Sketch sa = auto_path->SketchAt(r, c);
-      for (size_t i = 0; i < params.k; ++i) {
-        EXPECT_NEAR(sf.values[i], sn.values[i], 1e-9);
-        EXPECT_NEAR(sa.values[i], sn.values[i], 1e-9);
+  struct Input {
+    table::Matrix data;
+    size_t window_rows;
+    size_t window_cols;
+  };
+  const Input inputs[] = {{RandomTable(24, 20, 31), 4, 5},
+                          {RandomTable(1, 160, 43), 1, 12}};
+  for (const Input& input : inputs) {
+    auto naive = sketcher->SketchAllPositions(
+        input.data, input.window_rows, input.window_cols,
+        core::SketchAlgorithm::kNaive);
+    auto fft = sketcher->SketchAllPositions(input.data, input.window_rows,
+                                            input.window_cols,
+                                            core::SketchAlgorithm::kFft);
+    auto auto_path = sketcher->SketchAllPositions(
+        input.data, input.window_rows, input.window_cols,
+        core::SketchAlgorithm::kAuto);
+    ASSERT_TRUE(naive.ok() && fft.ok() && auto_path.ok());
+    for (size_t r = 0; r < naive->position_rows(); ++r) {
+      for (size_t c = 0; c < naive->position_cols(); ++c) {
+        const core::Sketch sn = naive->SketchAt(r, c);
+        const core::Sketch sf = fft->SketchAt(r, c);
+        const core::Sketch sa = auto_path->SketchAt(r, c);
+        for (size_t i = 0; i < params.k; ++i) {
+          EXPECT_NEAR(sf.values[i], sn.values[i], 1e-9)
+              << input.data.rows() << "x" << input.data.cols();
+          EXPECT_NEAR(sa.values[i], sn.values[i], 1e-9)
+              << input.data.rows() << "x" << input.data.cols();
+        }
       }
-    }
-  }
-}
-
-TEST(SparseSeriesSketcherTest, AllAlgorithmsAgreeOnSparseFields) {
-  const core::SketchParams params{
-      .p = 1.0, .k = 5, .seed = 41, .sparsity = 0.2};
-  auto sketcher = core::SeriesSketcher::Create(params);
-  ASSERT_TRUE(sketcher.ok());
-  const std::vector<double> series = RandomSeries(160, 43);
-  auto naive = sketcher->SketchAllPositions(series, 12,
-                                            core::SketchAlgorithm::kNaive);
-  auto fft = sketcher->SketchAllPositions(series, 12,
-                                          core::SketchAlgorithm::kFft);
-  auto auto_path = sketcher->SketchAllPositions(
-      series, 12, core::SketchAlgorithm::kAuto);
-  ASSERT_TRUE(naive.ok() && fft.ok() && auto_path.ok());
-  for (size_t pos = 0; pos < naive->positions(); ++pos) {
-    const core::Sketch sn = naive->SketchAt(pos);
-    const core::Sketch sf = fft->SketchAt(pos);
-    const core::Sketch sa = auto_path->SketchAt(pos);
-    for (size_t i = 0; i < params.k; ++i) {
-      EXPECT_NEAR(sf.values[i], sn.values[i], 1e-9);
-      EXPECT_NEAR(sa.values[i], sn.values[i], 1e-9);
     }
   }
 }
