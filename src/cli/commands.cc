@@ -80,7 +80,8 @@ commands:
              --table=FILE --tile-rows=N --tile-cols=N [--k=N --p=P --seed=N]
              [--mode=exact|precomputed|ondemand] [--sketch-k=K]
              [--sparsity=S sparse sketch kernels (sketch modes only)]
-             [--cache-bytes=N bound the on-demand sketch cache, 0 = keep all]
+             [--cache-bytes=N bound on-demand sketch memory, codes included,
+             0 = keep all]
              [--quant=off|int8|int16 code-scan assignment prefilter over
              quantized sketches; output is byte-identical to off]
              [--threads=N] [--out=FILE]
@@ -125,7 +126,6 @@ commands:
              [--slow-log=FILE also mirror slow-log entries as JSONL]
              [--stats-interval=S rolling metrics-snapshot period backing
              the stats verb's window rates, seconds, default 1]
-             [--stats-ring=N rolling snapshots kept, default 8]
   ingest     stream column pieces through a sliding-window sketch store and
              write the window's sketch set (byte-identical to `sketch` over
              the stitched window table)
@@ -685,8 +685,6 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   util::MetricsTicker::Options ticker_options;
   TABSKETCH_ASSIGN_CLI(ticker_options.interval_seconds,
                        flags.GetDouble("stats-interval", 1.0));
-  TABSKETCH_ASSIGN_CLI(ticker_options.ring_capacity,
-                       flags.GetSize("stats-ring", 8));
   TABSKETCH_ASSIGN_CLI(ticker_options.metrics_json_path,
                        flags.GetString("metrics-json", ""));
   if (port < 0 || port > 65535) {
@@ -704,10 +702,6 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   if (!(ticker_options.interval_seconds > 0.0)) {
     return Fail(err, util::Status::InvalidArgument(
                          "--stats-interval must be > 0"));
-  }
-  if (ticker_options.ring_capacity < 1) {
-    return Fail(err, util::Status::InvalidArgument(
-                         "--stats-ring must be >= 1"));
   }
   if (spec.table_path.empty() && spec.sketches_path.empty()) {
     return Fail(err, util::Status::InvalidArgument(
@@ -732,6 +726,18 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   // the daemon always runs with metrics on — declared before the ticker and
   // the server so it outlives both.
   const ScopedMetricsEnable metrics_enable;
+
+  // The slow log and the ticker write their files for the daemon's whole
+  // life; an unwritable path fails the start here, before any work.
+  if (!options.slow_log_path.empty() &&
+      !std::ofstream(options.slow_log_path, std::ios::app)) {
+    return Fail(err, util::Status::IOError("cannot open for appending: " +
+                                           options.slow_log_path));
+  }
+  if (!ticker_options.metrics_json_path.empty()) {
+    TABSKETCH_RETURN_CLI(util::WriteMetricsJsonFile(
+        util::MetricsRegistry::Global(), ticker_options.metrics_json_path));
+  }
 
   // With --ingest the StreamingIngest builds the first generation (and all
   // successors); `reload` is disabled — it would publish a snapshot the
@@ -1141,7 +1147,7 @@ int RunTabsketchCli(int argc, const char* const* argv, std::ostream& out,
        {"table", "tile-rows", "tile-cols", "p", "k", "seed", "sparsity",
         "sketches", "cache-bytes", "threads", "refine", "candidates", "quant",
         "ingest", "port", "port-file", "max-inflight", "max-queue",
-        "deadline-ms", "slow-ms", "slow-log", "stats-interval", "stats-ring"}},
+        "deadline-ms", "slow-ms", "slow-log", "stats-interval"}},
       {"ingest", CmdIngest,
        {"pieces", "tile-rows", "tile-cols", "out", "p", "k", "seed", "sparsity",
         "threads", "window", "table-out"}},

@@ -30,7 +30,7 @@ namespace tabsketch::cli {
 ///              --tile-cols=N, query's family/cache/engine flags, plus
 ///              [--ingest] [--port= --port-file=] [--max-inflight=]
 ///              [--max-queue=] [--deadline-ms=] [--slow-ms= --slow-log=]
-///              [--stats-interval= --stats-ring=]
+///              [--stats-interval=]
 ///   ingest     --pieces=F1,F2,... --tile-rows=N --tile-cols=N --out=FILE
 ///              [--p= --k= --seed= --sparsity= --threads=] [--window=N]
 ///              [--table-out=FILE]

@@ -29,8 +29,10 @@ util::Result<SketchBackend> SketchBackend::Create(
     backend.cache_ = std::make_unique<core::FixedSketchSource>(
         core::SketchAllTilesParallel(*backend.sketcher_, *grid, threads));
   } else {
+    // As in serve::Snapshot, the code tier's bytes come off the budget.
     core::LruSketchCache::Options options;
-    options.capacity_bytes = cache_bytes;
+    options.capacity_bytes = core::QuantizedCodePool::SketchCacheBudget(
+        cache_bytes, quant, grid->num_tiles(), params.k);
     backend.cache_ = std::make_unique<core::LruSketchCache>(
         backend.sketcher_.get(), grid, options);
   }

@@ -49,11 +49,12 @@ class SketchBackend : public ClusteringBackend {
   /// `grid` must outlive the backend. In kPrecomputed mode this sketches
   /// every tile eagerly before returning, fanning the tiles over `threads`
   /// workers (bit-identical output for any thread count; ignored in
-  /// kOnDemand mode). `cache_bytes` is the byte budget of the kOnDemand
-  /// LruSketchCache: 0 keeps every computed sketch resident, a positive
-  /// budget keeps long runs over huge grids under a memory cap — the
-  /// clustering output is bit-identical either way, eviction only costs
-  /// recompute time. Ignored in kPrecomputed mode.
+  /// kOnDemand mode). `cache_bytes` bounds kOnDemand sketch memory: 0 keeps
+  /// every computed sketch resident, a positive budget keeps long runs over
+  /// huge grids under a memory cap, the code pool of `quant` included
+  /// (QuantizedCodePool::SketchCacheBudget) — the clustering output is
+  /// bit-identical either way, eviction only costs recompute time. Ignored
+  /// in kPrecomputed mode.
   ///
   /// `quant` (not kOff) builds a QuantizedCodePool over the tile sketches
   /// and routes the k-means assignment scan (NearestCentroid) through a

@@ -14,15 +14,11 @@ namespace {
 /// Records the residency high-water mark into the lru.cache.peak_bytes gauge
 /// (running-maximum semantics; there is no macro for Gauge::Max).
 void RecordPeakBytesMetric(size_t peak) {
-#if TABSKETCH_METRICS_ENABLED
   if (util::MetricsRegistry::Enabled()) {
     static util::Gauge* const gauge =
         util::MetricsRegistry::Global().GetGauge("lru.cache.peak_bytes");
     gauge->Max(static_cast<double>(peak));
   }
-#else
-  (void)peak;
-#endif
 }
 
 }  // namespace

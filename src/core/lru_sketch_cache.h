@@ -41,7 +41,7 @@ namespace tabsketch::core {
 /// (family, tile), so lookups are bit-identical for every budget and thread
 /// count — eviction can only cost recompute time, never change a value.
 ///
-/// Observability (all gated on the usual TABSKETCH_METRICS switches):
+/// Observability (all behind the usual runtime metrics gate):
 /// counters lru.cache.{hits,misses,evictions}, gauges
 /// lru.cache.{capacity_bytes,peak_bytes}, and a lru.cache.compute trace span
 /// around every sketch construction.

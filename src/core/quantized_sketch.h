@@ -147,11 +147,22 @@ class QuantizedCodePool {
   /// guarantee.
   double Slack(const DistanceEstimator& estimator) const;
 
-  /// Exact bytes of the code + flag arrays (the accounting serve::Snapshot
-  /// subtracts from the LRU sketch budget, and quant.pool.bytes reports).
+  /// Exact bytes of the code + flag arrays (what quant.pool.bytes reports
+  /// and SketchCacheBudget subtracts).
   size_t bytes() const { return PoolBytes(kind_, count_, k_); }
   static size_t PoolBytes(QuantKind kind, size_t count, size_t k) {
     return count * k * QuantCodeBytes(kind) + count;
+  }
+
+  /// The LruSketchCache budget beside a pinned `kind` code tier over `count`
+  /// tiles, so that `total_bytes` bounds all sketch memory: a positive
+  /// budget minus PoolBytes, at least 1 (the cache then computes and
+  /// releases). A zero budget (keep every tile) and kOff pass through.
+  static size_t SketchCacheBudget(size_t total_bytes, QuantKind kind,
+                                  size_t count, size_t k) {
+    if (total_bytes == 0 || kind == QuantKind::kOff) return total_bytes;
+    const size_t pool_bytes = PoolBytes(kind, count, k);
+    return total_bytes > pool_bytes ? total_bytes - pool_bytes : 1;
   }
 
   /// Raw storage, for byte-stability tests.

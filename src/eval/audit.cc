@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "rng/splitmix64.h"
+#include "util/metrics_snapshot.h"
 
 namespace tabsketch::eval {
 
@@ -40,6 +41,10 @@ void SketchAuditor::Channel::Record(double exact, double estimate) {
     violations_->Increment();
     total_violations_->Increment();
   }
+}
+
+double SketchAuditor::Channel::median_relerr() const {
+  return util::CaptureHistogram(*relerr_).Percentile(0.5);
 }
 
 SketchAuditor& SketchAuditor::Global() {

@@ -46,11 +46,9 @@ std::string AuditKeyForP(double p);
 ///
 /// Cost contract: when disabled (the default) the only per-call cost at an
 /// audited site is one relaxed atomic load (typically hoisted to a cached
-/// null Channel pointer at backend construction); when compiled out
-/// (TABSKETCH_METRICS=OFF) Enabled() is constant false. Auditing never
-/// perturbs results: the sampler draws from its own per-thread RNG stream,
-/// and the estimate returned to the caller is bit-identical with auditing on
-/// or off.
+/// null Channel pointer at backend construction). Auditing never perturbs
+/// results: the sampler draws from its own per-thread RNG stream, and the
+/// estimate returned to the caller is bit-identical with auditing on or off.
 class SketchAuditor {
  public:
   /// Accuracy channel for one (p, k) family. Pointers returned by
@@ -71,7 +69,8 @@ class SketchAuditor {
     uint64_t violations() const { return violations_->value(); }
     uint64_t skipped() const { return skipped_zero_->value(); }
     double worst_relerr() const { return worst_->value(); }
-    double median_relerr() const { return relerr_->Percentile(0.5); }
+    /// The median of a capture of the relerr histogram.
+    double median_relerr() const;
 
    private:
     friend class SketchAuditor;
@@ -110,14 +109,9 @@ class SketchAuditor {
   /// The process-wide auditor behind --audit-rate.
   static SketchAuditor& Global();
 
-  /// True when the global auditor is on (and the build has observability
-  /// compiled in). One relaxed load.
+  /// True when the global auditor is on. One relaxed load.
   static bool Enabled() {
-#if TABSKETCH_METRICS_ENABLED
     return Global().rate_.load(std::memory_order_relaxed) > 0.0;
-#else
-    return false;
-#endif
   }
 
   /// Turns auditing on at `rate` (clamped to [0, 1]; 0 disables). Metrics go

@@ -124,10 +124,10 @@ class LineReader {
   bool too_long_ = false;
 };
 
-/// RAII +1/-1 on a gauge; a null gauge (metrics disabled or compiled out)
-/// is a no-op. Construction-to-destruction brackets guarantee the inc/dec
-/// stays balanced on every exit path — early returns for shed, expired and
-/// closed admissions included.
+/// RAII +1/-1 on a gauge; a null gauge (metrics disabled) is a no-op.
+/// Construction-to-destruction brackets guarantee the inc/dec stays balanced
+/// on every exit path — early returns for shed, expired and closed
+/// admissions included.
 class ScopedGaugeAdd {
  public:
   explicit ScopedGaugeAdd(util::Gauge* gauge) : gauge_(gauge) {
@@ -281,9 +281,7 @@ Server::Server(SnapshotHolder* snapshots, const ServerOptions& options,
     : snapshots_(snapshots),
       options_(options),
       admission_(options.max_inflight, options.max_queue),
-      slow_log_(SlowQueryLog::Options{options.slow_ms,
-                                      options.slow_ring_capacity,
-                                      options.slow_log_path}),
+      slow_log_(SlowQueryLog::Options{options.slow_ms, options.slow_log_path}),
       listen_fd_(listen_fd),
       wake_read_fd_(wake_read_fd),
       wake_write_fd_(wake_write_fd),
@@ -307,15 +305,24 @@ void Server::AcceptLoop() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    std::vector<std::thread> finished;
     {
       std::lock_guard<std::mutex> lock(conn_mutex_);
       if (shutting_down_) {
         ::close(fd);
         continue;
       }
+      for (const std::thread::id id : finished_conns_) {
+        finished.push_back(std::move(conn_threads_.extract(id).mapped()));
+      }
+      finished_conns_.clear();
       conn_fds_.insert(fd);
-      conn_threads_.emplace_back(&Server::HandleConnection, this, fd);
+      std::thread handler(&Server::HandleConnection, this, fd);
+      const std::thread::id id = handler.get_id();
+      conn_threads_.emplace(id, std::move(handler));
     }
+    // Each of these has left its last critical section and is returning.
+    for (std::thread& thread : finished) thread.join();
     accepted_.fetch_add(1, std::memory_order_relaxed);
     TABSKETCH_METRIC_COUNT("serve.connections.accepted");
   }
@@ -323,13 +330,11 @@ void Server::AcceptLoop() {
 
 void Server::HandleConnection(int fd) {
   util::Gauge* connections_gauge = nullptr;
-#if TABSKETCH_METRICS_ENABLED
   if (util::MetricsRegistry::Enabled()) {
     static util::Gauge* const gauge =
         util::MetricsRegistry::Global().GetGauge("serve.connections.active");
     connections_gauge = gauge;
   }
-#endif
   ScopedGaugeAdd active_connection(connections_gauge);
   LineReader reader(fd);
   std::string line;
@@ -356,6 +361,7 @@ void Server::HandleConnection(int fd) {
   {
     std::lock_guard<std::mutex> lock(conn_mutex_);
     conn_fds_.erase(fd);
+    finished_conns_.push_back(std::this_thread::get_id());
   }
   ::close(fd);
 }
@@ -428,7 +434,6 @@ std::string Server::ProcessQuery(const QueryRequest& request,
   // executing ones. Two static caches on purpose — the per-site pattern the
   // counter macros use, resolved once to the right gauge per request.
   util::Gauge* inflight_gauge = nullptr;
-#if TABSKETCH_METRICS_ENABLED
   if (util::MetricsRegistry::Enabled()) {
     static util::Gauge* const distance_gauge =
         util::MetricsRegistry::Global().GetGauge("serve.inflight.distance");
@@ -438,7 +443,6 @@ std::string Server::ProcessQuery(const QueryRequest& request,
                          ? distance_gauge
                          : knn_gauge;
   }
-#endif
   ScopedGaugeAdd inflight(inflight_gauge);
 
   std::optional<std::chrono::steady_clock::time_point> deadline;
@@ -682,7 +686,7 @@ void Server::Shutdown() {
       std::lock_guard<std::mutex> lock(conn_mutex_);
       for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RD);
     }
-    for (std::thread& thread : conn_threads_) thread.join();
+    for (auto& entry : conn_threads_) entry.second.join();
     ::close(wake_read_fd_);
     ::close(wake_write_fd_);
   });

@@ -12,6 +12,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -109,8 +110,6 @@ struct ServerOptions {
   double slow_ms = 0.0;
   /// When non-empty, slow-log entries are also appended here as JSONL.
   std::string slow_log_path;
-  /// In-memory slow-log ring size.
-  size_t slow_ring_capacity = 128;
   /// Test-only hook, called for query requests after admission and after
   /// the request captured its snapshot, before the engine runs. Lets tests
   /// park a request mid-flight (deadline expiry, swap-mid-batch, drain
@@ -120,7 +119,8 @@ struct ServerOptions {
 
 /// The `tabsketch serve` daemon core: a loopback TCP listener speaking a
 /// line protocol over the batch grammar (see docs/FORMATS.md, "Serve wire
-/// protocol"). Each connection gets a handler thread; each request line is
+/// protocol"). Each connection gets a handler thread, joined as later
+/// connections arrive once it has finished; each request line is
 /// admitted through an AdmissionController, answered by the QueryEngine of
 /// the SnapshotHolder's current snapshot, and the `reload` verb swaps in a
 /// new sketch-set snapshot RCU-style without disturbing in-flight requests.
@@ -192,7 +192,11 @@ class Server {
   std::thread accept_thread_;
   std::mutex conn_mutex_;
   std::unordered_set<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  /// Handler threads not yet joined. A handler lists its own id in
+  /// finished_conns_ as it exits, and the accept loop joins the listed ones
+  /// at its next connection; Shutdown joins the rest.
+  std::unordered_map<std::thread::id, std::thread> conn_threads_;
+  std::vector<std::thread::id> finished_conns_;  // guarded by conn_mutex_
   bool shutting_down_ = false;  // guarded by conn_mutex_
   std::atomic<size_t> accepted_{0};
   std::once_flag shutdown_once_;

@@ -83,17 +83,12 @@ util::Result<std::shared_ptr<const Snapshot>> Snapshot::Create(
     snapshot->sketcher_ =
         std::make_unique<core::Sketcher>(std::move(sketcher));
     // The pinned code tier spends part of a positive budget; the sketch
-    // cache gets what is left (at least one byte — LruSketchCache degrades
-    // to compute-and-release under sub-entry budgets), keeping `cache_bytes`
-    // a bound on total sketch memory. A zero budget keeps every tile.
+    // cache gets what is left, keeping `cache_bytes` a bound on total sketch
+    // memory.
     core::LruSketchCache::Options options;
-    options.capacity_bytes = spec.cache_bytes;
-    if (spec.cache_bytes > 0 && spec.engine.quant != core::QuantKind::kOff) {
-      const size_t pool_bytes = core::QuantizedCodePool::PoolBytes(
-          spec.engine.quant, grid->num_tiles(), snapshot->params_.k);
-      options.capacity_bytes =
-          spec.cache_bytes > pool_bytes ? spec.cache_bytes - pool_bytes : 1;
-    }
+    options.capacity_bytes = core::QuantizedCodePool::SketchCacheBudget(
+        spec.cache_bytes, spec.engine.quant, grid->num_tiles(),
+        snapshot->params_.k);
     snapshot->cache_ = std::make_unique<core::LruSketchCache>(
         snapshot->sketcher_.get(), grid, options);
     snapshot->description_ = "table " + spec.table_path;

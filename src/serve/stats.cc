@@ -1,23 +1,9 @@
 #include "serve/stats.h"
 
-#include <cmath>
-#include <cstdio>
 #include <sstream>
 
 namespace tabsketch::serve {
 namespace {
-
-/// %.17g with non-finite mapped to 0 — the same convention as the metrics
-/// JSON (util/metrics.cc), so every numeric surface round-trips binary64.
-void WriteNumber(std::ostream& os, double value) {
-  if (!std::isfinite(value)) {
-    os << "0";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  os << buf;
-}
 
 void WriteKey(std::ostream& os, const char* key, bool* first) {
   os << (*first ? "" : ",") << "\"" << key << "\":";
@@ -33,7 +19,7 @@ void WriteUint(std::ostream& os, const char* key, uint64_t value,
 void WriteDouble(std::ostream& os, const char* key, double value,
                  bool* first) {
   WriteKey(os, key, first);
-  WriteNumber(os, value);
+  util::WriteJsonNumber(os, value);
 }
 
 double Ratio(uint64_t numerator, uint64_t denominator) {
@@ -51,7 +37,7 @@ std::string SlowQueryEntry::ToJson() const {
   os << "{";
   WriteUint(os, "id", id, &first);
   WriteKey(os, "verb", &first);
-  os << "\"" << verb << "\"";  // verb is a fixed token, never needs escaping
+  util::WriteJsonString(os, verb);
   WriteUint(os, "bytes", bytes, &first);
   WriteDouble(os, "queue_wait_seconds", queue_wait_seconds, &first);
   WriteDouble(os, "handle_seconds", handle_seconds, &first);
@@ -76,8 +62,7 @@ bool SlowQueryLog::MaybeRecord(const SlowQueryEntry& entry) {
   std::lock_guard<std::mutex> lock(mutex_);
   ++total_;
   ring_.push_back(entry);
-  const size_t capacity = options_.ring_capacity > 0 ? options_.ring_capacity : 1;
-  while (ring_.size() > capacity) ring_.pop_front();
+  if (ring_.size() > kRingCapacity) ring_.pop_front();
   if (mirror_.is_open()) {
     mirror_ << entry.ToJson() << "\n";
     mirror_.flush();  // slow entries are rare; durability over buffering
@@ -98,7 +83,7 @@ uint64_t SlowQueryLog::total() const {
 std::string SlowQueryLog::ToJson() const {
   std::ostringstream os;
   os << "{\"schema\":\"tabsketch-slow-v1\",\"slow_ms\":";
-  WriteNumber(os, options_.slow_ms);
+  util::WriteJsonNumber(os, options_.slow_ms);
   std::vector<SlowQueryEntry> entries = Entries();
   os << ",\"total\":" << total() << ",\"entries\":[";
   for (size_t i = 0; i < entries.size(); ++i) {

@@ -1,6 +1,7 @@
 #ifndef TABSKETCH_SERVE_STATS_H_
 #define TABSKETCH_SERVE_STATS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <fstream>
@@ -38,17 +39,19 @@ struct SlowQueryEntry {
 
 /// Bounded ring of the slowest-by-threshold requests: requests whose handle
 /// time exceeds `slow_ms` are appended (oldest dropped beyond
-/// `ring_capacity`) and optionally mirrored to a JSONL file, one object per
+/// kRingCapacity) and optionally mirrored to a JSONL file, one object per
 /// line, flushed per record — slow requests are rare, so durability beats
 /// buffering. Thread-safe; recording is off the fast path (only requests
 /// already measured slow pay the mutex).
 class SlowQueryLog {
  public:
+  /// Entries kept in memory for `stats slow`.
+  static constexpr size_t kRingCapacity = 128;
+
   struct Options {
     /// Threshold in milliseconds; <= 0 disables recording (the `stats slow`
     /// verb still answers, with an empty entry list).
     double slow_ms = 0.0;
-    size_t ring_capacity = 128;
     /// When non-empty, every recorded entry is appended here as JSONL.
     std::string jsonl_path;
   };

@@ -39,12 +39,12 @@ class Matrix {
   bool empty() const { return values_.empty(); }
 
   double& At(size_t r, size_t c) {
-    TABSKETCH_DCHECK(r < rows_ && c < cols_)
+    TABSKETCH_CHECK(r < rows_ && c < cols_)
         << "(" << r << "," << c << ") out of " << rows_ << "x" << cols_;
     return values_[r * cols_ + c];
   }
   double At(size_t r, size_t c) const {
-    TABSKETCH_DCHECK(r < rows_ && c < cols_)
+    TABSKETCH_CHECK(r < rows_ && c < cols_)
         << "(" << r << "," << c << ") out of " << rows_ << "x" << cols_;
     return values_[r * cols_ + c];
   }
@@ -54,11 +54,11 @@ class Matrix {
 
   /// Row r as a contiguous span of cols() doubles.
   std::span<double> Row(size_t r) {
-    TABSKETCH_DCHECK(r < rows_);
+    TABSKETCH_CHECK(r < rows_);
     return {values_.data() + r * cols_, cols_};
   }
   std::span<const double> Row(size_t r) const {
-    TABSKETCH_DCHECK(r < rows_);
+    TABSKETCH_CHECK(r < rows_);
     return {values_.data() + r * cols_, cols_};
   }
 
@@ -104,7 +104,7 @@ class TableView {
   bool empty() const { return size() == 0; }
 
   double At(size_t r, size_t c) const {
-    TABSKETCH_DCHECK(r < rows_ && c < cols_)
+    TABSKETCH_CHECK(r < rows_ && c < cols_)
         << "(" << r << "," << c << ") out of " << rows_ << "x" << cols_;
     return origin_[r * row_stride_ + c];
   }
@@ -112,7 +112,7 @@ class TableView {
 
   /// Row r as a contiguous span (rows of a view are always contiguous).
   std::span<const double> Row(size_t r) const {
-    TABSKETCH_DCHECK(r < rows_);
+    TABSKETCH_CHECK(r < rows_);
     return {origin_ + r * row_stride_, cols_};
   }
 

@@ -36,11 +36,11 @@ class TileGrid {
 
   /// Top-left data coordinates of tile `index`.
   size_t TileOriginRow(size_t index) const {
-    TABSKETCH_DCHECK(index < num_tiles());
+    TABSKETCH_CHECK(index < num_tiles());
     return (index / grid_cols_) * tile_rows_;
   }
   size_t TileOriginCol(size_t index) const {
-    TABSKETCH_DCHECK(index < num_tiles());
+    TABSKETCH_CHECK(index < num_tiles());
     return (index % grid_cols_) * tile_cols_;
   }
 

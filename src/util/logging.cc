@@ -1,51 +1,18 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
-namespace tabsketch::util {
-namespace {
+namespace tabsketch::util::internal_logging {
 
-std::atomic<LogLevel> g_min_level{LogLevel::kInfo};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kFatal:
-      return "FATAL";
-  }
-  return "?";
+FatalMessage::FatalMessage(const char* file, int line) {
+  stream_ << "[FATAL " << file << ":" << line << "] ";
 }
 
-}  // namespace
-
-void SetMinLogLevel(LogLevel level) { g_min_level.store(level); }
-LogLevel MinLogLevel() { return g_min_level.load(); }
-
-namespace internal_logging {
-
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level) {
-  stream_ << "[" << LevelName(level) << " " << file << ":" << line << "] ";
+FatalMessage::~FatalMessage() {
+  std::fprintf(stderr, "%s\n", stream_.str().c_str());
+  std::fflush(stderr);
+  std::abort();
 }
 
-LogMessage::~LogMessage() {
-  if (level_ >= MinLogLevel() || level_ == LogLevel::kFatal) {
-    std::fprintf(stderr, "%s\n", stream_.str().c_str());
-    std::fflush(stderr);
-  }
-  if (level_ == LogLevel::kFatal) {
-    std::abort();
-  }
-}
-
-}  // namespace internal_logging
-}  // namespace tabsketch::util
+}  // namespace tabsketch::util::internal_logging

@@ -2,80 +2,46 @@
 #define TABSKETCH_UTIL_LOGGING_H_
 
 #include <sstream>
-#include <string>
 
-namespace tabsketch::util {
+namespace tabsketch::util::internal_logging {
 
-enum class LogLevel {
-  kDebug = 0,
-  kInfo = 1,
-  kWarning = 2,
-  kError = 3,
-  kFatal = 4,
-};
-
-/// Sets the minimum level that is emitted to stderr. Defaults to kInfo.
-void SetMinLogLevel(LogLevel level);
-LogLevel MinLogLevel();
-
-namespace internal_logging {
-
-/// Stream-style message collector; emits on destruction. A kFatal message
-/// aborts the process after emitting.
-class LogMessage {
+/// Collects a failed check's message. Its destructor prints it to stderr as
+/// one "[FATAL file:line] ..." line and aborts the process.
+class FatalMessage {
  public:
-  LogMessage(LogLevel level, const char* file, int line);
-  ~LogMessage();
+  FatalMessage(const char* file, int line);
+  ~FatalMessage();
 
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
+  FatalMessage(const FatalMessage&) = delete;
+  FatalMessage& operator=(const FatalMessage&) = delete;
 
   template <typename T>
-  LogMessage& operator<<(const T& value) {
+  FatalMessage& operator<<(const T& value) {
     stream_ << value;
     return *this;
   }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
 };
 
-/// Discards all streamed values; used when a log statement is disabled.
-class NullStream {
- public:
-  template <typename T>
-  NullStream& operator<<(const T&) {
-    return *this;
-  }
-};
-
-}  // namespace internal_logging
-}  // namespace tabsketch::util
-
-#define TABSKETCH_LOG(level)                                      \
-  ::tabsketch::util::internal_logging::LogMessage(                \
-      ::tabsketch::util::LogLevel::k##level, __FILE__, __LINE__)
-
-/// Aborts with a diagnostic when `condition` is false. Active in all build
-/// modes: these guard internal invariants whose violation would otherwise
-/// silently corrupt results.
-#define TABSKETCH_CHECK(condition)                                      \
-  (condition) ? static_cast<void>(0)                                    \
-              : ::tabsketch::util::internal_logging::Voidify() &        \
-                    TABSKETCH_LOG(Fatal) << "Check failed: " #condition \
-                                         << " "
-
-#define TABSKETCH_DCHECK(condition) TABSKETCH_CHECK(condition)
-
-namespace tabsketch::util::internal_logging {
-
-/// Helper that gives TABSKETCH_CHECK a common void type on both branches of
-/// its ternary while keeping `<<` chaining on the failure branch.
+/// Gives TABSKETCH_CHECK a common void type on both branches of its ternary
+/// while keeping `<<` chaining on the failure branch.
 struct Voidify {
-  void operator&(LogMessage&) {}
+  void operator&(FatalMessage&) {}
 };
 
 }  // namespace tabsketch::util::internal_logging
+
+/// Aborts with a diagnostic when `condition` is false. Active in all build
+/// modes: these guard internal invariants whose violation would otherwise
+/// silently corrupt results. Extra context streams in after the condition:
+/// `TABSKETCH_CHECK(i < n) << "i=" << i;`.
+#define TABSKETCH_CHECK(condition)                                     \
+  (condition) ? static_cast<void>(0)                                   \
+              : ::tabsketch::util::internal_logging::Voidify() &       \
+                    ::tabsketch::util::internal_logging::FatalMessage( \
+                        __FILE__, __LINE__)                            \
+                        << "Check failed: " #condition << " "
 
 #endif  // TABSKETCH_UTIL_LOGGING_H_

@@ -1,11 +1,11 @@
 #include "util/metrics.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 
 #include "util/atomic_file.h"
+#include "util/metrics_snapshot.h"
 
 namespace tabsketch::util {
 
@@ -75,24 +75,6 @@ double Histogram::BucketUpperEdge(size_t i) {
                 : kBucketBase * std::ldexp(1.0, static_cast<int>(i));
 }
 
-double Histogram::Percentile(double q) const {
-  const uint64_t total = count();
-  if (total == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const uint64_t rank =
-      std::min<uint64_t>(total, static_cast<uint64_t>(std::ceil(q * total)));
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < kBuckets; ++i) {
-    cumulative += buckets_[i].load(std::memory_order_relaxed);
-    if (cumulative >= rank && cumulative > 0) {
-      // Report the bucket's upper edge, clamped to the observed extremes so
-      // a single-sample histogram reports the sample itself.
-      return std::clamp(BucketUpperEdge(i), min(), max());
-    }
-  }
-  return max();
-}
-
 void Histogram::Reset() {
   for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
@@ -135,28 +117,7 @@ void MetricsRegistry::ResetValues() {
   for (auto& [name, histogram] : histograms_) histogram->Reset();
 }
 
-void MetricsRegistry::VisitCounters(
-    const std::function<void(const std::string&, const Counter&)>& fn) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [name, counter] : counters_) fn(name, *counter);
-}
-
-void MetricsRegistry::VisitGauges(
-    const std::function<void(const std::string&, const Gauge&)>& fn) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [name, gauge] : gauges_) fn(name, *gauge);
-}
-
-void MetricsRegistry::VisitHistograms(
-    const std::function<void(const std::string&, const Histogram&)>& fn)
-    const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [name, histogram] : histograms_) fn(name, *histogram);
-}
-
-namespace {
-
-void WriteJsonString(std::ostream& os, const std::string& text) {
+void WriteJsonString(std::ostream& os, std::string_view text) {
   os << '"';
   for (const char c : text) {
     switch (c) {
@@ -193,59 +154,6 @@ void WriteJsonNumber(std::ostream& os, double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
   os << buf;
-  // %.17g never emits a bare integer-looking token with exponent/point for
-  // whole numbers like "3" — that is still valid JSON, so no fixup needed.
-}
-
-}  // namespace
-
-void MetricsRegistry::WriteJson(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  os << "{\n  \"schema\": \"tabsketch-metrics-v1\",\n";
-
-  os << "  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    WriteJsonString(os, name);
-    os << ": " << counter->value();
-  }
-  os << (first ? "},\n" : "\n  },\n");
-
-  os << "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    WriteJsonString(os, name);
-    os << ": ";
-    WriteJsonNumber(os, gauge->value());
-  }
-  os << (first ? "},\n" : "\n  },\n");
-
-  os << "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, histogram] : histograms_) {
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    WriteJsonString(os, name);
-    os << ": {\"count\": " << histogram->count() << ", \"sum\": ";
-    WriteJsonNumber(os, histogram->sum());
-    os << ", \"min\": ";
-    WriteJsonNumber(os, histogram->min());
-    os << ", \"max\": ";
-    WriteJsonNumber(os, histogram->max());
-    os << ", \"p50\": ";
-    WriteJsonNumber(os, histogram->Percentile(0.5));
-    os << ", \"p90\": ";
-    WriteJsonNumber(os, histogram->Percentile(0.9));
-    os << ", \"p99\": ";
-    WriteJsonNumber(os, histogram->Percentile(0.99));
-    os << "}";
-  }
-  os << (first ? "}\n" : "\n  }\n");
-  os << "}\n";
 }
 
 void PreregisterCoreMetrics(MetricsRegistry* registry) {
@@ -331,7 +239,7 @@ Status WriteMetricsJsonFile(const MetricsRegistry& registry,
   // truncated document — the serve daemon's ticker rewrites this file every
   // interval while scrapers may be reading it.
   std::ostringstream os;
-  registry.WriteJson(os);
+  WriteMetricsJson(CaptureSnapshot(registry), os);
   return WriteFileAtomic(path, os.str());
 }
 

@@ -4,25 +4,18 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "util/status.h"
 
-/// Compile-time switch for the whole observability layer. Defaults to on;
-/// building with -DTABSKETCH_METRICS_ENABLED=0 (CMake option
-/// TABSKETCH_METRICS=OFF) compiles every TABSKETCH_METRIC_* macro and every
-/// trace span to nothing, so instrumented hot paths carry zero cost.
-#ifndef TABSKETCH_METRICS_ENABLED
-#define TABSKETCH_METRICS_ENABLED 1
-#endif
-
 namespace tabsketch::util {
+
+struct MetricsSnapshot;
 
 /// Monotonically increasing event count. All operations are relaxed atomics:
 /// counters are tallies, not synchronization points, so concurrent
@@ -76,12 +69,10 @@ class Histogram {
   /// 0 when empty.
   double min() const;
   double max() const;
-  /// Approximate q-quantile (q in [0, 1]); 0 when empty.
-  double Percentile(double q) const;
 
-  /// Observations in bucket `i` (i < kBuckets). The snapshot layer
-  /// (util/metrics_snapshot.h) reads buckets to build windowed percentiles
-  /// and Prometheus cumulative `_bucket` series.
+  /// Observations in bucket `i` (i < kBuckets). Percentiles are computed on
+  /// a capture (HistogramSnapshot, util/metrics_snapshot.h), which reads the
+  /// buckets here.
   uint64_t bucket_count(size_t i) const {
     return buckets_[i].load(std::memory_order_relaxed);
   }
@@ -135,11 +126,7 @@ class MetricsRegistry {
 
   /// The raw gate word; 0 means "all observability off".
   static uint32_t ObservabilityBits() {
-#if TABSKETCH_METRICS_ENABLED
     return bits_.load(std::memory_order_relaxed);
-#else
-    return 0;
-#endif
   }
 
   /// Runtime on/off switch for the global registry's hot-path macros.
@@ -162,27 +149,11 @@ class MetricsRegistry {
   /// survive.
   void ResetValues();
 
-  /// Calls `fn(name, metric)` for every registered metric of that family, in
-  /// lexicographic name order, under the registry mutex. The callbacks must
-  /// not call back into the registry (self-deadlock); reading metric values
-  /// is safe — values are relaxed atomics and concurrent mutators never take
-  /// the mutex. This is the read side the snapshot layer
-  /// (util/metrics_snapshot.h) is built on.
-  void VisitCounters(
-      const std::function<void(const std::string&, const Counter&)>& fn)
-      const;
-  void VisitGauges(
-      const std::function<void(const std::string&, const Gauge&)>& fn) const;
-  void VisitHistograms(
-      const std::function<void(const std::string&, const Histogram&)>& fn)
-      const;
-
-  /// Writes the registry as the stable JSON document described in
-  /// docs/FORMATS.md ("tabsketch-metrics-v1"): three sections (counters,
-  /// gauges, histograms), keys sorted lexicographically within each.
-  void WriteJson(std::ostream& os) const;
-
  private:
+  /// The registry's only reader (util/metrics_snapshot.h): it walks the
+  /// maps under the mutex and copies each value with relaxed loads.
+  friend MetricsSnapshot CaptureSnapshot(const MetricsRegistry& registry);
+
   static void SetBit(uint32_t bit, bool on) {
     if (on) {
       bits_.fetch_or(bit, std::memory_order_relaxed);
@@ -205,9 +176,18 @@ class MetricsRegistry {
 /// pool still report span.pool.build.seconds with count 0).
 void PreregisterCoreMetrics(MetricsRegistry* registry);
 
-/// Dumps `registry` as JSON to `path` (see WriteJson).
+/// Captures `registry` and writes the capture to `path` as the
+/// "tabsketch-metrics-v1" document (WriteMetricsJson in
+/// util/metrics_snapshot.h), atomically (temp + rename).
 Status WriteMetricsJsonFile(const MetricsRegistry& registry,
                             const std::string& path);
+
+/// The number and string writers every observability document shares.
+/// A number is written as %.17g (round-trips binary64) and a non-finite
+/// value as 0. A string is quoted, with `"` and `\` backslash-escaped, \n
+/// and \t as their short escapes and other control bytes as \u00XX.
+void WriteJsonNumber(std::ostream& os, double value);
+void WriteJsonString(std::ostream& os, std::string_view text);
 
 // The bench-binary setup/flush helpers (--metrics-json plus the PR 4
 // --trace-json / --audit-rate flags) live in util/observability.h.
@@ -215,10 +195,8 @@ Status WriteMetricsJsonFile(const MetricsRegistry& registry,
 }  // namespace tabsketch::util
 
 /// Hot-path instrumentation macros. Cost when the registry is disabled: one
-/// relaxed atomic load. Cost when compiled out: nothing. `name` must be a
-/// string constant (it seeds a function-local static pointer cache).
-#if TABSKETCH_METRICS_ENABLED
-
+/// relaxed atomic load. `name` must be a string constant (it seeds a
+/// function-local static pointer cache).
 #define TABSKETCH_METRIC_COUNT_N(name, n)                                 \
   do {                                                                    \
     if (::tabsketch::util::MetricsRegistry::Enabled()) {                  \
@@ -255,34 +233,6 @@ Status WriteMetricsJsonFile(const MetricsRegistry& registry,
       _tabsketch_gauge->Add(static_cast<double>(delta));                   \
     }                                                                      \
   } while (false)
-
-#else  // !TABSKETCH_METRICS_ENABLED
-
-// The arguments are consumed in unevaluated sizeof contexts: no code is
-// generated and no side effects run, but a variable used only inside a
-// metric macro still counts as used (-Wunused-parameter stays quiet).
-#define TABSKETCH_METRIC_COUNT_N(name, n) \
-  do {                                    \
-    (void)sizeof(name);                   \
-    (void)sizeof(n);                      \
-  } while (false)
-#define TABSKETCH_METRIC_GAUGE_SET(name, value) \
-  do {                                          \
-    (void)sizeof(name);                         \
-    (void)sizeof(value);                        \
-  } while (false)
-#define TABSKETCH_METRIC_OBSERVE(name, value) \
-  do {                                        \
-    (void)sizeof(name);                       \
-    (void)sizeof(value);                      \
-  } while (false)
-#define TABSKETCH_METRIC_GAUGE_ADD(name, delta) \
-  do {                                          \
-    (void)sizeof(name);                         \
-    (void)sizeof(delta);                        \
-  } while (false)
-
-#endif  // TABSKETCH_METRICS_ENABLED
 
 #define TABSKETCH_METRIC_COUNT(name) TABSKETCH_METRIC_COUNT_N(name, 1)
 

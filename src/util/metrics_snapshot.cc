@@ -29,16 +29,6 @@ std::string PrometheusName(const std::string& name) {
   return out;
 }
 
-void WritePrometheusNumber(std::ostream& os, double value) {
-  if (!std::isfinite(value)) {
-    os << "0";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  os << buf;
-}
-
 }  // namespace
 
 uint64_t HistogramSnapshot::BucketTotal() const {
@@ -80,30 +70,32 @@ const HistogramSnapshot* MetricsSnapshot::histogram(
   return it == histograms.end() ? nullptr : &it->second;
 }
 
+HistogramSnapshot CaptureHistogram(const Histogram& histogram) {
+  HistogramSnapshot h;
+  for (size_t i = 0; i < Histogram::kBuckets; ++i) {
+    h.buckets[i] = histogram.bucket_count(i);
+  }
+  h.count = histogram.count();
+  h.sum = histogram.sum();
+  h.min = histogram.min();
+  h.max = histogram.max();
+  h.has_extremes = h.count > 0;
+  return h;
+}
+
 MetricsSnapshot CaptureSnapshot(const MetricsRegistry& registry) {
   MetricsSnapshot snapshot;
   snapshot.wall_seconds = MonotonicSeconds();
-  registry.VisitCounters(
-      [&snapshot](const std::string& name, const Counter& counter) {
-        snapshot.counters.emplace(name, counter.value());
-      });
-  registry.VisitGauges(
-      [&snapshot](const std::string& name, const Gauge& gauge) {
-        snapshot.gauges.emplace(name, gauge.value());
-      });
-  registry.VisitHistograms(
-      [&snapshot](const std::string& name, const Histogram& histogram) {
-        HistogramSnapshot h;
-        for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-          h.buckets[i] = histogram.bucket_count(i);
-        }
-        h.count = histogram.count();
-        h.sum = histogram.sum();
-        h.min = histogram.min();
-        h.max = histogram.max();
-        h.has_extremes = h.count > 0;
-        snapshot.histograms.emplace(name, h);
-      });
+  std::lock_guard<std::mutex> lock(registry.mutex_);
+  for (const auto& [name, counter] : registry.counters_) {
+    snapshot.counters.emplace(name, counter->value());
+  }
+  for (const auto& [name, gauge] : registry.gauges_) {
+    snapshot.gauges.emplace(name, gauge->value());
+  }
+  for (const auto& [name, histogram] : registry.histograms_) {
+    snapshot.histograms.emplace(name, CaptureHistogram(*histogram));
+  }
   return snapshot;
 }
 
@@ -149,6 +141,54 @@ MetricsDelta Diff(const MetricsSnapshot& prev, const MetricsSnapshot& cur) {
   return delta;
 }
 
+void WriteMetricsJson(const MetricsSnapshot& snapshot, std::ostream& os) {
+  os << "{\n  \"schema\": \"tabsketch-metrics-v1\",\n";
+
+  os << "  \"counters\": {";
+  bool first = true;
+  for (const auto& [name, value] : snapshot.counters) {
+    os << (first ? "\n    " : ",\n    ");
+    first = false;
+    WriteJsonString(os, name);
+    os << ": " << value;
+  }
+  os << (first ? "},\n" : "\n  },\n");
+
+  os << "  \"gauges\": {";
+  first = true;
+  for (const auto& [name, value] : snapshot.gauges) {
+    os << (first ? "\n    " : ",\n    ");
+    first = false;
+    WriteJsonString(os, name);
+    os << ": ";
+    WriteJsonNumber(os, value);
+  }
+  os << (first ? "},\n" : "\n  },\n");
+
+  os << "  \"histograms\": {";
+  first = true;
+  for (const auto& [name, histogram] : snapshot.histograms) {
+    os << (first ? "\n    " : ",\n    ");
+    first = false;
+    WriteJsonString(os, name);
+    os << ": {\"count\": " << histogram.count << ", \"sum\": ";
+    WriteJsonNumber(os, histogram.sum);
+    os << ", \"min\": ";
+    WriteJsonNumber(os, histogram.min);
+    os << ", \"max\": ";
+    WriteJsonNumber(os, histogram.max);
+    os << ", \"p50\": ";
+    WriteJsonNumber(os, histogram.Percentile(0.5));
+    os << ", \"p90\": ";
+    WriteJsonNumber(os, histogram.Percentile(0.9));
+    os << ", \"p99\": ";
+    WriteJsonNumber(os, histogram.Percentile(0.99));
+    os << "}";
+  }
+  os << (first ? "}\n" : "\n  }\n");
+  os << "}\n";
+}
+
 std::string PrometheusBucketEdge(size_t i) {
   // %.9g: the edges are 1e-9 * 2^i, a factor of 2 apart, so 9 significant
   // digits are collision-free and stable across scrapes.
@@ -165,7 +205,7 @@ void WritePrometheusText(const MetricsSnapshot& snapshot, std::ostream& os) {
   for (const auto& [name, value] : snapshot.gauges) {
     const std::string prom = PrometheusName(name);
     os << "# TYPE " << prom << " gauge\n" << prom << " ";
-    WritePrometheusNumber(os, value);
+    WriteJsonNumber(os, value);
     os << "\n";
   }
   for (const auto& [name, histogram] : snapshot.histograms) {
@@ -186,7 +226,7 @@ void WritePrometheusText(const MetricsSnapshot& snapshot, std::ostream& os) {
     }
     os << prom << "_bucket{le=\"+Inf\"} " << total << "\n";
     os << prom << "_sum ";
-    WritePrometheusNumber(os, histogram.sum);
+    WriteJsonNumber(os, histogram.sum);
     os << "\n" << prom << "_count " << total << "\n";
   }
   os << "# EOF\n";
@@ -229,9 +269,11 @@ void MetricsTicker::TickOnce() {
   MetricsSnapshot snapshot = CaptureSnapshot(*registry_);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ring_.push_back(std::move(snapshot));
-    const size_t capacity = options_.ring_capacity > 0 ? options_.ring_capacity : 1;
-    while (ring_.size() > capacity) ring_.pop_front();
+    // Ticks never overlap, so after the first one latest_ holds a capture.
+    if (ticks_.load(std::memory_order_relaxed) > 0) {
+      previous_ = std::move(latest_);
+    }
+    latest_ = std::move(snapshot);
   }
   ticks_.fetch_add(1, std::memory_order_relaxed);
   registry_->GetCounter("serve.ticker.ticks")->Increment();
@@ -244,21 +286,14 @@ void MetricsTicker::TickOnce() {
   }
 }
 
-std::optional<MetricsSnapshot> MetricsTicker::Latest() const {
+MetricsSnapshot MetricsTicker::WindowBaseline(double now_wall_seconds) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.empty()) return std::nullopt;
-  return ring_.back();
-}
-
-std::optional<MetricsSnapshot> MetricsTicker::WindowBaseline(
-    double now_wall_seconds) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.empty()) return std::nullopt;
   const double min_age = options_.interval_seconds * 0.5;
-  for (auto it = ring_.rbegin(); it != ring_.rend(); ++it) {
-    if (now_wall_seconds - it->wall_seconds >= min_age) return *it;
+  if (now_wall_seconds - latest_.wall_seconds >= min_age ||
+      !previous_.has_value()) {
+    return latest_;
   }
-  return ring_.front();
+  return *previous_;
 }
 
 }  // namespace tabsketch::util

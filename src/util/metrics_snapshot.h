@@ -5,7 +5,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -32,9 +31,10 @@ struct HistogramSnapshot {
   /// unknowable from buckets alone.
   bool has_extremes = false;
 
-  /// Approximate q-quantile over the snapshot's buckets, resolved to the
-  /// containing bucket's upper edge (clamped to [min, max] when extremes
-  /// were captured — same contract as Histogram::Percentile). 0 when empty.
+  /// Approximate q-quantile (q in [0, 1]) over the snapshot's buckets,
+  /// resolved to the containing bucket's upper edge (factor-2 resolution),
+  /// clamped to [min, max] when extremes were captured so a single-sample
+  /// histogram reports the sample itself. 0 when empty.
   double Percentile(double q) const;
 
   /// Total observations according to the buckets themselves. Preferred over
@@ -44,10 +44,14 @@ struct HistogramSnapshot {
   uint64_t BucketTotal() const;
 };
 
+/// Captures one live histogram (min/max kept when it is non-empty).
+HistogramSnapshot CaptureHistogram(const Histogram& histogram);
+
 /// A cheap consistent read of a whole MetricsRegistry: every counter, gauge
 /// and histogram by name, stamped with a monotonic capture time. Snapshots
 /// of the same registry can be diffed for windowed rates (Diff below) and
-/// rendered as a Prometheus exposition (WritePrometheusText).
+/// rendered as metrics-v1 JSON (WriteMetricsJson) or as a Prometheus
+/// exposition (WritePrometheusText).
 struct MetricsSnapshot {
   /// Monotonic capture time (steady-clock seconds; comparable only to other
   /// wall_seconds values in this process).
@@ -63,9 +67,10 @@ struct MetricsSnapshot {
   const HistogramSnapshot* histogram(const std::string& name) const;
 };
 
-/// Captures a snapshot of `registry`. Safe to call from any thread at any
-/// time: the registry mutex is held only to walk the name maps; metric
-/// values are relaxed-atomic reads that never block mutators.
+/// Captures a snapshot of `registry`; the registry's only read path. Safe
+/// to call from any thread at any time: the registry mutex is held only to
+/// walk the name maps; metric values are relaxed-atomic reads that never
+/// block mutators.
 MetricsSnapshot CaptureSnapshot(const MetricsRegistry& registry);
 
 /// The window between two snapshots of the same registry: counter deltas
@@ -86,6 +91,12 @@ struct MetricsDelta {
 
 MetricsDelta Diff(const MetricsSnapshot& prev, const MetricsSnapshot& cur);
 
+/// Renders `snapshot` as the stable "tabsketch-metrics-v1" JSON document
+/// described in docs/FORMATS.md: three sections (counters, gauges,
+/// histograms), keys sorted lexicographically within each, every histogram
+/// summarized as count/sum/min/max/p50/p90/p99.
+void WriteMetricsJson(const MetricsSnapshot& snapshot, std::ostream& os);
+
 /// Renders `snapshot` in the Prometheus text exposition format v0.0.4:
 /// every name is prefixed `tabsketch_` and sanitized ([^a-zA-Z0-9_] -> '_'),
 /// counters and gauges are one sample each, histograms expand to cumulative
@@ -100,16 +111,16 @@ void WritePrometheusText(const MetricsSnapshot& snapshot, std::ostream& os);
 std::string PrometheusBucketEdge(size_t i);
 
 /// Background rolling-snapshot thread for the serve daemon: every
-/// `interval_seconds` it captures the registry into a bounded ring (newest
-/// last) and, when `metrics_json_path` is set, atomically rewrites that file
-/// (temp + rename) so a crash or SIGKILL never loses more than one interval
-/// of metrics. One snapshot is taken synchronously at construction, so a
-/// baseline for "since the last window" rates always exists.
+/// `interval_seconds` it captures the registry, keeping the newest capture
+/// and the one before it, and, when `metrics_json_path` is set, atomically
+/// rewrites that file (temp + rename) so a crash or SIGKILL never loses more
+/// than one interval of metrics. One snapshot is taken synchronously at
+/// construction, so a baseline for "since the last window" rates always
+/// exists.
 class MetricsTicker {
  public:
   struct Options {
     double interval_seconds = 1.0;
-    size_t ring_capacity = 8;
     /// When non-empty, rewritten atomically on every tick.
     std::string metrics_json_path;
     /// Defaults to MetricsRegistry::Global() when null.
@@ -128,15 +139,12 @@ class MetricsTicker {
   /// Ticks completed so far (including the constructor's baseline tick).
   uint64_t ticks() const { return ticks_.load(std::memory_order_relaxed); }
 
-  /// The newest ring snapshot.
-  std::optional<MetricsSnapshot> Latest() const;
-
   /// The baseline to diff a fresh capture against for "last window" rates:
-  /// the newest ring snapshot at least half an interval older than
+  /// the newest capture when it is at least half an interval older than
   /// `now_wall_seconds` (so the window is never degenerately short), else
-  /// the oldest ring entry.
-  std::optional<MetricsSnapshot> WindowBaseline(double now_wall_seconds)
-      const;
+  /// the one before it. Ticks are at least one interval apart, so no older
+  /// capture could ever qualify.
+  MetricsSnapshot WindowBaseline(double now_wall_seconds) const;
 
  private:
   void Run();
@@ -146,8 +154,11 @@ class MetricsTicker {
   MetricsRegistry* const registry_;
   mutable std::mutex mutex_;
   std::condition_variable wake_;
-  bool stop_ = false;             // guarded by mutex_
-  std::deque<MetricsSnapshot> ring_;  // guarded by mutex_, newest last
+  bool stop_ = false;  // guarded by mutex_
+  /// The newest capture, and from the second tick on the one before it;
+  /// guarded by mutex_.
+  MetricsSnapshot latest_;
+  std::optional<MetricsSnapshot> previous_;
   std::atomic<uint64_t> ticks_{0};
   std::thread thread_;
 };

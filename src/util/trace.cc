@@ -1,57 +1,29 @@
 #include "util/trace.h"
 
+#include <string>
+
 namespace tabsketch::util {
 
-ScopedSpan::ScopedSpan(const std::string& name, MetricsRegistry* registry) {
-  // An explicit registry records unconditionally — even in metrics-disabled
-  // builds — so tests can exercise spans without the global flag.
-  if (registry != nullptr) {
-    seconds_ = registry->GetHistogram("span." + name + ".seconds");
-    if (seconds_ != nullptr) timer_.Restart();
-    return;
-  }
-#if TABSKETCH_METRICS_ENABLED
-  const uint32_t bits = MetricsRegistry::ObservabilityBits();
-  if (bits != 0) Open(name.c_str(), bits);
-#endif
-}
-
 void ScopedSpan::Open(const char* name, uint32_t bits) {
-#if TABSKETCH_METRICS_ENABLED
   if ((bits & MetricsRegistry::kMetricsBit) != 0) {
     seconds_ = MetricsRegistry::Global().GetHistogram(
         "span." + std::string(name) + ".seconds");
   }
   if ((bits & MetricsRegistry::kTraceBit) != 0) {
-    size_t i = 0;
-    for (; i < TraceRecorder::kMaxNameLength && name[i] != '\0'; ++i) {
-      trace_name_[i] = name[i];
-    }
-    trace_name_[i] = '\0';
+    trace_name_ = name;
     trace_start_ns_ = TraceRecorder::Global().NowNs();
-    tracing_ = true;
   }
   timer_.Restart();
-#else
-  (void)name;
-  (void)bits;
-#endif
 }
 
 double ScopedSpan::Stop() {
-#if TABSKETCH_METRICS_ENABLED
-  if (seconds_ == nullptr && !tracing_) return 0.0;
+  if (seconds_ == nullptr && trace_name_ == nullptr) return 0.0;
   const double elapsed = timer_.ElapsedSeconds();
-  if (tracing_) {
-    tracing_ = false;
+  if (trace_name_ != nullptr) {
     TraceRecorder::Global().RecordComplete(
-        trace_name_, trace_start_ns_,
-        static_cast<uint64_t>(elapsed * 1e9));
+        trace_name_, trace_start_ns_, static_cast<uint64_t>(elapsed * 1e9));
+    trace_name_ = nullptr;
   }
-#else
-  if (seconds_ == nullptr) return 0.0;
-  const double elapsed = timer_.ElapsedSeconds();
-#endif
   if (seconds_ != nullptr) {
     seconds_->Observe(elapsed);
     seconds_ = nullptr;

@@ -1,7 +1,8 @@
 #ifndef TABSKETCH_UTIL_TRACE_H_
 #define TABSKETCH_UTIL_TRACE_H_
 
-#include <string>
+#include <cstddef>
+#include <cstdint>
 
 #include "util/metrics.h"
 #include "util/timer.h"
@@ -17,27 +18,16 @@ namespace tabsketch::util {
 ///
 /// When both sinks are off at construction time, the constructor is a single
 /// relaxed load of the combined gate plus a branch — cheap enough to leave in
-/// hot paths unconditionally (and nothing at all when compiled out, via the
-/// macro below). Dynamic names (e.g. per-canonical-size pool spans) are
-/// supported because sinks are resolved once per span, not per call site.
+/// hot paths unconditionally. The name must be a string literal: the span
+/// keeps its pointer, and the recorder copies it into its ring at Stop().
 class ScopedSpan {
  public:
-  /// Literal-name fast path used by the macros: no std::string is
-  /// constructed when the gate word is zero.
-  explicit ScopedSpan(const char* name) {
-#if TABSKETCH_METRICS_ENABLED
+  template <size_t N>
+  explicit ScopedSpan(const char (&name)[N]) {
     const uint32_t bits = MetricsRegistry::ObservabilityBits();
     if (bits == 0) return;
     Open(name, bits);
-#else
-    (void)name;
-#endif
   }
-
-  /// `registry` defaults to the global registry; spans against an explicit
-  /// registry record regardless of the global enable flag (useful in tests).
-  explicit ScopedSpan(const std::string& name,
-                      MetricsRegistry* registry = nullptr);
   ~ScopedSpan() { Stop(); }
 
   ScopedSpan(const ScopedSpan&) = delete;
@@ -53,22 +43,18 @@ class ScopedSpan {
 
   Histogram* seconds_ = nullptr;
   WallTimer timer_;
-#if TABSKETCH_METRICS_ENABLED
-  bool tracing_ = false;
+  /// The literal name while the span feeds the flight recorder, else null.
+  const char* trace_name_ = nullptr;
   uint64_t trace_start_ns_ = 0;
-  char trace_name_[TraceRecorder::kMaxNameLength + 1] = {0};
-#endif
 };
 
 }  // namespace tabsketch::util
 
 /// Statement macro: times the enclosing scope into "span.<name>.seconds" of
-/// the global registry and/or the global flight recorder. `name` is any
-/// string expression; evaluation is skipped entirely while both sinks are
-/// disabled (literal names never even construct a std::string).
+/// the global registry and/or the global flight recorder. `name` must be a
+/// string literal; no std::string is built while both sinks are disabled.
 #define TABSKETCH_TRACE_CONCAT_INNER_(a, b) a##b
 #define TABSKETCH_TRACE_CONCAT_(a, b) TABSKETCH_TRACE_CONCAT_INNER_(a, b)
-#if TABSKETCH_METRICS_ENABLED
 #define TABSKETCH_TRACE_SPAN(name)                                     \
   ::tabsketch::util::ScopedSpan TABSKETCH_TRACE_CONCAT_(               \
       _tabsketch_span_, __LINE__)(name)
@@ -83,12 +69,5 @@ class ScopedSpan {
           name, /*has_value=*/true, static_cast<double>(value));       \
     }                                                                  \
   } while (false)
-#else
-// Compiles away entirely (the name/value expressions are never evaluated).
-#define TABSKETCH_TRACE_SPAN(name) ((void)0)
-#define TABSKETCH_TRACE_INSTANT(name, value) \
-  do {                                       \
-  } while (false)
-#endif
 
 #endif  // TABSKETCH_UTIL_TRACE_H_

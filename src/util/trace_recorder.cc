@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -32,29 +31,6 @@ void CopyName(const char* name, char (&dst)[TraceRecorder::kMaxNameLength + 1]) 
     dst[i] = name[i];
   }
   dst[i] = '\0';
-}
-
-void WriteJsonEscaped(std::ostream& os, const char* text) {
-  os << '"';
-  for (const char* c = text; *c != '\0'; ++c) {
-    switch (*c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(*c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", *c);
-          os << buf;
-        } else {
-          os << *c;
-        }
-    }
-  }
-  os << '"';
 }
 
 /// Microseconds with ns resolution — the trace-event format's `ts`/`dur`
@@ -237,7 +213,7 @@ void TraceRecorder::WriteChromeJson(std::ostream& os) const {
       const Event& event = ring->events[i % capacity];
       separator();
       os << "{\"name\": ";
-      WriteJsonEscaped(os, event.name);
+      WriteJsonString(os, event.name);
       os << ", \"cat\": \"tabsketch\", \"ph\": \"" << event.phase
          << "\", \"pid\": 1, \"tid\": " << ring->tid << ", \"ts\": ";
       WriteMicros(os, event.ts_ns);
@@ -248,10 +224,9 @@ void TraceRecorder::WriteChromeJson(std::ostream& os) const {
         os << ", \"s\": \"t\"";  // thread-scoped instant
       }
       if (event.has_arg) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.17g",
-                      std::isfinite(event.arg) ? event.arg : 0.0);
-        os << ", \"args\": {\"value\": " << buf << "}";
+        os << ", \"args\": {\"value\": ";
+        WriteJsonNumber(os, event.arg);
+        os << "}";
       }
       os << "}";
     }

@@ -232,12 +232,7 @@ TEST(AuditGlobalTest, EnabledTracksGlobalRate) {
   global.Disable();
   EXPECT_FALSE(SketchAuditor::Enabled());
   global.Enable(0.5);
-#if TABSKETCH_METRICS_ENABLED
   EXPECT_TRUE(SketchAuditor::Enabled());
-#else
-  // Compiled-out builds hard-wire Enabled() to false.
-  EXPECT_FALSE(SketchAuditor::Enabled());
-#endif  // TABSKETCH_METRICS_ENABLED
   global.Disable();
   EXPECT_FALSE(SketchAuditor::Enabled());
   MetricsRegistry::Global().ResetValues();

@@ -707,13 +707,11 @@ TEST(CliTest, ServeDaemonMatchesQueryAndReloads) {
     EXPECT_GE(MetricValue(json, key), 0.0) << key;
   }
   EXPECT_NE(json.find("serve.request.latency.seconds"), std::string::npos);
-#if TABSKETCH_METRICS_ENABLED
   EXPECT_EQ(MetricValue(json, "serve.connections.accepted"), 1.0);
   EXPECT_EQ(MetricValue(json, "serve.requests.distance"), 4.0);
   EXPECT_EQ(MetricValue(json, "serve.requests.knn"), 4.0);
   EXPECT_EQ(MetricValue(json, "serve.requests.reload"), 1.0);
   EXPECT_EQ(MetricValue(json, "serve.snapshot.swaps"), 1.0);
-#endif
 
   for (const std::string& path :
        {table_path, batch_path, day1_path, day2_path, port_path, json_path}) {
@@ -732,7 +730,7 @@ TEST(CliTest, ServeRejectsBadFlags) {
                 .code,
             1);
   // Introspection flags: --slow-log needs a threshold, the ticker needs a
-  // positive interval and at least one ring slot.
+  // positive interval.
   EXPECT_EQ(RunCli({"serve", "--table=/tmp/x.tbl", "--tile-rows=8",
                     "--tile-cols=8", "--slow-log=/tmp/slow.jsonl"})
                 .code,
@@ -745,10 +743,93 @@ TEST(CliTest, ServeRejectsBadFlags) {
                     "--tile-cols=8", "--stats-interval=0"})
                 .code,
             1);
-  EXPECT_EQ(RunCli({"serve", "--table=/tmp/x.tbl", "--tile-rows=8",
-                    "--tile-cols=8", "--stats-ring=0"})
-                .code,
-            1);
+}
+
+TEST(CliTest, ServeFailsFastOnUnwritableOutputs) {
+  const std::string table_path = TempPath("cli_serve_outputs.tbl");
+  const std::string port_path = TempPath("cli_serve_outputs.port");
+  const std::string table_flag = "--table=" + table_path;
+  const std::string port_flag = "--port-file=" + port_path;
+  {
+    const std::string out_flag = "--out=" + table_path;
+    ASSERT_EQ(RunCli({"generate", "--dataset=six-region", out_flag.c_str(),
+                      "--rows=32", "--cols=32", "--seed=3"})
+                  .code,
+              0);
+  }
+  // Each output the daemon would write for its whole life is checked
+  // before the port is bound: the start fails with an IOError instead.
+  const std::vector<std::vector<const char*>> bad_outputs = {
+      {"--slow-ms=0.000001", "--slow-log=/nonexistent-dir/slow.jsonl"},
+      {"--metrics-json=/nonexistent-dir/m.json"},
+  };
+  for (const std::vector<const char*>& bad : bad_outputs) {
+    std::remove(port_path.c_str());
+    std::vector<const char*> argv = {"serve", table_flag.c_str(),
+                                     "--tile-rows=8", "--tile-cols=8",
+                                     port_flag.c_str()};
+    argv.insert(argv.end(), bad.begin(), bad.end());
+    CliRun run{-1, "", ""};
+    std::atomic<bool> returned{false};
+    std::thread daemon([&] {
+      run = RunCli(argv);
+      returned = true;
+    });
+    bool served = false;
+    for (int i = 0; i < 2000 && !returned && !served; ++i) {
+      served = std::ifstream(port_path).good();
+      if (!served) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    if (served) raise(SIGTERM);  // a running daemon stops on SIGTERM
+    daemon.join();
+    EXPECT_FALSE(served) << bad.back() << ": the daemon started serving";
+    EXPECT_EQ(run.code, 1) << bad.back();
+    EXPECT_EQ(run.out.find("serving"), std::string::npos) << run.out;
+    EXPECT_NE(run.err.find("IOError"), std::string::npos) << run.err;
+    EXPECT_NE(run.err.find("/nonexistent-dir/"), std::string::npos)
+        << run.err;
+  }
+  std::remove(table_path.c_str());
+  std::remove(port_path.c_str());
+}
+
+TEST(CliTest, ClusterCacheBytesCountsTheQuantCodeTier) {
+  // `cluster --cache-bytes` bounds sketch memory with the code tier
+  // included, as `query` and `serve` do: the LRU gets the budget minus the
+  // pinned code pool, and the assignments stay those of --quant=off.
+  const std::string table_path = TempPath("cli_cluster_budget.tbl");
+  const std::string json_path = TempPath("cli_cluster_budget.json");
+  const std::string csv_path = TempPath("cli_cluster_budget.csv");
+  const std::string table_flag = "--table=" + table_path;
+  const std::string json_flag = "--metrics-json=" + json_path;
+  const std::string csv_flag = "--out=" + csv_path;
+  {
+    const std::string out_flag = "--out=" + table_path;
+    ASSERT_EQ(RunCli({"generate", "--dataset=six-region", out_flag.c_str(),
+                      "--rows=64", "--cols=128", "--seed=3"})
+                  .code,
+              0);
+  }
+  auto cluster = [&](const char* quant) {
+    const CliRun run = RunCli(
+        {"cluster", table_flag.c_str(), "--tile-rows=8", "--tile-cols=8",
+         "--mode=ondemand", "--sketch-k=64", "--cache-bytes=20000", quant,
+         csv_flag.c_str(), json_flag.c_str()});
+    EXPECT_EQ(run.code, 0) << run.err;
+    return ReadWholeFile(csv_path);
+  };
+  const std::string assignments_off = cluster("--quant=off");
+  EXPECT_EQ(MetricValue(ReadWholeFile(json_path), "lru.cache.capacity_bytes"),
+            20000.0);
+  EXPECT_EQ(cluster("--quant=int16"), assignments_off);
+  const std::string json = ReadWholeFile(json_path);
+  const double pool_bytes = MetricValue(json, "quant.pool.bytes");
+  EXPECT_EQ(pool_bytes, 16512.0);  // 128 tiles x (64 x 2 code bytes + 1)
+  EXPECT_EQ(MetricValue(json, "lru.cache.capacity_bytes"),
+            20000.0 - pool_bytes);
+  for (const std::string& path : {table_path, json_path, csv_path}) {
+    std::remove(path.c_str());
+  }
 }
 
 TEST(CliTest, TopRejectsBadFlags) {
@@ -824,11 +905,7 @@ TEST(CliTest, TopOnceAndTickerMetricsFileAgainstLiveDaemon) {
   EXPECT_NE(lines[0].find("p99_ms"), std::string::npos) << top.out;
   EXPECT_NE(lines[0].find("tiles"), std::string::npos) << top.out;
   const double rps = std::strtod(lines[1].c_str(), nullptr);
-#if TABSKETCH_METRICS_ENABLED
   EXPECT_GT(rps, 0.0) << top.out;
-#else
-  EXPECT_GE(rps, 0.0) << top.out;
-#endif
 
   raise(SIGTERM);
   daemon.join();
@@ -1061,7 +1138,6 @@ TEST(CliTest, ServeIngestDaemonMatchesQueryOnStitchedTable) {
   EXPECT_GE(MetricValue(json, "ingest.tiles.reused"), 0.0);
   EXPECT_GE(MetricValue(json, "ingest.window.tile_cols"), 0.0);
   EXPECT_NE(json.find("ingest.append.latency.seconds"), std::string::npos);
-#if TABSKETCH_METRICS_ENABLED
   EXPECT_EQ(MetricValue(json, "ingest.appends"), 2.0);
   EXPECT_EQ(MetricValue(json, "ingest.columns.appended"), 32.0);
   EXPECT_EQ(MetricValue(json, "ingest.tiles.sketched"), 16.0);
@@ -1069,7 +1145,6 @@ TEST(CliTest, ServeIngestDaemonMatchesQueryOnStitchedTable) {
   EXPECT_EQ(MetricValue(json, "serve.requests.append"), 2.0);
   EXPECT_EQ(MetricValue(json, "ingest.window.tile_cols"), 6.0);
   EXPECT_EQ(MetricValue(json, "ingest.window.pending_cols"), 0.0);
-#endif
 
   for (const std::string& path : pieces) std::remove(path.c_str());
   for (const std::string& path :
@@ -1303,10 +1378,7 @@ TEST(CliMetricsTest, ClusterDumpCarriesDocumentedSchema) {
   }
   EXPECT_GE(MetricValue(json, "span.cluster.assign.seconds"), 0.0);
 
-#if TABSKETCH_METRICS_ENABLED
   // Precomputed sketch mode: every distance evaluation is a sketch estimate.
-  // (With the layer compiled out the dump still carries the preregistered
-  // keys, but every value is zero, so only the ON build asserts counts.)
   const double sketch_evals =
       MetricValue(json, "cluster.distance_evals.sketch");
   const double exact_evals = MetricValue(json, "cluster.distance_evals.exact");
@@ -1315,7 +1387,6 @@ TEST(CliMetricsTest, ClusterDumpCarriesDocumentedSchema) {
   EXPECT_GT(MetricValue(json, "estimator.estimate.calls"), 0.0);
   EXPECT_GT(MetricValue(json, "sketcher.sketch_of.calls"), 0.0);
   EXPECT_GT(MetricValue(json, "cluster.kmeans.iterations"), 0.0);
-#endif  // TABSKETCH_METRICS_ENABLED
 
   std::remove(table_path.c_str());
   std::remove(json_path.c_str());
@@ -1339,10 +1410,8 @@ TEST(CliMetricsTest, ExactModeSplitsEvaluationsToExact) {
   ASSERT_EQ(run.code, 0) << run.err;
   const std::string json = ReadWholeFile(json_path);
   EXPECT_TRUE(tabsketch::testing::JsonChecker::Valid(json)) << json;
-#if TABSKETCH_METRICS_ENABLED
   EXPECT_GT(MetricValue(json, "cluster.distance_evals.exact"), 0.0);
   EXPECT_EQ(MetricValue(json, "cluster.distance_evals.sketch"), 0.0);
-#endif  // TABSKETCH_METRICS_ENABLED
   std::remove(table_path.c_str());
   std::remove(json_path.c_str());
 }
@@ -1368,7 +1437,6 @@ TEST(CliMetricsTest, PoolBuildDumpRecordsFftAndPoolStages) {
 
   const std::string json = ReadWholeFile(json_path);
   EXPECT_TRUE(tabsketch::testing::JsonChecker::Valid(json)) << json;
-#if TABSKETCH_METRICS_ENABLED
   EXPECT_EQ(MetricValue(json, "fft.plan.constructions"), 1.0);
   EXPECT_GT(MetricValue(json, "fft.correlate_pair.calls"), 0.0);
   EXPECT_EQ(MetricValue(json, "pool.build.canonical_sizes"), 9.0);
@@ -1381,7 +1449,6 @@ TEST(CliMetricsTest, PoolBuildDumpRecordsFftAndPoolStages) {
   ASSERT_NE(fft_span, std::string::npos);
   const std::string fft_entry = json.substr(fft_span, 80);
   EXPECT_EQ(fft_entry.find("\"count\": 0,"), std::string::npos) << fft_entry;
-#endif  // TABSKETCH_METRICS_ENABLED
 
   std::remove(table_path.c_str());
   std::remove(pool_path.c_str());
@@ -1408,12 +1475,9 @@ TEST(CliMetricsTest, RepeatedRunsResetBetweenDumps) {
     return MetricValue(ReadWholeFile(json_path), "sketcher.sketch_of.calls");
   };
   // Identical runs dump identical counts — the registry resets per run
-  // instead of accumulating across in-process invocations. (In OFF builds
-  // both runs dump zero, which still satisfies the reset invariant.)
+  // instead of accumulating across in-process invocations.
   const double first = sketch_calls();
-#if TABSKETCH_METRICS_ENABLED
   EXPECT_GT(first, 0.0);
-#endif  // TABSKETCH_METRICS_ENABLED
   EXPECT_EQ(sketch_calls(), first);
   std::remove(table_path.c_str());
   std::remove(json_path.c_str());
@@ -1421,11 +1485,9 @@ TEST(CliMetricsTest, RepeatedRunsResetBetweenDumps) {
 
 /// Extracts `"inner": <number>` from inside the one-line JSON object dumped
 /// for `"outer": {...}` — used to read a single histogram percentile.
-/// Returns -1 when either key is absent. (Only referenced when the
-/// observability layer is compiled in, hence maybe_unused.)
-[[maybe_unused]] double NestedMetricValue(const std::string& json,
-                                          const std::string& outer,
-                                          const std::string& inner) {
+/// Returns -1 when either key is absent.
+double NestedMetricValue(const std::string& json, const std::string& outer,
+                         const std::string& inner) {
   const size_t start = json.find("\"" + outer + "\": {");
   if (start == std::string::npos) return -1.0;
   const size_t end = json.find('}', start);
@@ -1473,12 +1535,9 @@ TEST(CliTraceTest, ClusterTraceJsonIsValidChromeTrace) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"process_name\""), std::string::npos);
   EXPECT_NE(json.find("\"dropped\": 0"), std::string::npos);
-#if TABSKETCH_METRICS_ENABLED
-  // The instrumented spans show up as complete ('X') events; with the layer
-  // compiled out the file still carries valid (metadata-only) JSON.
+  // The instrumented spans show up as complete ('X') events.
   EXPECT_NE(json.find("\"cluster.assign\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-#endif  // TABSKETCH_METRICS_ENABLED
 
   std::remove(table_path.c_str());
   std::remove(trace_path.c_str());
@@ -1638,7 +1697,6 @@ TEST(CliAuditTest, RateOneDumpReportsEnvelopeConsistentErrors) {
 
   const std::string json = ReadWholeFile(json_path);
   EXPECT_TRUE(tabsketch::testing::JsonChecker::Valid(json)) << json;
-#if TABSKETCH_METRICS_ENABLED
   // End-of-run summary line on stdout.
   EXPECT_NE(run.out.find("audit p=1 k=64:"), std::string::npos) << run.out;
   const double samples = MetricValue(json, "audit.samples");
@@ -1650,10 +1708,6 @@ TEST(CliAuditTest, RateOneDumpReportsEnvelopeConsistentErrors) {
   const double violations = MetricValue(json, "audit.violations");
   EXPECT_GE(violations, 0.0);
   EXPECT_LT(violations, samples / 2.0);
-#else
-  // With the layer compiled out the flag parses but the auditor is inert.
-  EXPECT_EQ(run.out.find("audit p="), std::string::npos) << run.out;
-#endif  // TABSKETCH_METRICS_ENABLED
 
   std::remove(table_path.c_str());
   std::remove(json_path.c_str());

@@ -225,26 +225,23 @@ TEST(MetricsTickerTest, BaselineTickRingAndAtomicFileRewrites) {
 
   MetricsTicker::Options options;
   options.interval_seconds = 0.02;
-  options.ring_capacity = 4;
   options.metrics_json_path = path;
   options.registry = &registry;
+  const double before = CaptureSnapshot(registry).wall_seconds;
   MetricsTicker ticker(options);
 
   // The constructor takes a synchronous baseline tick, so a window baseline
   // exists before the first interval elapses.
   EXPECT_GE(ticker.ticks(), 1u);
-  ASSERT_TRUE(ticker.Latest().has_value());
+  EXPECT_GE(ticker.WindowBaseline(before).wall_seconds, before);
 
   registry.GetCounter("tick.requests")->Increment(5);
   while (ticker.ticks() < 4) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  const std::optional<MetricsSnapshot> latest = ticker.Latest();
-  ASSERT_TRUE(latest.has_value());
-  const std::optional<MetricsSnapshot> baseline =
-      ticker.WindowBaseline(latest->wall_seconds + 1.0);
-  ASSERT_TRUE(baseline.has_value());
-  EXPECT_LE(baseline->wall_seconds, latest->wall_seconds);
+  const MetricsSnapshot now = CaptureSnapshot(registry);
+  const MetricsSnapshot baseline = ticker.WindowBaseline(now.wall_seconds);
+  EXPECT_LE(baseline.wall_seconds, now.wall_seconds);
 
   ticker.Stop();
   const uint64_t ticks_after_stop = ticker.ticks();
@@ -271,21 +268,23 @@ TEST(MetricsTickerTest, RingIsBoundedByCapacity) {
   MetricsRegistry registry;
   MetricsTicker::Options options;
   options.interval_seconds = 0.005;
-  options.ring_capacity = 2;
   options.registry = &registry;
   MetricsTicker ticker(options);
   while (ticker.ticks() < 6) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   ticker.Stop();
-  // Only the newest two snapshots survive; WindowBaseline falls back to the
-  // oldest retained entry even for an arbitrarily old requested window.
-  const std::optional<MetricsSnapshot> latest = ticker.Latest();
-  const std::optional<MetricsSnapshot> oldest =
-      ticker.WindowBaseline(latest->wall_seconds + 1e9);
-  ASSERT_TRUE(latest.has_value());
-  ASSERT_TRUE(oldest.has_value());
-  EXPECT_GE(latest->wall_seconds, oldest->wall_seconds);
+  // The ticker keeps the newest capture and the one before it. A window
+  // ending long after the newest starts at the newest; one ending at the
+  // newest falls back to the capture before it.
+  const MetricsSnapshot newest = ticker.WindowBaseline(1e18);
+  const MetricsSnapshot before = ticker.WindowBaseline(newest.wall_seconds);
+  EXPECT_LT(before.wall_seconds, newest.wall_seconds);
+  EXPECT_EQ(newest.counter("serve.ticker.ticks") -
+                before.counter("serve.ticker.ticks"),
+            1u);
+  EXPECT_EQ(ticker.WindowBaseline(newest.wall_seconds + 1e-9).wall_seconds,
+            before.wall_seconds);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "json_checker.h"
 #include "util/metrics.h"
+#include "util/metrics_snapshot.h"
 #include "util/trace.h"
 
 namespace tabsketch {
@@ -25,6 +26,18 @@ using util::Gauge;
 using util::Histogram;
 using util::MetricsRegistry;
 using util::ScopedSpan;
+
+/// Percentiles are read from a capture of the live histogram.
+double Percentile(const Histogram& histogram, double q) {
+  return util::CaptureHistogram(histogram).Percentile(q);
+}
+
+/// The metrics-v1 document of `registry`.
+std::string MetricsJson(const MetricsRegistry& registry) {
+  std::ostringstream os;
+  util::WriteMetricsJson(util::CaptureSnapshot(registry), os);
+  return os.str();
+}
 
 /// Restores the global enable flag and wipes the global registry's values on
 /// scope exit, so tests can flip the flag without leaking state into each
@@ -66,7 +79,7 @@ TEST(MetricsHistogramTest, CountSumMinMax) {
   EXPECT_EQ(histogram.count(), 0u);
   EXPECT_DOUBLE_EQ(histogram.min(), 0.0);
   EXPECT_DOUBLE_EQ(histogram.max(), 0.0);
-  EXPECT_DOUBLE_EQ(histogram.Percentile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(Percentile(histogram, 0.5), 0.0);
 
   histogram.Observe(0.25);
   histogram.Observe(1.0);
@@ -90,17 +103,17 @@ TEST(MetricsHistogramTest, PercentilesBracketTheDistribution) {
   // Log2 buckets give factor-2 resolution: the p50 must land within a factor
   // of two of the fast mode and the p99 within a factor of two of the slow
   // mode.
-  const double p50 = histogram.Percentile(0.5);
-  const double p99 = histogram.Percentile(0.99);
+  const double p50 = Percentile(histogram, 0.5);
+  const double p99 = Percentile(histogram, 0.99);
   EXPECT_GE(p50, 0.5e-3);
   EXPECT_LE(p50, 2e-3);
   EXPECT_GE(p99, 0.5);
   EXPECT_LE(p99, 2.0);
-  EXPECT_LE(histogram.Percentile(0.1), p50);
+  EXPECT_LE(Percentile(histogram, 0.1), p50);
   EXPECT_LE(p50, p99);
   // Quantiles never leave the observed range.
-  EXPECT_GE(histogram.Percentile(0.0), histogram.min());
-  EXPECT_LE(histogram.Percentile(1.0), histogram.max());
+  EXPECT_GE(Percentile(histogram, 0.0), histogram.min());
+  EXPECT_LE(Percentile(histogram, 1.0), histogram.max());
 }
 
 TEST(MetricsHistogramTest, SingleSampleReportsItself) {
@@ -109,8 +122,8 @@ TEST(MetricsHistogramTest, SingleSampleReportsItself) {
   EXPECT_DOUBLE_EQ(histogram.min(), 0.007);
   EXPECT_DOUBLE_EQ(histogram.max(), 0.007);
   // With one sample, clamping to [min, max] makes every quantile exact.
-  EXPECT_DOUBLE_EQ(histogram.Percentile(0.5), 0.007);
-  EXPECT_DOUBLE_EQ(histogram.Percentile(0.99), 0.007);
+  EXPECT_DOUBLE_EQ(Percentile(histogram, 0.5), 0.007);
+  EXPECT_DOUBLE_EQ(Percentile(histogram, 0.99), 0.007);
 }
 
 TEST(MetricsHistogramTest, IgnoresNanKeepsNegativeAndZeroInUnderflow) {
@@ -189,7 +202,6 @@ TEST(MetricsRegistryTest, EnableFlagGatesTheMacros) {
   TABSKETCH_METRIC_COUNT_N("gate.test.counter", 2);
   TABSKETCH_METRIC_GAUGE_SET("gate.test.gauge", 5);
   TABSKETCH_METRIC_OBSERVE("gate.test.histogram", 0.125);
-#if TABSKETCH_METRICS_ENABLED
   EXPECT_EQ(MetricsRegistry::Global().GetCounter("gate.test.counter")->value(),
             3u);
   EXPECT_DOUBLE_EQ(
@@ -197,26 +209,6 @@ TEST(MetricsRegistryTest, EnableFlagGatesTheMacros) {
   EXPECT_EQ(
       MetricsRegistry::Global().GetHistogram("gate.test.histogram")->count(),
       1u);
-#else
-  EXPECT_EQ(MetricsRegistry::Global().GetCounter("gate.test.counter")->value(),
-            0u);
-#endif
-}
-
-TEST(MetricsTraceTest, ScopedSpanRecordsElapsedSeconds) {
-  MetricsRegistry registry;
-  {
-    ScopedSpan span("unit", &registry);
-  }
-  Histogram* histogram = registry.GetHistogram("span.unit.seconds");
-  EXPECT_EQ(histogram->count(), 1u);
-  EXPECT_GE(histogram->sum(), 0.0);
-
-  // Stop() is explicit and idempotent.
-  ScopedSpan span("unit", &registry);
-  EXPECT_GE(span.Stop(), 0.0);
-  EXPECT_DOUBLE_EQ(span.Stop(), 0.0);
-  EXPECT_EQ(histogram->count(), 2u);
 }
 
 TEST(MetricsTraceTest, SpanAgainstGlobalRespectsEnableFlag) {
@@ -234,12 +226,16 @@ TEST(MetricsTraceTest, SpanAgainstGlobalRespectsEnableFlag) {
   {
     TABSKETCH_TRACE_SPAN("global_gate");
   }
-#if TABSKETCH_METRICS_ENABLED
-  EXPECT_EQ(MetricsRegistry::Global()
-                .GetHistogram("span.global_gate.seconds")
-                ->count(),
-            1u);
-#endif
+  Histogram* histogram =
+      MetricsRegistry::Global().GetHistogram("span.global_gate.seconds");
+  EXPECT_EQ(histogram->count(), 1u);
+  EXPECT_GE(histogram->sum(), 0.0);
+
+  // Stop() is explicit and idempotent.
+  ScopedSpan span("global_gate");
+  EXPECT_GE(span.Stop(), 0.0);
+  EXPECT_DOUBLE_EQ(span.Stop(), 0.0);
+  EXPECT_EQ(histogram->count(), 2u);
 }
 
 TEST(MetricsJsonTest, DumpIsValidJsonWithDocumentedShape) {
@@ -250,9 +246,7 @@ TEST(MetricsJsonTest, DumpIsValidJsonWithDocumentedShape) {
   registry.GetHistogram("span.cluster.assign.seconds")->Observe(0.004);
   registry.GetHistogram("span.cluster.assign.seconds")->Observe(0.008);
 
-  std::ostringstream os;
-  registry.WriteJson(os);
-  const std::string json = os.str();
+  const std::string json = MetricsJson(registry);
 
   EXPECT_TRUE(JsonChecker::Valid(json)) << json;
   EXPECT_NE(json.find("\"schema\": \"tabsketch-metrics-v1\""),
@@ -281,17 +275,15 @@ TEST(MetricsJsonTest, DumpIsValidJsonWithDocumentedShape) {
 
 TEST(MetricsJsonTest, EmptyRegistryStillValid) {
   MetricsRegistry registry;
-  std::ostringstream os;
-  registry.WriteJson(os);
-  EXPECT_TRUE(JsonChecker::Valid(os.str())) << os.str();
+  const std::string json = MetricsJson(registry);
+  EXPECT_TRUE(JsonChecker::Valid(json)) << json;
 }
 
 TEST(MetricsJsonTest, EscapesAwkwardMetricNames) {
   MetricsRegistry registry;
   registry.GetCounter("weird\"name\\with\ncontrol")->Increment();
-  std::ostringstream os;
-  registry.WriteJson(os);
-  EXPECT_TRUE(JsonChecker::Valid(os.str())) << os.str();
+  const std::string json = MetricsJson(registry);
+  EXPECT_TRUE(JsonChecker::Valid(json)) << json;
 }
 
 }  // namespace

@@ -435,6 +435,37 @@ TEST_F(ServeTest, OverlongLineGetsOneErrorThenEofOthersUnaffected) {
   (*server)->Shutdown();
 }
 
+size_t MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST_F(ServeTest, FinishedConnectionThreadsAreReaped) {
+  // Every handler thread owns a stack mapping until it is joined. A daemon
+  // that joined only at shutdown would add about two mappings per connection
+  // it ever served; reaping keeps the count flat over sequential clients.
+  auto snapshot = Snapshot::Create(TableSpec());
+  ASSERT_TRUE(snapshot.ok());
+  SnapshotHolder holder(*snapshot);
+  auto server = Server::Start(&holder, ServerOptions{});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  const size_t before = MappingCount();
+  for (int i = 0; i < 500; ++i) {
+    TestClient client((*server)->port());
+    client.SendLine("ping");
+    ASSERT_EQ(client.RecvLine(), "ok ping");
+    client.SendLine("quit");
+    ASSERT_EQ(client.RecvLine(), "ok bye");
+  }
+  const size_t after = MappingCount();
+  EXPECT_LT(after, before + 100) << before << " -> " << after;
+  EXPECT_EQ((*server)->connections_accepted(), 500u);
+  (*server)->Shutdown();
+}
+
 TEST_F(ServeTest, MixedBatchByteIdenticalToQueryEngineAcrossConfigs) {
   // The daemon must answer byte-identically to the engine for each cache
   // policy / thread count combination (the `query` CLI equivalence).
@@ -910,7 +941,6 @@ TEST_F(ServeTest, StatsVerbsAnswerWhileQueryPathIsSaturated) {
   (*server)->Shutdown();
 }
 
-#if TABSKETCH_METRICS_ENABLED
 TEST_F(ServeTest, StatsJsonCountsTrafficAndPromExposesRegistry) {
   const ScopedGlobalMetrics metrics;
   auto snapshot = Snapshot::Create(TableSpec());
@@ -964,14 +994,13 @@ TEST_F(ServeTest, StatsJsonWindowRatesComeFromTickerBaseline) {
 
   util::MetricsTicker::Options ticker_options;
   ticker_options.interval_seconds = 0.02;
-  ticker_options.ring_capacity = 8;
   util::MetricsTicker ticker(ticker_options);
   ServerOptions options;
   options.ticker = &ticker;
   auto server = Server::Start(&holder, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  // Keep traffic flowing while polling: once a ring snapshot at least half
+  // Keep traffic flowing while polling: once a ticker capture at least half
   // an interval old exists, the diff window over the continuing stream must
   // show a non-zero rate. (A single up-front burst could race the ticker —
   // a tick between burst and scrape would swallow it into the baseline.)
@@ -1070,15 +1099,12 @@ TEST_F(ServeTest, GaugesBalanceOnEveryExitPath) {
   EXPECT_EQ(inflight_distance->value(), 0.0);
   EXPECT_EQ(inflight_knn->value(), 0.0);
 }
-#endif  // TABSKETCH_METRICS_ENABLED
 
 TEST_F(ServeTest, AnswersByteIdenticalWithIntrospectionPlaneOn) {
-  // The whole plane at once — metrics on (where compiled in), a fast ticker,
+  // The whole plane at once — metrics on, a fast ticker,
   // an everything-is-slow slow log, interleaved stats scrapes — must not
   // change a single answer byte relative to the bare engine.
-#if TABSKETCH_METRICS_ENABLED
   const ScopedGlobalMetrics metrics;
-#endif
   auto snapshot = Snapshot::Create(TableSpec());
   ASSERT_TRUE(snapshot.ok());
   const std::vector<std::string> lines = MixedBatchLines();

@@ -120,11 +120,9 @@ TEST(TraceRecorderTest, EnforcesMinimumCapacity) {
 
 TEST(TraceRecorderTest, WraparoundDropsOldestAndCountsThem) {
   GlobalObservabilityGuard guard;
-#if TABSKETCH_METRICS_ENABLED
   util::PreregisterCoreMetrics(&MetricsRegistry::Global());
   MetricsRegistry::Global().ResetValues();
   MetricsRegistry::SetEnabled(true);
-#endif  // TABSKETCH_METRICS_ENABLED
   TraceRecorder& recorder = TraceRecorder::Global();
   recorder.Start(16);
   for (uint64_t i = 0; i < 50; ++i) recorder.RecordComplete("event", i, 1);
@@ -144,11 +142,9 @@ TEST(TraceRecorderTest, WraparoundDropsOldestAndCountsThem) {
   const std::string json = os.str();
   EXPECT_TRUE(JsonChecker::Valid(json)) << json;
   EXPECT_NE(json.find("\"dropped\": 34"), std::string::npos);
-#if TABSKETCH_METRICS_ENABLED
   // Stop() mirrored the loss into the metrics counter.
   EXPECT_EQ(MetricsRegistry::Global().GetCounter("trace.dropped")->value(),
             34u);
-#endif  // TABSKETCH_METRICS_ENABLED
 }
 
 TEST(TraceRecorderTest, ThreadsGetDistinctRingsWithMonotonicTimestamps) {
@@ -198,8 +194,6 @@ TEST(TraceRecorderTest, RestartInvalidatesPreviousRecording) {
   EXPECT_STREQ(events[0].second.name, "second");
 }
 
-#if TABSKETCH_METRICS_ENABLED
-
 TEST(TraceRecorderTest, SpanMacroFeedsGlobalRecorder) {
   GlobalObservabilityGuard guard;
   MetricsRegistry::SetEnabled(false);  // tracing alone must suffice
@@ -239,8 +233,6 @@ TEST(TraceRecorderTest, MacrosAreInertWhenNothingIsActive) {
   TABSKETCH_TRACE_INSTANT("test.inert", 1);
   EXPECT_EQ(TraceRecorder::Global().recorded(), 0u);
 }
-
-#endif  // TABSKETCH_METRICS_ENABLED
 
 }  // namespace
 }  // namespace tabsketch
