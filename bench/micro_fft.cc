@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "fft/complex_fft.h"
 #include "fft/correlate.h"
 #include "rng/xoshiro256.h"
@@ -175,33 +176,30 @@ int main(int argc, char** argv) {
     }
   }
 
-  const char* json_path = "BENCH_fft.json";
-  std::FILE* json = std::fopen(json_path, "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n"
-               "  \"bench\": \"micro_fft\",\n"
-               "  \"kernel_side\": \"n/4\",\n"
-               "  \"pair_speedup_tolerance\": %.2f,\n"
-               "  \"results\": [\n",
-               kRegressTolerance);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    std::fprintf(json,
-                 "    {\"n\": %zu, \"fft1d_us\": %.3f, "
-                 "\"correlate_ms_per_kernel\": %.4f, "
-                 "\"pair_ms_per_kernel\": %.4f, \"pair_speedup\": %.3f, "
-                 "\"pair_speedup_baseline\": %.3f, \"status\": \"%s\"}%s\n",
-                 rows[i].n, rows[i].fft1d_us, rows[i].correlate_ms,
-                 rows[i].pair_ms,
-                 rows[i].correlate_ms / rows[i].pair_ms, BaselineFor(rows[i].n),
-                 statuses[i], i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("results -> %s\n", json_path);
+  const bool written = tabsketch::bench::WriteBenchJson(
+      "BENCH_fft.json", "micro_fft", [&](std::FILE* json) {
+        std::fprintf(json,
+                     "  \"kernel_side\": \"n/4\",\n"
+                     "  \"pair_speedup_tolerance\": %.2f,\n"
+                     "  \"results\": [\n",
+                     kRegressTolerance);
+        for (size_t i = 0; i < rows.size(); ++i) {
+          std::fprintf(json,
+                       "    {\"n\": %zu, \"fft1d_us\": %.3f, "
+                       "\"correlate_ms_per_kernel\": %.4f, "
+                       "\"pair_ms_per_kernel\": %.4f, "
+                       "\"pair_speedup\": %.3f, "
+                       "\"pair_speedup_baseline\": %.3f, "
+                       "\"status\": \"%s\"}%s\n",
+                       rows[i].n, rows[i].fft1d_us, rows[i].correlate_ms,
+                       rows[i].pair_ms,
+                       rows[i].correlate_ms / rows[i].pair_ms,
+                       BaselineFor(rows[i].n), statuses[i],
+                       i + 1 < rows.size() ? "," : "");
+        }
+        std::fprintf(json, "  ]\n");
+      });
+  if (!written) return 1;
   if (!tabsketch::util::FlushObservability(observability)) return 1;
   return regressed ? 1 : 0;
 }

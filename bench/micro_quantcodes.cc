@@ -8,10 +8,7 @@
 //   2. recall of the true sketch-space top-k inside the prefilter's
 //      candidate set as the slack is scaled by {0, 0.5, 1.0} — at the full
 //      guaranteed slack recall must be exactly 1.0 (that is the
-//      byte-identity bound of DESIGN.md §13, asserted here);
-//   3. end-to-end knn batches through serve::QueryEngine under a tight LRU
-//      sketch budget, --quant=off vs --quant=int8, asserting byte-identical
-//      answers.
+//      byte-identity bound of DESIGN.md §13, asserted here).
 //
 // Rows land in BENCH_quant.json; a failed assertion exits non-zero so CI
 // can gate on it.
@@ -25,13 +22,13 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "core/code_kernels.h"
 #include "core/estimator.h"
 #include "core/lru_sketch_cache.h"
 #include "core/quantized_sketch.h"
 #include "core/sketcher.h"
 #include "data/six_region.h"
-#include "serve/query_engine.h"
 #include "table/tiling.h"
 #include "util/observability.h"
 #include "util/timer.h"
@@ -42,7 +39,6 @@ using tabsketch::core::DistanceEstimator;
 using tabsketch::core::LruSketchCache;
 using tabsketch::core::QuantizedCodePool;
 using tabsketch::core::QuantKind;
-using tabsketch::serve::QueryRequest;
 
 constexpr size_t kQueries = 64;       // query tiles per scan timing rep
 constexpr size_t kNeighbors = 10;     // top-k for the recall sweep
@@ -249,88 +245,35 @@ int main(int argc, char** argv) {
   sweep(*pool8, "int8");
   sweep(*pool16, "int16");
 
-  // --- 3. end-to-end knn under a tight LRU budget ----------------------
-  std::vector<QueryRequest> batch;
-  for (size_t q = 0; q < 128; ++q) {
-    batch.push_back(QueryRequest{QueryRequest::Kind::kKnn,
-                                 (q * 37) % tiles, 0, kNeighbors});
-  }
-  const size_t budget =
-      LruSketchCache::EntryBytes(params.k) * (tiles / 4);  // forced churn
-  const auto serve = [&](const QuantizedCodePool* codes, double* seconds) {
-    LruSketchCache::Options options;
-    options.capacity_bytes = budget;
-    LruSketchCache cache(&*sketcher, &*grid, options);
-    tabsketch::serve::QueryEngineOptions engine_options;
-    engine_options.threads = 1;
-    engine_options.quant = codes ? codes->kind() : QuantKind::kOff;
-    tabsketch::serve::QueryEngine engine(&*grid, &cache, &*estimator,
-                                         engine_options, codes);
-    tabsketch::util::WallTimer timer;
-    auto results = engine.Run(batch);
-    *seconds = timer.ElapsedSeconds();
-    if (!results.ok()) {
-      std::fprintf(stderr, "serve: %s\n",
-                   results.status().ToString().c_str());
-      std::exit(1);
-    }
-    return *results;
-  };
-  double off_seconds = 0, int8_seconds = 0;
-  const auto off_answers = serve(nullptr, &off_seconds);
-  const auto int8_answers = serve(&*pool8, &int8_seconds);
-  const bool identical_output = off_answers == int8_answers;
-  std::printf("e2e knn (%zu requests, lru budget %zuB): off %.4fs, "
-              "int8 %.4fs, identical output: %s\n",
-              batch.size(), budget, off_seconds, int8_seconds,
-              identical_output ? "yes" : "NO");
-  if (!identical_output) {
-    failed = true;
-    std::fprintf(stderr, "FAIL: --quant=int8 answers differ from off\n");
-  }
-
-  const char* json_path = "BENCH_quant.json";
-  std::FILE* json = std::fopen(json_path, "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n"
-               "  \"bench\": \"micro_quantcodes\",\n"
-               "  \"tiles\": %zu,\n"
-               "  \"sketch_k\": %zu,\n"
-               "  \"p\": %.1f,\n"
-               "  \"min_int8_speedup\": %.1f,\n"
-               "  \"identical_output\": %s,\n"
-               "  \"scan\": [\n",
-               tiles, params.k, params.p, kMinSpeedup,
-               identical_output ? "true" : "false");
-  for (size_t i = 0; i < scans.size(); ++i) {
-    std::fprintf(json,
-                 "    {\"tier\": \"%s\", \"ns_per_pair\": %.1f, "
-                 "\"gbps\": %.3f, \"speedup_vs_double\": %.3f}%s\n",
-                 scans[i].tier.c_str(), scans[i].ns_per_pair, scans[i].gbps,
-                 scans[i].speedup, i + 1 < scans.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n  \"recall\": [\n");
-  for (size_t i = 0; i < recalls.size(); ++i) {
-    std::fprintf(json,
-                 "    {\"tier\": \"%s\", \"slack_multiplier\": %.1f, "
-                 "\"recall\": %.4f, \"kept_fraction\": %.4f}%s\n",
-                 recalls[i].tier.c_str(), recalls[i].slack_multiplier,
-                 recalls[i].recall, recalls[i].kept_fraction,
-                 i + 1 < recalls.size() ? "," : "");
-  }
-  std::fprintf(json,
-               "  ],\n"
-               "  \"e2e\": [\n"
-               "    {\"quant\": \"off\", \"seconds\": %.4f},\n"
-               "    {\"quant\": \"int8\", \"seconds\": %.4f}\n"
-               "  ]\n}\n",
-               off_seconds, int8_seconds);
-  std::fclose(json);
-  std::printf("results -> %s\n", json_path);
+  const bool written = tabsketch::bench::WriteBenchJson(
+      "BENCH_quant.json", "micro_quantcodes", [&](std::FILE* json) {
+        std::fprintf(json,
+                     "  \"tiles\": %zu,\n"
+                     "  \"sketch_k\": %zu,\n"
+                     "  \"p\": %.1f,\n"
+                     "  \"min_int8_speedup\": %.1f,\n"
+                     "  \"scan\": [\n",
+                     tiles, params.k, params.p, kMinSpeedup);
+        for (size_t i = 0; i < scans.size(); ++i) {
+          std::fprintf(json,
+                       "    {\"tier\": \"%s\", \"ns_per_pair\": %.1f, "
+                       "\"gbps\": %.3f, \"speedup_vs_double\": %.3f}%s\n",
+                       scans[i].tier.c_str(), scans[i].ns_per_pair,
+                       scans[i].gbps, scans[i].speedup,
+                       i + 1 < scans.size() ? "," : "");
+        }
+        std::fprintf(json, "  ],\n  \"recall\": [\n");
+        for (size_t i = 0; i < recalls.size(); ++i) {
+          std::fprintf(json,
+                       "    {\"tier\": \"%s\", \"slack_multiplier\": %.1f, "
+                       "\"recall\": %.4f, \"kept_fraction\": %.4f}%s\n",
+                       recalls[i].tier.c_str(), recalls[i].slack_multiplier,
+                       recalls[i].recall, recalls[i].kept_fraction,
+                       i + 1 < recalls.size() ? "," : "");
+        }
+        std::fprintf(json, "  ]\n");
+      });
+  if (!written) return 1;
   if (!tabsketch::util::FlushObservability(observability)) return 1;
   return failed ? 1 : 0;
 }

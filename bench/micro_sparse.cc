@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench_json.h"
 #include "core/estimator.h"
 #include "core/lp_distance.h"
 #include "core/sketch_pool.h"
@@ -216,41 +217,34 @@ int main(int argc, char** argv) {
                  "FAIL: sparse pool differs across thread counts\n");
   }
 
-  const char* json_path = "BENCH_sparse.json";
-  std::FILE* json = std::fopen(json_path, "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
-    return 1;
-  }
-  std::fprintf(json,
-               "{\n"
-               "  \"bench\": \"micro_sparse\",\n"
-               "  \"table\": [%zu, %zu],\n"
-               "  \"windows\": [8, 16],\n"
-               "  \"sketch_k\": %zu,\n"
-               "  \"p\": %.1f,\n"
-               "  \"sparsity\": %.2f,\n"
-               "  \"min_speedup\": %.1f,\n"
-               "  \"build\": {\"dense_seconds\": %.4f, "
-               "\"sparse_seconds\": %.4f, \"speedup\": %.3f},\n"
-               "  \"li_bound\": %.4f,\n"
-               "  \"audit\": [\n",
-               data.rows(), data.cols(), kSketchK, sparse_params.p,
-               kSparsity, kMinSpeedup, dense_seconds, sparse_seconds,
-               speedup, li_bound);
-  for (size_t i = 0; i < audits.size(); ++i) {
-    std::fprintf(json,
-                 "    {\"window\": %zu, \"median_relerr\": %.4f}%s\n",
-                 audits[i].window, audits[i].median_relerr,
-                 i + 1 < audits.size() ? "," : "");
-  }
-  std::fprintf(json,
-               "  ],\n"
-               "  \"identical_across_threads\": %s\n"
-               "}\n",
-               identical ? "true" : "false");
-  std::fclose(json);
-  std::printf("results -> %s\n", json_path);
+  const bool written = tabsketch::bench::WriteBenchJson(
+      "BENCH_sparse.json", "micro_sparse", [&](std::FILE* json) {
+        std::fprintf(json,
+                     "  \"table\": [%zu, %zu],\n"
+                     "  \"windows\": [8, 16],\n"
+                     "  \"sketch_k\": %zu,\n"
+                     "  \"p\": %.1f,\n"
+                     "  \"sparsity\": %.2f,\n"
+                     "  \"min_speedup\": %.1f,\n"
+                     "  \"build\": {\"dense_seconds\": %.4f, "
+                     "\"sparse_seconds\": %.4f, \"speedup\": %.3f},\n"
+                     "  \"li_bound\": %.4f,\n"
+                     "  \"audit\": [\n",
+                     data.rows(), data.cols(), kSketchK, sparse_params.p,
+                     kSparsity, kMinSpeedup, dense_seconds, sparse_seconds,
+                     speedup, li_bound);
+        for (size_t i = 0; i < audits.size(); ++i) {
+          std::fprintf(json,
+                       "    {\"window\": %zu, \"median_relerr\": %.4f}%s\n",
+                       audits[i].window, audits[i].median_relerr,
+                       i + 1 < audits.size() ? "," : "");
+        }
+        std::fprintf(json,
+                     "  ],\n"
+                     "  \"identical_across_threads\": %s\n",
+                     identical ? "true" : "false");
+      });
+  if (!written) return 1;
   if (!tabsketch::util::FlushObservability(observability)) return 1;
   return failed ? 1 : 0;
 }

@@ -790,8 +790,10 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
   // The port file is the daemon's readiness signal for scripts; written
   // atomically so a reader polling for it never sees a partial write.
   if (!port_file.empty()) {
-    TABSKETCH_RETURN_CLI(util::WriteFileAtomic(
-        port_file, std::to_string(server->port()) + "\n"));
+    TABSKETCH_RETURN_CLI(
+        util::WriteFileAtomic(port_file, [&](std::ostream& os) {
+          os << server->port() << "\n";
+        }));
   }
 
   char byte = 0;

@@ -1,9 +1,7 @@
 #include "core/pool_io.h"
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -11,6 +9,7 @@
 #include <vector>
 
 #include "table/matrix.h"
+#include "util/atomic_file.h"
 
 namespace tabsketch::core {
 namespace {
@@ -45,14 +44,6 @@ struct FieldHeader {
 
 util::Status WriteSketchPool(const SketchPool& pool,
                              const std::string& path) {
-  // Write to a sibling temp file and rename into place on success: a crash
-  // mid-write must never leave a file at `path` that passes the magic/version
-  // check and only fails later as "truncated".
-  const std::string tmp_path = path + ".tmp";
-  std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return util::Status::IOError("cannot open for writing: " + tmp_path);
-  }
   Header header;
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
   header.version = kVersion;
@@ -63,36 +54,24 @@ util::Status WriteSketchPool(const SketchPool& pool,
   header.data_cols = pool.data_cols();
   header.num_fields = pool.fields().size();
   header.sparsity = pool.params().sparsity;
-  out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-
-  for (const auto& [size, field] : pool.fields()) {
-    FieldHeader field_header;
-    field_header.window_rows = size.first;
-    field_header.window_cols = size.second;
-    field_header.position_rows = field.position_rows();
-    field_header.position_cols = field.position_cols();
-    out.write(reinterpret_cast<const char*>(&field_header),
-              sizeof(field_header));
-    for (size_t i = 0; i < field.k(); ++i) {
-      auto values = field.plane(i).Values();
-      out.write(reinterpret_cast<const char*>(values.data()),
-                static_cast<std::streamsize>(values.size() *
-                                             sizeof(double)));
+  return util::WriteFileAtomic(path, [&](std::ostream& out) {
+    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
+    for (const auto& [size, field] : pool.fields()) {
+      FieldHeader field_header;
+      field_header.window_rows = size.first;
+      field_header.window_cols = size.second;
+      field_header.position_rows = field.position_rows();
+      field_header.position_cols = field.position_cols();
+      out.write(reinterpret_cast<const char*>(&field_header),
+                sizeof(field_header));
+      for (size_t i = 0; i < field.k(); ++i) {
+        auto values = field.plane(i).Values();
+        out.write(reinterpret_cast<const char*>(values.data()),
+                  static_cast<std::streamsize>(values.size() *
+                                               sizeof(double)));
+      }
     }
-  }
-  out.close();
-  if (!out) {
-    std::remove(tmp_path.c_str());
-    return util::Status::IOError("write failed: " + tmp_path);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, path, ec);
-  if (ec) {
-    std::remove(tmp_path.c_str());
-    return util::Status::IOError("cannot rename " + tmp_path + " to " +
-                                 path + ": " + ec.message());
-  }
-  return util::Status::OK();
+  });
 }
 
 util::Result<SketchPool> ReadSketchPool(const std::string& path) {

@@ -1,11 +1,11 @@
 #include "core/sketch_io.h"
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
+
+#include "util/atomic_file.h"
 
 namespace tabsketch::core {
 namespace {
@@ -39,13 +39,6 @@ util::Status WriteSketchSet(const SketchSet& set, const std::string& path) {
           "sketch length disagrees with params.k");
     }
   }
-  // Temp-file-then-rename, mirroring WriteSketchPool: a crash mid-write must
-  // not leave a half-written file that passes the magic check.
-  const std::string tmp_path = path + ".tmp";
-  std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return util::Status::IOError("cannot open for writing: " + tmp_path);
-  }
   Header header;
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
   header.version = kVersion;
@@ -56,24 +49,13 @@ util::Status WriteSketchSet(const SketchSet& set, const std::string& path) {
   header.object_cols = set.object_cols;
   header.count = set.sketches.size();
   header.sparsity = set.params.sparsity;
-  out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-  for (const Sketch& sketch : set.sketches) {
-    out.write(reinterpret_cast<const char*>(sketch.values.data()),
-              static_cast<std::streamsize>(sketch.size() * sizeof(double)));
-  }
-  out.close();
-  if (!out) {
-    std::remove(tmp_path.c_str());
-    return util::Status::IOError("write failed: " + tmp_path);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, path, ec);
-  if (ec) {
-    std::remove(tmp_path.c_str());
-    return util::Status::IOError("cannot rename " + tmp_path + " to " +
-                                 path + ": " + ec.message());
-  }
-  return util::Status::OK();
+  return util::WriteFileAtomic(path, [&](std::ostream& out) {
+    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
+    for (const Sketch& sketch : set.sketches) {
+      out.write(reinterpret_cast<const char*>(sketch.values.data()),
+                static_cast<std::streamsize>(sketch.size() * sizeof(double)));
+    }
+  });
 }
 
 util::Result<SketchSet> ReadSketchSet(const std::string& path) {

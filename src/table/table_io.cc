@@ -6,6 +6,8 @@
 #include <sstream>
 #include <vector>
 
+#include "util/atomic_file.h"
+
 namespace tabsketch::table {
 namespace {
 
@@ -22,23 +24,17 @@ struct Header {
 }  // namespace
 
 util::Status WriteBinary(const Matrix& matrix, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return util::Status::IOError("cannot open for writing: " + path);
-  }
   Header header;
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
   header.version = kVersion;
   header.rows = matrix.rows();
   header.cols = matrix.cols();
-  out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-  auto values = matrix.Values();
-  out.write(reinterpret_cast<const char*>(values.data()),
-            static_cast<std::streamsize>(values.size() * sizeof(double)));
-  if (!out) {
-    return util::Status::IOError("write failed: " + path);
-  }
-  return util::Status::OK();
+  return util::WriteFileAtomic(path, [&](std::ostream& out) {
+    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
+    auto values = matrix.Values();
+    out.write(reinterpret_cast<const char*>(values.data()),
+              static_cast<std::streamsize>(values.size() * sizeof(double)));
+  });
 }
 
 util::Result<Matrix> ReadBinary(const std::string& path) {

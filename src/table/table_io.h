@@ -13,7 +13,8 @@ namespace tabsketch::table {
 /// dimensions) followed by row-major little-endian doubles. This stands in
 /// for the proprietary flat-file stores the paper's tables live in.
 ///
-/// Writes `matrix` to `path`, overwriting any existing file.
+/// Writes `matrix` to `path`, replacing any existing file atomically
+/// (util::WriteFileAtomic): a failed write leaves the previous file intact.
 util::Status WriteBinary(const Matrix& matrix, const std::string& path);
 
 /// Reads a matrix previously written by WriteBinary.

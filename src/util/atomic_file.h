@@ -1,20 +1,24 @@
 #ifndef TABSKETCH_UTIL_ATOMIC_FILE_H_
 #define TABSKETCH_UTIL_ATOMIC_FILE_H_
 
+#include <functional>
+#include <ostream>
 #include <string>
 
 #include "util/status.h"
 
 namespace tabsketch::util {
 
-/// Writes `contents` to `path` atomically: the bytes go to a sibling
-/// `path + ".tmp"` first and are renamed into place only on success, so a
-/// crash mid-write can never leave a truncated file at `path` — readers see
-/// either the previous complete file or the new complete file. This is the
-/// shared form of the temp-and-rename discipline the on-disk writers
-/// (pools, sketch sets, code pools) follow; periodic writers (the serve
-/// daemon's metrics ticker, --port-file) route through here.
-Status WriteFileAtomic(const std::string& path, const std::string& contents);
+/// Writes a file atomically: `write` streams the bytes into a sibling
+/// `path + ".tmp"`, which is renamed onto `path` only when every write and
+/// the final close succeeded. A crash or a failed write (disk full, file
+/// size limit) therefore never leaves a truncated file at `path`: readers
+/// see either the previous complete file or the new complete one, and a
+/// failed temp file is removed. Every on-disk writer routes through here:
+/// tables, sketch sets, pools, the metrics file the serve daemon's ticker
+/// rewrites, and --port-file.
+Status WriteFileAtomic(const std::string& path,
+                       const std::function<void(std::ostream&)>& write);
 
 }  // namespace tabsketch::util
 

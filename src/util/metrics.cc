@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 
 #include "util/atomic_file.h"
 #include "util/metrics_snapshot.h"
@@ -235,12 +234,9 @@ void PreregisterCoreMetrics(MetricsRegistry* registry) {
 
 Status WriteMetricsJsonFile(const MetricsRegistry& registry,
                             const std::string& path) {
-  // Temp-and-rename so a reader (or a crash) mid-rewrite never sees a
-  // truncated document — the serve daemon's ticker rewrites this file every
-  // interval while scrapers may be reading it.
-  std::ostringstream os;
-  WriteMetricsJson(CaptureSnapshot(registry), os);
-  return WriteFileAtomic(path, os.str());
+  const MetricsSnapshot snapshot = CaptureSnapshot(registry);
+  return WriteFileAtomic(
+      path, [&](std::ostream& os) { WriteMetricsJson(snapshot, os); });
 }
 
 }  // namespace tabsketch::util

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <utility>
 
+#include "util/atomic_file.h"
+
 namespace tabsketch::util {
 namespace {
 
@@ -266,7 +268,18 @@ void MetricsTicker::Run() {
 }
 
 void MetricsTicker::TickOnce() {
+  // Counted before the capture, so the kept capture and the file it renders
+  // both include the tick that took them.
+  registry_->GetCounter("serve.ticker.ticks")->Increment();
   MetricsSnapshot snapshot = CaptureSnapshot(*registry_);
+  if (!options_.metrics_json_path.empty()) {
+    // Best-effort: a transient IO failure (disk full) must not take the
+    // ticker down; the next interval retries.
+    const Status status = WriteFileAtomic(
+        options_.metrics_json_path,
+        [&](std::ostream& os) { WriteMetricsJson(snapshot, os); });
+    (void)status;
+  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     // Ticks never overlap, so after the first one latest_ holds a capture.
@@ -276,14 +289,6 @@ void MetricsTicker::TickOnce() {
     latest_ = std::move(snapshot);
   }
   ticks_.fetch_add(1, std::memory_order_relaxed);
-  registry_->GetCounter("serve.ticker.ticks")->Increment();
-  if (!options_.metrics_json_path.empty()) {
-    // Best-effort: a transient IO failure (disk full) must not take the
-    // ticker down; the next interval retries.
-    const Status status =
-        WriteMetricsJsonFile(*registry_, options_.metrics_json_path);
-    (void)status;
-  }
 }
 
 MetricsSnapshot MetricsTicker::WindowBaseline(double now_wall_seconds) const {

@@ -13,12 +13,14 @@ void ScopedSpan::Open(const char* name, uint32_t bits) {
     trace_name_ = name;
     trace_start_ns_ = TraceRecorder::Global().NowNs();
   }
-  timer_.Restart();
+  start_ = std::chrono::steady_clock::now();
 }
 
 double ScopedSpan::Stop() {
   if (seconds_ == nullptr && trace_name_ == nullptr) return 0.0;
-  const double elapsed = timer_.ElapsedSeconds();
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start_)
+                             .count();
   if (trace_name_ != nullptr) {
     TraceRecorder::Global().RecordComplete(
         trace_name_, trace_start_ns_, static_cast<uint64_t>(elapsed * 1e9));

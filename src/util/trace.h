@@ -1,11 +1,11 @@
 #ifndef TABSKETCH_UTIL_TRACE_H_
 #define TABSKETCH_UTIL_TRACE_H_
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 
 #include "util/metrics.h"
-#include "util/timer.h"
 #include "util/trace_recorder.h"
 
 namespace tabsketch::util {
@@ -17,9 +17,10 @@ namespace tabsketch::util {
 ///    TraceRecorder::Global() (when MetricsRegistry::TraceActive()).
 ///
 /// When both sinks are off at construction time, the constructor is a single
-/// relaxed load of the combined gate plus a branch — cheap enough to leave in
-/// hot paths unconditionally. The name must be a string literal: the span
-/// keeps its pointer, and the recorder copies it into its ring at Stop().
+/// relaxed load of the combined gate plus a branch, with no clock read —
+/// cheap enough to leave in hot paths unconditionally. The name must be a
+/// string literal: the span keeps its pointer, and the recorder copies it
+/// into its ring at Stop().
 class ScopedSpan {
  public:
   template <size_t N>
@@ -42,7 +43,8 @@ class ScopedSpan {
   void Open(const char* name, uint32_t bits);
 
   Histogram* seconds_ = nullptr;
-  WallTimer timer_;
+  /// Set by Open(): a disabled span never reads the clock.
+  std::chrono::steady_clock::time_point start_;
   /// The literal name while the span feeds the flight recorder, else null.
   const char* trace_name_ = nullptr;
   uint64_t trace_start_ns_ = 0;

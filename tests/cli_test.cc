@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -133,6 +134,29 @@ std::string ReadWholeFile(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+/// Extracts the numeric value of `"key": <number>` from a metrics dump.
+/// Returns -1 when the key is absent (all real metric values are >= 0).
+double MetricValue(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\": ";
+  const size_t pos = json.find(needle);
+  if (pos == std::string::npos) return -1.0;
+  return std::strtod(json.c_str() + pos + needle.size(), nullptr);
+}
+
+/// Extracts `"inner": <number>` from inside the one-line JSON object dumped
+/// for `"outer": {...}` — used to read a single histogram percentile.
+/// Returns -1 when either key is absent.
+double NestedMetricValue(const std::string& json, const std::string& outer,
+                         const std::string& inner) {
+  const size_t start = json.find("\"" + outer + "\": {");
+  if (start == std::string::npos) return -1.0;
+  const size_t end = json.find('}', start);
+  const std::string needle = "\"" + inner + "\": ";
+  const size_t pos = json.find(needle, start);
+  if (pos == std::string::npos || pos > end) return -1.0;
+  return std::strtod(json.c_str() + pos + needle.size(), nullptr);
 }
 
 TEST(CliTest, NoCommandPrintsUsageAndFails) {
@@ -333,6 +357,7 @@ TEST(CliTest, QueryOutputIsByteIdenticalAcrossThreadsAndCaches) {
   const std::string batch_path = TempPath("cli_query_batch.txt");
   const std::string sketch_path = TempPath("cli_query_sketches.bin");
   const std::string out_path = TempPath("cli_query_out.txt");
+  const std::string json_path = TempPath("cli_query_metrics.json");
   const std::string table_flag = "--table=" + table_path;
   const std::string batch_flag = "--batch=" + batch_path;
   {
@@ -383,6 +408,24 @@ TEST(CliTest, QueryOutputIsByteIdenticalAcrossThreadsAndCaches) {
     EXPECT_NE(run.err.find("lru cache:"), std::string::npos);
   }
   {
+    // A budget of a few sketches shared by 4 threads: the metrics dump
+    // shows evictions, a residency peak within the budget and every request.
+    const std::string json_flag = "--metrics-json=" + json_path;
+    const CliRun run =
+        RunCli({"query", table_flag.c_str(), "--tile-rows=8", "--tile-cols=8",
+                batch_flag.c_str(), "--p=1", "--k=64", "--cache-bytes=4096",
+                "--threads=4", json_flag.c_str()});
+    ASSERT_EQ(run.code, 0) << run.err;
+    EXPECT_EQ(run.out,
+              reference.out + "metrics written to " + json_path + "\n");
+    const std::string json = ReadWholeFile(json_path);
+    EXPECT_GT(MetricValue(json, "lru.cache.evictions"), 0.0) << json;
+    EXPECT_EQ(MetricValue(json, "lru.cache.capacity_bytes"), 4096.0);
+    EXPECT_LE(MetricValue(json, "lru.cache.peak_bytes"), 4096.0);
+    EXPECT_EQ(MetricValue(json, "query.requests.distance"), 3.0);
+    EXPECT_EQ(MetricValue(json, "query.requests.knn"), 3.0);
+  }
+  {
     // Serving from a sketch set written by `tabsketch sketch` with the same
     // parameters also matches byte-for-byte.
     const std::string out_flag = "--out=" + sketch_path;
@@ -423,6 +466,7 @@ TEST(CliTest, QueryOutputIsByteIdenticalAcrossThreadsAndCaches) {
   std::remove(batch_path.c_str());
   std::remove(sketch_path.c_str());
   std::remove(out_path.c_str());
+  std::remove(json_path.c_str());
 }
 
 // The quantized code tier is a filter only: every --quant width must
@@ -453,14 +497,22 @@ TEST(CliTest, QuantOutputsAreByteIdenticalToOff) {
       RunCli({"query", table_flag.c_str(), "--tile-rows=8", "--tile-cols=8",
               batch_flag.c_str(), "--p=1", "--k=64", "--quant=off"});
   ASSERT_EQ(query_off.code, 0) << query_off.err;
+  // Each quantized run's metrics show that the code scan actually ran.
+  const std::string json_path = TempPath("cli_quant_metrics.json");
+  const std::string json_flag = "--metrics-json=" + json_path;
   for (const char* quant : {"--quant=int8", "--quant=int16"}) {
     for (const char* extra : {"--threads=4", "--cache-bytes=4096"}) {
       const CliRun run =
           RunCli({"query", table_flag.c_str(), "--tile-rows=8",
                   "--tile-cols=8", batch_flag.c_str(), "--p=1", "--k=64",
-                  quant, extra});
+                  quant, extra, json_flag.c_str()});
       ASSERT_EQ(run.code, 0) << run.err;
-      EXPECT_EQ(run.out, query_off.out) << quant << " with " << extra;
+      EXPECT_EQ(run.out,
+                query_off.out + "metrics written to " + json_path + "\n")
+          << quant << " with " << extra;
+      const std::string json = ReadWholeFile(json_path);
+      EXPECT_GT(MetricValue(json, "quant.scan.tiles"), 0.0) << quant;
+      EXPECT_GT(MetricValue(json, "quant.scan.bytes"), 0.0) << quant;
     }
   }
 
@@ -518,15 +570,7 @@ TEST(CliTest, QuantOutputsAreByteIdenticalToOff) {
   std::remove(table_path.c_str());
   std::remove(batch_path.c_str());
   std::remove(csv_path.c_str());
-}
-
-/// Extracts the numeric value of `"key": <number>` from a metrics dump.
-/// Returns -1 when the key is absent (all real metric values are >= 0).
-double MetricValue(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const size_t pos = json.find(needle);
-  if (pos == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + pos + needle.size(), nullptr);
+  std::remove(json_path.c_str());
 }
 
 /// Minimal blocking line client for the serve daemon tests.
@@ -609,9 +653,9 @@ TEST(CliTest, ServeDaemonMatchesQueryAndReloads) {
   const std::string day2_path = TempPath("cli_serve_day2.sks");
   const std::string port_path = TempPath("cli_serve.port");
   const std::string json_path = TempPath("cli_serve_metrics.json");
+  const std::string slow_path = TempPath("cli_serve_slow.jsonl");
   const std::string table_flag = "--table=" + table_path;
   const std::string batch_flag = "--batch=" + batch_path;
-  std::remove(port_path.c_str());
   {
     const std::string out_flag = "--out=" + table_path;
     ASSERT_EQ(RunCli({"generate", "--dataset=six-region", out_flag.c_str(),
@@ -653,68 +697,110 @@ TEST(CliTest, ServeDaemonMatchesQueryAndReloads) {
   ASSERT_EQ(day1_lines.size(), batch_lines.size());
   ASSERT_NE(day1_lines, day2_lines);
 
-  // The daemon runs in-process on another thread; SIGTERM stops it.
+  // The daemon runs in-process on another thread; SIGTERM stops it. It runs
+  // twice: plain, then with int8 codes (rebuilt on every reload) and the
+  // introspection plane at full tilt — a 50 ms ticker, a 1 us slow threshold
+  // mirrored to JSONL, and a `stats json` scrape after every answer on the
+  // same wire. Neither run may change an answer byte.
   const std::string port_flag = "--port-file=" + port_path;
   const std::string json_flag = "--metrics-json=" + json_path;
-  CliRun serve_run{-1, "", ""};
-  std::thread daemon([&] {
-    serve_run = RunCli({"serve", table_flag.c_str(), "--tile-rows=8",
-                        "--tile-cols=8", day1_flag.c_str(),
-                        "--cache-bytes=1000000", port_flag.c_str(),
-                        json_flag.c_str()});
-  });
-  const uint16_t port = WaitForPortFile(port_path);
-  ASSERT_NE(port, 0) << "daemon never wrote its port file";
+  const std::string slow_flag = "--slow-log=" + slow_path;
+  for (const bool full_tilt : {false, true}) {
+    SCOPED_TRACE(full_tilt ? "full tilt" : "plain");
+    std::remove(port_path.c_str());
+    std::remove(slow_path.c_str());
+    std::vector<const char*> serve_args = {
+        "serve",          table_flag.c_str(),      "--tile-rows=8",
+        "--tile-cols=8",  day1_flag.c_str(),       "--cache-bytes=1000000",
+        port_flag.c_str(), json_flag.c_str()};
+    if (full_tilt) {
+      serve_args.insert(serve_args.end(),
+                        {"--quant=int8", "--stats-interval=0.05",
+                         "--slow-ms=0.001", slow_flag.c_str()});
+    }
+    CliRun serve_run{-1, "", ""};
+    std::thread daemon([&] { serve_run = RunCli(serve_args); });
+    const uint16_t port = WaitForPortFile(port_path);
+    ASSERT_NE(port, 0) << "daemon never wrote its port file";
 
-  {
-    CliServeClient client(port);
-    ASSERT_TRUE(client.connected());
-    client.SendLine("ping");
-    EXPECT_EQ(client.RecvLine(), "ok ping");
-    // Day-1 answers match `query` byte-for-byte...
-    for (size_t i = 0; i < batch_lines.size(); ++i) {
-      client.SendLine(batch_lines[i]);
-      EXPECT_EQ(client.RecvLine(), day1_lines[i]) << "line " << i;
+    {
+      CliServeClient client(port);
+      ASSERT_TRUE(client.connected());
+      client.SendLine("ping");
+      EXPECT_EQ(client.RecvLine(), "ok ping");
+      const auto expect_answers = [&](const std::vector<std::string>& want) {
+        for (size_t i = 0; i < batch_lines.size(); ++i) {
+          client.SendLine(batch_lines[i]);
+          EXPECT_EQ(client.RecvLine(), want[i]) << "line " << i;
+          if (full_tilt) {
+            client.SendLine("stats json");
+            const std::string stats = client.RecvLine();
+            EXPECT_EQ(stats.find("{\"schema\":\"tabsketch-stats-v1\""), 0u)
+                << stats;
+          }
+        }
+      };
+      // Day-1 answers match `query` byte-for-byte...
+      expect_answers(day1_lines);
+      // ...and after one live reload, so do day-2 answers.
+      client.SendLine("reload " + day2_path);
+      const std::string ack = client.RecvLine();
+      EXPECT_EQ(ack.find("ok reload "), 0u) << ack;
+      expect_answers(day2_lines);
+      client.SendLine("quit");
+      EXPECT_EQ(client.RecvLine(), "ok bye");
     }
-    // ...and after one live reload, so do day-2 answers.
-    client.SendLine("reload " + day2_path);
-    const std::string ack = client.RecvLine();
-    EXPECT_EQ(ack.find("ok reload "), 0u) << ack;
-    for (size_t i = 0; i < batch_lines.size(); ++i) {
-      client.SendLine(batch_lines[i]);
-      EXPECT_EQ(client.RecvLine(), day2_lines[i]) << "line " << i;
+
+    raise(SIGTERM);
+    daemon.join();
+    EXPECT_EQ(serve_run.code, 0) << serve_run.err;
+    EXPECT_NE(serve_run.out.find("serving "), std::string::npos);
+    EXPECT_NE(serve_run.err.find("1 snapshot swaps"), std::string::npos);
+
+    // The metrics dump carries the serve.* schema and the LRU cache
+    // counters.
+    const std::string json = ReadWholeFile(json_path);
+    EXPECT_GE(MetricValue(json, "serve.connections.accepted"), 0.0);
+    EXPECT_GE(MetricValue(json, "serve.requests.distance"), 0.0);
+    EXPECT_GE(MetricValue(json, "serve.requests.knn"), 0.0);
+    EXPECT_GE(MetricValue(json, "serve.requests.reload"), 0.0);
+    EXPECT_GE(MetricValue(json, "serve.snapshot.swaps"), 0.0);
+    EXPECT_GE(MetricValue(json, "serve.queue.depth"), 0.0);
+    for (const char* key :
+         {"lru.cache.hits", "lru.cache.misses", "lru.cache.evictions"}) {
+      EXPECT_GE(MetricValue(json, key), 0.0) << key;
     }
-    client.SendLine("quit");
-    EXPECT_EQ(client.RecvLine(), "ok bye");
+    EXPECT_NE(json.find("serve.request.latency.seconds"), std::string::npos);
+    EXPECT_EQ(MetricValue(json, "serve.connections.accepted"), 1.0);
+    EXPECT_EQ(MetricValue(json, "serve.requests.distance"), 4.0);
+    EXPECT_EQ(MetricValue(json, "serve.requests.knn"), 4.0);
+    EXPECT_EQ(MetricValue(json, "serve.requests.reload"), 1.0);
+    EXPECT_EQ(MetricValue(json, "serve.snapshot.swaps"), 1.0);
+    if (!full_tilt) continue;
+    // Nothing failed or was shed, the ticker ran, and every query beat the
+    // 1 us threshold: the JSONL mirror holds one valid record per slow one.
+    EXPECT_EQ(MetricValue(json, "serve.requests.errors"), 0.0);
+    EXPECT_EQ(MetricValue(json, "serve.requests.shed"), 0.0);
+    EXPECT_EQ(MetricValue(json, "serve.requests.stats"), 8.0);
+    EXPECT_GT(MetricValue(json, "serve.ticker.ticks"), 0.0);
+    EXPECT_EQ(
+        NestedMetricValue(json, "serve.request.latency.seconds", "count"),
+        8.0);
+    EXPECT_EQ(MetricValue(json, "serve.requests.slow"), 8.0);
+    std::ifstream mirror(slow_path);
+    size_t records = 0;
+    for (std::string line; std::getline(mirror, line); ++records) {
+      EXPECT_TRUE(tabsketch::testing::JsonChecker::Valid(line)) << line;
+      EXPECT_TRUE(line.find("\"verb\":\"distance\"") != std::string::npos ||
+                  line.find("\"verb\":\"knn\"") != std::string::npos)
+          << line;
+    }
+    EXPECT_EQ(records, 8u);
   }
 
-  raise(SIGTERM);
-  daemon.join();
-  EXPECT_EQ(serve_run.code, 0) << serve_run.err;
-  EXPECT_NE(serve_run.out.find("serving "), std::string::npos);
-  EXPECT_NE(serve_run.err.find("1 snapshot swaps"), std::string::npos);
-
-  // The metrics dump carries the serve.* schema and the LRU cache counters.
-  const std::string json = ReadWholeFile(json_path);
-  EXPECT_GE(MetricValue(json, "serve.connections.accepted"), 0.0);
-  EXPECT_GE(MetricValue(json, "serve.requests.distance"), 0.0);
-  EXPECT_GE(MetricValue(json, "serve.requests.knn"), 0.0);
-  EXPECT_GE(MetricValue(json, "serve.requests.reload"), 0.0);
-  EXPECT_GE(MetricValue(json, "serve.snapshot.swaps"), 0.0);
-  EXPECT_GE(MetricValue(json, "serve.queue.depth"), 0.0);
-  for (const char* key :
-       {"lru.cache.hits", "lru.cache.misses", "lru.cache.evictions"}) {
-    EXPECT_GE(MetricValue(json, key), 0.0) << key;
-  }
-  EXPECT_NE(json.find("serve.request.latency.seconds"), std::string::npos);
-  EXPECT_EQ(MetricValue(json, "serve.connections.accepted"), 1.0);
-  EXPECT_EQ(MetricValue(json, "serve.requests.distance"), 4.0);
-  EXPECT_EQ(MetricValue(json, "serve.requests.knn"), 4.0);
-  EXPECT_EQ(MetricValue(json, "serve.requests.reload"), 1.0);
-  EXPECT_EQ(MetricValue(json, "serve.snapshot.swaps"), 1.0);
-
-  for (const std::string& path :
-       {table_path, batch_path, day1_path, day2_path, port_path, json_path}) {
+  for (const std::string& path : {table_path, batch_path, day1_path,
+                                  day2_path, port_path, json_path,
+                                  slow_path}) {
     std::remove(path.c_str());
   }
 }
@@ -1118,6 +1204,24 @@ TEST(CliTest, ServeIngestDaemonMatchesQueryOnStitchedTable) {
       client.SendLine(batch_lines[i]);
       EXPECT_EQ(client.RecvLine(), expected[i]) << batch_lines[i];
     }
+    // A retire, then a missing piece, which answers an error line and
+    // keeps serving; `health` and `stats json` follow the window live.
+    client.SendLine("retire 1");
+    EXPECT_EQ(client.RecvLine(), "ok retire 1 tiles=20 start=1 swaps=3");
+    client.SendLine("append " + TempPath("cli_serve_ingest_missing.tbl"));
+    const std::string missing = client.RecvLine();
+    EXPECT_EQ(missing.find("error "), 0u) << missing;
+    client.SendLine("health");
+    const std::string health = client.RecvLine();
+    EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos) << health;
+    client.SendLine("stats json");
+    const std::string stats = client.RecvLine();
+    EXPECT_NE(stats.find("\"generation\":3,\"tiles\":20,"), std::string::npos)
+        << stats;
+    EXPECT_NE(stats.find("\"window_start_col\":1,\"window_tile_cols\":5,"
+                         "\"window_pending_cols\":0,"),
+              std::string::npos)
+        << stats;
     // reload is disabled under --ingest.
     client.SendLine("reload " + stitched_path);
     EXPECT_EQ(client.RecvLine(),
@@ -1129,7 +1233,7 @@ TEST(CliTest, ServeIngestDaemonMatchesQueryOnStitchedTable) {
   raise(SIGTERM);
   daemon.join();
   EXPECT_EQ(serve_run.code, 0) << serve_run.err;
-  EXPECT_NE(serve_run.err.find("2 snapshot swaps"), std::string::npos);
+  EXPECT_NE(serve_run.err.find("3 snapshot swaps"), std::string::npos);
 
   // The dump carries the ingest.* schema.
   const std::string json = ReadWholeFile(json_path);
@@ -1141,10 +1245,17 @@ TEST(CliTest, ServeIngestDaemonMatchesQueryOnStitchedTable) {
   EXPECT_EQ(MetricValue(json, "ingest.appends"), 2.0);
   EXPECT_EQ(MetricValue(json, "ingest.columns.appended"), 32.0);
   EXPECT_EQ(MetricValue(json, "ingest.tiles.sketched"), 16.0);
-  EXPECT_EQ(MetricValue(json, "ingest.tiles.reused"), 24.0);
-  EXPECT_EQ(MetricValue(json, "serve.requests.append"), 2.0);
-  EXPECT_EQ(MetricValue(json, "ingest.window.tile_cols"), 6.0);
+  // 8 + 16 reused by the appends, 20 survivors of the retire.
+  EXPECT_EQ(MetricValue(json, "ingest.tiles.reused"), 44.0);
+  EXPECT_EQ(MetricValue(json, "ingest.retires"), 1.0);
+  EXPECT_EQ(MetricValue(json, "ingest.errors"), 1.0);
+  EXPECT_EQ(MetricValue(json, "serve.requests.append"), 3.0);
+  EXPECT_EQ(MetricValue(json, "serve.requests.retire"), 1.0);
+  EXPECT_EQ(MetricValue(json, "ingest.window.tile_cols"), 5.0);
+  EXPECT_EQ(MetricValue(json, "ingest.window.start_col"), 1.0);
   EXPECT_EQ(MetricValue(json, "ingest.window.pending_cols"), 0.0);
+  EXPECT_EQ(
+      NestedMetricValue(json, "ingest.append.latency.seconds", "count"), 2.0);
 
   for (const std::string& path : pieces) std::remove(path.c_str());
   for (const std::string& path :
@@ -1483,20 +1594,6 @@ TEST(CliMetricsTest, RepeatedRunsResetBetweenDumps) {
   std::remove(json_path.c_str());
 }
 
-/// Extracts `"inner": <number>` from inside the one-line JSON object dumped
-/// for `"outer": {...}` — used to read a single histogram percentile.
-/// Returns -1 when either key is absent.
-double NestedMetricValue(const std::string& json, const std::string& outer,
-                         const std::string& inner) {
-  const size_t start = json.find("\"" + outer + "\": {");
-  if (start == std::string::npos) return -1.0;
-  const size_t end = json.find('}', start);
-  const std::string needle = "\"" + inner + "\": ";
-  const size_t pos = json.find(needle, start);
-  if (pos == std::string::npos || pos > end) return -1.0;
-  return std::strtod(json.c_str() + pos + needle.size(), nullptr);
-}
-
 /// Returns the full line of `text` containing `needle` ("" when absent).
 std::string LineContaining(const std::string& text, const std::string& needle) {
   const size_t pos = text.find(needle);
@@ -1708,6 +1805,29 @@ TEST(CliAuditTest, RateOneDumpReportsEnvelopeConsistentErrors) {
   const double violations = MetricValue(json, "audit.violations");
   EXPECT_GE(violations, 0.0);
   EXPECT_LT(violations, samples / 2.0);
+
+  // The same audit of a very sparse family: its violation rate respects the
+  // widened Li envelope eps = C(p)/sqrt(k) * s^(-1/2) (DESIGN.md Section
+  // 16) at the delta = 0.15 coverage the guarantee sweeps pin, and the
+  // sparse kernel path actually ran.
+  const CliRun sparse =
+      RunCli({"cluster", table_flag.c_str(), "--tile-rows=8", "--tile-cols=8",
+              "--k=4", "--sketch-k=64", "--p=1", "--sparsity=0.1",
+              "--audit-rate=1", json_flag.c_str()});
+  ASSERT_EQ(sparse.code, 0) << sparse.err;
+  const std::string sparse_json = ReadWholeFile(json_path);
+  const double sparse_samples = MetricValue(sparse_json, "audit.samples.p1");
+  ASSERT_GT(sparse_samples, 0.0) << sparse_json;
+  EXPECT_LE(MetricValue(sparse_json, "audit.violations.p1"),
+            0.15 * sparse_samples);
+  // Absent counters read -1: count them as 0.
+  const auto count = [&](const char* key) {
+    return std::max(0.0, MetricValue(sparse_json, key));
+  };
+  EXPECT_GT(count("sparse.sketch_of.calls") +
+                count("sparse.pool.direct_kernels") +
+                count("sparse.pool.fft_kernels"),
+            0.0);
 
   std::remove(table_path.c_str());
   std::remove(json_path.c_str());

@@ -6,12 +6,14 @@
 #include <utility>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/estimator.h"
 #include "core/growing.h"
 #include "core/ondemand.h"
 #include "core/quantized_sketch.h"
@@ -457,6 +459,105 @@ TEST(BuildSuccessorTest, RejectsOutOfRangeBaseIndex) {
       *base, GetterOver(window), base_of, &rebuilt);
   EXPECT_FALSE(successor.ok());
   EXPECT_EQ(successor.status().code(), util::StatusCode::kInvalidArgument);
+}
+
+/// Every pair of usable tiles has a code estimate within pool.Slack() of the
+/// exact estimate over the tiles' sketches.
+void ExpectCodesWithinSlack(
+    const QuantizedCodePool& pool,
+    const std::vector<std::shared_ptr<const Sketch>>& sketches,
+    const DistanceEstimator& estimator, const std::string& when) {
+  ASSERT_EQ(pool.count(), sketches.size()) << when;
+  const double slack = pool.Slack(estimator);
+  kernels::CodeScratch code_scratch;
+  std::vector<double> est_scratch;
+  for (size_t a = 0; a < sketches.size(); ++a) {
+    for (size_t b = a + 1; b < sketches.size(); ++b) {
+      if (!pool.tile_usable(a) || !pool.tile_usable(b)) continue;
+      const double exact = estimator.EstimateWithScratch(
+          sketches[a]->values, sketches[b]->values, &est_scratch);
+      const double code = pool.CodeEstimate(a, b, /*l2=*/false,
+                                            &code_scratch) /
+                          estimator.scale();
+      EXPECT_LE(std::abs(code - exact), slack)
+          << when << ": pair (" << a << "," << b << ")";
+    }
+  }
+}
+
+TEST(BuildSuccessorTest, CodeEstimatesStayWithinSlackAcrossSlides) {
+  // Real window sketches through append + retire slides, as the ingest
+  // daemon runs them. The first tile column's values are 1000x the rest, so
+  // retiring it shrinks the value range: the successor keeps the base map,
+  // wider than a cold build's, and its Slack() must still bound every code
+  // estimate.
+  const SketchParams params{.p = 1.0, .k = 16, .seed = 5};
+  auto estimator = DistanceEstimator::Create(params);
+  ASSERT_TRUE(estimator.ok());
+  for (const QuantKind kind : {QuantKind::kInt8, QuantKind::kInt16}) {
+    SCOPED_TRACE(QuantKindName(kind));
+    auto store =
+        GrowingTableSketcher::Create(params, kRows, kTileRows, kTileCols);
+    ASSERT_TRUE(store.ok());
+    table::Matrix loud = RandomPiece(kRows, kTileCols, 1);
+    for (double& value : loud.Values()) value *= 1000.0;
+    ASSERT_TRUE(store->AppendColumns(loud).ok());
+    ASSERT_TRUE(
+        store->AppendColumns(RandomPiece(kRows, 2 * kTileCols, 2)).ok());
+    std::vector<std::shared_ptr<const Sketch>> shares =
+        store->SketchSharesInGridOrder();
+    const auto sketch_of = [&shares](size_t i) {
+      return std::span<const double>(shares[i]->values);
+    };
+    auto pool = QuantizedCodePool::BuildFromGetter(
+        sketch_of, shares.size(), kind, params, kTileRows, kTileCols);
+    ASSERT_TRUE(pool.ok());
+
+    const size_t rows = store->grid_rows();
+    const size_t cols = store->grid_cols();
+    for (size_t slide = 0; slide < 4; ++slide) {
+      const std::string at = "slide " + std::to_string(slide);
+      // Append one tile column; surviving tiles keep their grid position.
+      ASSERT_TRUE(
+          store->AppendColumns(RandomPiece(kRows, kTileCols, 10 + slide))
+              .ok());
+      shares = store->SketchSharesInGridOrder();
+      std::vector<size_t> grown(rows * (cols + 1));
+      for (size_t gr = 0; gr < rows; ++gr) {
+        for (size_t gc = 0; gc <= cols; ++gc) {
+          grown[gr * (cols + 1) + gc] = gc < cols
+                                            ? gr * cols + gc
+                                            : QuantizedCodePool::kNewTile;
+        }
+      }
+      bool rebuilt = true;
+      pool = QuantizedCodePool::BuildSuccessor(*pool, sketch_of, grown,
+                                               &rebuilt);
+      ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+      EXPECT_FALSE(rebuilt) << at;
+      ExpectCodesWithinSlack(*pool, shares, *estimator, at + " append");
+
+      // Retire the oldest tile column.
+      ASSERT_TRUE(store->RetireColumns(1).ok());
+      shares = store->SketchSharesInGridOrder();
+      std::vector<size_t> slid(rows * cols);
+      for (size_t gr = 0; gr < rows; ++gr) {
+        for (size_t gc = 0; gc < cols; ++gc) {
+          slid[gr * cols + gc] = gr * (cols + 1) + gc + 1;
+        }
+      }
+      pool = QuantizedCodePool::BuildSuccessor(*pool, sketch_of, slid,
+                                               &rebuilt);
+      ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+      EXPECT_FALSE(rebuilt) << at;
+      ExpectCodesWithinSlack(*pool, shares, *estimator, at + " retire");
+
+      auto cold = QuantizedCodePool::BuildFromGetter(
+          sketch_of, shares.size(), kind, params, kTileRows, kTileCols);
+      ASSERT_TRUE(cold.ok());
+      EXPECT_GT(pool->scale(), cold->scale()) << at;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -170,6 +173,31 @@ TEST(TableIoTest, BinaryRejectsGarbage) {
 TEST(TableIoTest, BinaryMissingFile) {
   auto loaded = ReadBinary(TempPath("no_such_file_xyz.tbl"));
   EXPECT_FALSE(loaded.ok());
+}
+
+TEST(TableIoDeathTest, FailedWriteKeepsThePreviousFile) {
+  const std::string path = TempPath("tabsketch_io_fsize.tbl");
+  Matrix previous(2, 3);
+  previous.Fill(7.0);
+  ASSERT_TRUE(WriteBinary(previous, path).ok());
+  // In a child capped at 4 KiB per file, with the cap's SIGXFSZ ignored so
+  // the write fails with EFBIG instead of killing it, writing a 32 KiB table
+  // over `path` must report the failure.
+  EXPECT_EXIT(
+      {
+        rlimit cap{};
+        cap.rlim_cur = cap.rlim_max = 4096;
+        setrlimit(RLIMIT_FSIZE, &cap);
+        std::signal(SIGXFSZ, SIG_IGN);
+        std::exit(WriteBinary(Matrix(64, 64), path).ok() ? 1 : 0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  // The previous table is intact and no temp file is left behind.
+  auto loaded = ReadBinary(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(*loaded == previous);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::remove(path.c_str());
 }
 
 }  // namespace
