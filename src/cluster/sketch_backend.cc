@@ -43,8 +43,8 @@ util::Result<SketchBackend> SketchBackend::Create(
     TABSKETCH_ASSIGN_OR_RETURN(
         core::QuantizedCodePool pool,
         core::QuantizedCodePool::Build(backend.cache_.get(), quant, params,
-                                       grid->tile_rows(),
-                                       grid->tile_cols()));
+                                       grid->tile_rows(), grid->tile_cols(),
+                                       threads));
     backend.code_pool_ =
         std::make_unique<const core::QuantizedCodePool>(std::move(pool));
     TABSKETCH_METRIC_GAUGE_SET("quant.pool.bytes",

@@ -1,5 +1,6 @@
 #include "core/quantized_sketch.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -7,8 +8,10 @@
 #include <limits>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "util/logging.h"
+#include "util/parallel.h"
 
 namespace tabsketch::core {
 namespace {
@@ -23,6 +26,51 @@ bool AllFinite(std::span<const double> values) {
     if (!std::isfinite(value)) return false;
   }
   return true;
+}
+
+/// A build's first pass over a run of tiles, in tile order: the finite value
+/// range. Strict comparisons keep the first of equal extremes (so the sign
+/// of a zero extreme is the first zero's).
+struct ValueRange {
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+  bool any_finite = false;
+
+  /// Folds one tile's sketch in; false when a component is not finite.
+  bool Add(std::span<const double> values) {
+    bool finite = true;
+    for (double value : values) {
+      if (!std::isfinite(value)) {
+        finite = false;
+        continue;
+      }
+      any_finite = true;
+      if (value < min) min = value;
+      if (value > max) max = value;
+    }
+    return finite;
+  }
+
+  /// Folds in the range of the run that follows this one. Merging runs in
+  /// order gives the bits one scan over all of them gives.
+  void Merge(const ValueRange& next) {
+    any_finite = any_finite || next.any_finite;
+    if (next.min < min) min = next.min;
+    if (next.max > max) max = next.max;
+  }
+};
+
+/// The values a build lookup returned: a getter's span, or a cache's sketch.
+std::span<const double> ValuesOf(std::span<const double> values) {
+  return values;
+}
+std::span<const double> ValuesOf(const std::shared_ptr<const Sketch>& sketch) {
+  return sketch->values;
+}
+
+util::Status SketchLengthError() {
+  return util::Status::InvalidArgument(
+      "sketch length disagrees with params.k");
 }
 
 }  // namespace
@@ -59,10 +107,7 @@ size_t QuantCodeBytes(QuantKind kind) {
   return 0;
 }
 
-// The getter may recompute or fault sketches in (LRU sources); both passes
-// see identical values because sketches are deterministic.
-util::Result<QuantizedCodePool> QuantizedCodePool::BuildImpl(
-    const std::function<std::span<const double>(size_t)>& sketch_of,
+util::Result<QuantizedCodePool> QuantizedCodePool::Empty(
     size_t count, QuantKind kind, const SketchParams& params,
     size_t object_rows, size_t object_cols) {
   if (kind == QuantKind::kOff) {
@@ -79,73 +124,82 @@ util::Result<QuantizedCodePool> QuantizedCodePool::BuildImpl(
   pool.object_rows_ = object_rows;
   pool.object_cols_ = object_cols;
   pool.usable_.assign(count, 1);
+  // Unusable tiles keep all-zero rows so the bytes are deterministic
+  // regardless of what the NaNs were.
+  pool.codes_.assign(count * params.k * QuantCodeBytes(kind), 0);
+  return pool;
+}
 
-  // Pass 1: the finite value range and per-tile usability flags.
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-  bool any_finite = false;
-  for (size_t i = 0; i < count; ++i) {
-    std::span<const double> values = sketch_of(i);
-    if (values.size() != params.k) {
-      return util::Status::InvalidArgument(
-          "sketch length disagrees with params.k");
-    }
-    for (double value : values) {
-      if (!std::isfinite(value)) {
-        pool.usable_[i] = 0;
-        continue;
-      }
-      any_finite = true;
-      if (value < min) min = value;
-      if (value > max) max = value;
+void QuantizedCodePool::EncodeRow(size_t i, std::span<const double> values) {
+  unsigned char* row = codes_.data() + i * k_ * QuantCodeBytes(kind_);
+  for (size_t j = 0; j < k_; ++j) {
+    const uint32_t code = EncodeValue(values[j]);
+    if (kind_ == QuantKind::kInt8) {
+      row[j] = static_cast<unsigned char>(code);
+    } else {
+      const uint16_t code16 = static_cast<uint16_t>(code);
+      std::memcpy(row + 2 * j, &code16, sizeof(code16));
     }
   }
+}
 
-  const uint32_t max_code = pool.MaxCode();
-  if (any_finite && max > min) {
-    pool.offset_ = min;
-    pool.scale_ = (max - min) / static_cast<double>(max_code);
+// The lookup may recompute or fault sketches in (LRU sources); both passes
+// see identical values because sketches are deterministic.
+template <typename Lookup>
+util::Result<QuantizedCodePool> QuantizedCodePool::BuildImpl(
+    const Lookup& lookup, size_t count, QuantKind kind,
+    const SketchParams& params, size_t object_rows, size_t object_cols,
+    size_t threads) {
+  TABSKETCH_ASSIGN_OR_RETURN(
+      QuantizedCodePool pool,
+      Empty(count, kind, params, object_rows, object_cols));
+  // Pass 1: the finite value range and per-tile usability flags, over
+  // `threads` contiguous runs of tiles merged in run order. Each lookup's
+  // result is held while its values are read: a bounded cache may evict
+  // the entry as soon as the next Get lands.
+  const size_t runs = std::max<size_t>(threads, 1);
+  std::vector<ValueRange> ranges(runs);
+  std::vector<uint8_t> bad_length(runs, 0);
+  util::ParallelFor(runs, runs, [&](size_t run) {
+    for (size_t i = count * run / runs; i < count * (run + 1) / runs; ++i) {
+      const auto held = lookup(i);
+      const std::span<const double> values = ValuesOf(held);
+      if (values.size() != params.k) {
+        bad_length[run] = 1;
+        return;
+      }
+      if (!ranges[run].Add(values)) pool.usable_[i] = 0;
+    }
+  });
+  ValueRange range;
+  for (size_t run = 0; run < runs; ++run) {
+    if (bad_length[run] != 0) return SketchLengthError();
+    range.Merge(ranges[run]);
+  }
+  if (range.any_finite && range.max > range.min) {
+    pool.offset_ = range.min;
+    pool.scale_ =
+        (range.max - range.min) / static_cast<double>(pool.MaxCode());
   } else {
     // Degenerate pool (empty, constant, or all non-finite): every code is 0
     // and the quantization error — hence the slack — is exactly 0.
-    pool.offset_ = any_finite ? min : 0.0;
+    pool.offset_ = range.any_finite ? range.min : 0.0;
     pool.scale_ = 0.0;
   }
-
-  // Pass 2: encode. Unusable tiles keep all-zero rows so the bytes are
-  // deterministic regardless of what the NaNs were.
-  const size_t code_bytes = QuantCodeBytes(kind);
-  pool.codes_.assign(count * params.k * code_bytes, 0);
-  for (size_t i = 0; i < count; ++i) {
-    if (pool.usable_[i] == 0) continue;
-    std::span<const double> values = sketch_of(i);
-    unsigned char* row = pool.codes_.data() + i * params.k * code_bytes;
-    for (size_t j = 0; j < params.k; ++j) {
-      const uint32_t code = pool.EncodeValue(values[j]);
-      if (kind == QuantKind::kInt8) {
-        row[j] = static_cast<unsigned char>(code);
-      } else {
-        const uint16_t code16 = static_cast<uint16_t>(code);
-        std::memcpy(row + 2 * j, &code16, sizeof(code16));
-      }
-    }
-  }
+  // Pass 2: encode, one row per tile.
+  util::ParallelFor(count, threads, [&](size_t i) {
+    if (pool.usable_[i] != 0) pool.EncodeRow(i, ValuesOf(lookup(i)));
+  });
   return pool;
 }
 
 util::Result<QuantizedCodePool> QuantizedCodePool::Build(
     TileSketchCache* cache, QuantKind kind, const SketchParams& params,
-    size_t object_rows, size_t object_cols) {
+    size_t object_rows, size_t object_cols, size_t threads) {
   TABSKETCH_CHECK(cache != nullptr);
-  // The holder keeps the most recent sketch alive while BuildImpl reads it
-  // (a bounded cache may evict the entry as soon as the next Get lands).
-  std::shared_ptr<const Sketch> holder;
-  auto sketch_of = [&](size_t i) -> std::span<const double> {
-    holder = cache->Get(i);
-    return holder->values;
-  };
-  return BuildImpl(sketch_of, cache->num_tiles(), kind, params, object_rows,
-                   object_cols);
+  return BuildImpl([cache](size_t i) { return cache->Get(i); },
+                   cache->num_tiles(), kind, params, object_rows,
+                   object_cols, threads);
 }
 
 util::Result<QuantizedCodePool> QuantizedCodePool::BuildFromSketches(
@@ -155,14 +209,15 @@ util::Result<QuantizedCodePool> QuantizedCodePool::BuildFromSketches(
     return sketches[i].values;
   };
   return BuildImpl(sketch_of, sketches.size(), kind, params, object_rows,
-                   object_cols);
+                   object_cols, /*threads=*/1);
 }
 
 util::Result<QuantizedCodePool> QuantizedCodePool::BuildFromGetter(
     const std::function<std::span<const double>(size_t)>& sketch_of,
     size_t count, QuantKind kind, const SketchParams& params,
     size_t object_rows, size_t object_cols) {
-  return BuildImpl(sketch_of, count, kind, params, object_rows, object_cols);
+  return BuildImpl(sketch_of, count, kind, params, object_rows, object_cols,
+                   /*threads=*/1);
 }
 
 util::Result<QuantizedCodePool> QuantizedCodePool::BuildSuccessor(
@@ -195,10 +250,7 @@ util::Result<QuantizedCodePool> QuantizedCodePool::BuildSuccessor(
   for (size_t i = 0; i < count && fits; ++i) {
     if (base_of[i] != kNewTile) continue;
     std::span<const double> values = sketch_of(i);
-    if (values.size() != base.params_.k) {
-      return util::Status::InvalidArgument(
-          "sketch length disagrees with params.k");
-    }
+    if (values.size() != base.params_.k) return SketchLengthError();
     if (!AllFinite(values)) continue;  // unusable tile; map-independent
     for (const double value : values) {
       if (value < lo || value > hi) {
@@ -210,23 +262,17 @@ util::Result<QuantizedCodePool> QuantizedCodePool::BuildSuccessor(
   if (!fits) {
     *rebuilt_map = true;
     return BuildImpl(sketch_of, count, base.kind_, base.params_,
-                     base.object_rows_, base.object_cols_);
+                     base.object_rows_, base.object_cols_, /*threads=*/1);
   }
   *rebuilt_map = false;
 
-  QuantizedCodePool pool;
-  pool.kind_ = base.kind_;
-  pool.count_ = count;
-  pool.k_ = base.k_;
+  TABSKETCH_ASSIGN_OR_RETURN(
+      QuantizedCodePool pool,
+      Empty(count, base.kind_, base.params_, base.object_rows_,
+            base.object_cols_));
   pool.scale_ = base.scale_;
   pool.offset_ = base.offset_;
-  pool.params_ = base.params_;
-  pool.object_rows_ = base.object_rows_;
-  pool.object_cols_ = base.object_cols_;
-  pool.usable_.assign(count, 1);
-  const size_t code_bytes = QuantCodeBytes(pool.kind_);
-  const size_t row_bytes = pool.k_ * code_bytes;
-  pool.codes_.assign(count * row_bytes, 0);
+  const size_t row_bytes = pool.k_ * QuantCodeBytes(pool.kind_);
   for (size_t i = 0; i < count; ++i) {
     unsigned char* row = pool.codes_.data() + i * row_bytes;
     if (base_of[i] != kNewTile) {
@@ -241,15 +287,7 @@ util::Result<QuantizedCodePool> QuantizedCodePool::BuildSuccessor(
       pool.usable_[i] = 0;  // all-zero row, like BuildImpl
       continue;
     }
-    for (size_t j = 0; j < pool.k_; ++j) {
-      const uint32_t code = pool.EncodeValue(values[j]);
-      if (pool.kind_ == QuantKind::kInt8) {
-        row[j] = static_cast<unsigned char>(code);
-      } else {
-        const uint16_t code16 = static_cast<uint16_t>(code);
-        std::memcpy(row + 2 * j, &code16, sizeof(code16));
-      }
-    }
+    pool.EncodeRow(i, values);
   }
   return pool;
 }

@@ -63,11 +63,16 @@ class QuantizedCodePool {
   /// passes (min/max + flags, then encode). Passing each tile through the
   /// cache keeps peak memory bounded under an LRU budget; with a warm or
   /// fixed source the passes are pure reads. `kind` must not be kOff.
+  ///
+  /// Both passes fan out over `threads`: the first over contiguous runs of
+  /// tiles whose ranges merge in run order, the second one row per tile.
+  /// The bytes, offset() and scale() equal a one-thread build's.
   static util::Result<QuantizedCodePool> Build(TileSketchCache* cache,
                                                QuantKind kind,
                                                const SketchParams& params,
                                                size_t object_rows,
-                                               size_t object_cols);
+                                               size_t object_cols,
+                                               size_t threads = 1);
 
   /// Build over an in-memory sketch span (the reload path, before the set
   /// moves into a FixedSketchSource).
@@ -172,11 +177,21 @@ class QuantizedCodePool {
  private:
   QuantizedCodePool() = default;
 
-  /// Shared two-pass build over any "sketch of tile i" getter.
+  /// A pool of `count` usable all-zero rows with no map yet, after checking
+  /// `kind` and `params`.
+  static util::Result<QuantizedCodePool> Empty(size_t count, QuantKind kind,
+                                               const SketchParams& params,
+                                               size_t object_rows,
+                                               size_t object_cols);
+
+  /// The one two-pass build, over any "sketch of tile i" lookup: a getter
+  /// of spans, or a cache's Get. Both passes fan out over `threads`; with 1
+  /// they run on the caller's thread.
+  template <typename Lookup>
   static util::Result<QuantizedCodePool> BuildImpl(
-      const std::function<std::span<const double>(size_t)>& sketch_of,
-      size_t count, QuantKind kind, const SketchParams& params,
-      size_t object_rows, size_t object_cols);
+      const Lookup& lookup, size_t count, QuantKind kind,
+      const SketchParams& params, size_t object_rows, size_t object_cols,
+      size_t threads);
 
   const uint8_t* Codes8(size_t i) const {
     return reinterpret_cast<const uint8_t*>(codes_.data()) + i * k_;
@@ -186,6 +201,8 @@ class QuantizedCodePool {
   }
   /// Encodes one finite in-range value (clamped to the code range).
   uint32_t EncodeValue(double value) const;
+  /// Encodes tile `i`'s finite sketch into its code row.
+  void EncodeRow(size_t i, std::span<const double> values);
   /// Max representable code: levels - 1.
   uint32_t MaxCode() const { return kind_ == QuantKind::kInt8 ? 255 : 65535; }
   double CodeDistance(const unsigned char* a, const unsigned char* b, bool l2,

@@ -1,10 +1,16 @@
 #include "core/sketcher.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <tuple>
 #include <utility>
+
+#if defined(TABSKETCH_HAVE_SSE2)
+#include <emmintrin.h>
+#endif
 
 #include "core/stable_matrix.h"
 #include "fft/correlate.h"
@@ -28,6 +34,87 @@ util::Status WindowFitError(size_t window_rows, size_t window_cols,
       << " table: window sides must be between 1 and the table's sides";
   return util::Status::InvalidArgument(msg.str());
 }
+
+/// Kernels per block of SketchOf's dense walk: 16 independent sums, which
+/// is eight SSE2 registers.
+constexpr size_t kBlockKernels = 16;
+
+/// What Sketcher::kernel_sets_generated() reports.
+std::atomic<size_t> kernel_sets{0};
+
+/// The kernels of shape (rows, cols) in `map`, made by `generate` on first
+/// use: the entry is inserted under `mutex` and filled outside it, once.
+template <typename Map, typename Generate>
+const auto& Cached(std::mutex* mutex, Map* map, size_t rows, size_t cols,
+                   const Generate& generate) {
+  typename Map::mapped_type* entry;
+  {
+    std::lock_guard<std::mutex> lock(*mutex);
+    entry = &(*map)[{rows, cols}];
+  }
+  std::call_once(entry->once, [&] {
+    entry->kernels = generate();
+    kernel_sets.fetch_add(1, std::memory_order_relaxed);
+  });
+  return entry->kernels;
+}
+
+// Sums one block: sums[j] is the dot product of `view` with kernel j of
+// `block`, whose kernels are interleaved element by element. Every sum
+// starts at +0.0 and adds x * kernel in row-major order, rounding the
+// product and then the sum, exactly as a one-kernel dot product would.
+// When a NaN sum meets a NaN product, x86 keeps the first operand's
+// payload; the one-kernel loop, built at -O3, adds the product to the sum,
+// and so do the SSE2 adds. GCC vectorizes the plain walk's adds with the
+// operands swapped, so the plain walk keeps a NaN sum explicitly.
+#if defined(TABSKETCH_HAVE_SSE2)
+// Aligned loads: every block and every element's 16 values start at a
+// multiple of 128 bytes from the vector's 16-byte-aligned storage.
+static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= 16);
+
+void SumBlock(const table::TableView& view, const double* block,
+              double* sums) {
+  __m128d s0 = _mm_setzero_pd();
+  __m128d s1 = s0, s2 = s0, s3 = s0, s4 = s0, s5 = s0, s6 = s0, s7 = s0;
+  for (size_t r = 0; r < view.rows(); ++r) {
+    const double* row = view.Row(r).data();
+    for (size_t c = 0; c < view.cols(); ++c, block += kBlockKernels) {
+      const __m128d x = _mm_set1_pd(row[c]);
+      s0 = _mm_add_pd(s0, _mm_mul_pd(x, _mm_load_pd(block)));
+      s1 = _mm_add_pd(s1, _mm_mul_pd(x, _mm_load_pd(block + 2)));
+      s2 = _mm_add_pd(s2, _mm_mul_pd(x, _mm_load_pd(block + 4)));
+      s3 = _mm_add_pd(s3, _mm_mul_pd(x, _mm_load_pd(block + 6)));
+      s4 = _mm_add_pd(s4, _mm_mul_pd(x, _mm_load_pd(block + 8)));
+      s5 = _mm_add_pd(s5, _mm_mul_pd(x, _mm_load_pd(block + 10)));
+      s6 = _mm_add_pd(s6, _mm_mul_pd(x, _mm_load_pd(block + 12)));
+      s7 = _mm_add_pd(s7, _mm_mul_pd(x, _mm_load_pd(block + 14)));
+    }
+  }
+  _mm_storeu_pd(sums, s0);
+  _mm_storeu_pd(sums + 2, s1);
+  _mm_storeu_pd(sums + 4, s2);
+  _mm_storeu_pd(sums + 6, s3);
+  _mm_storeu_pd(sums + 8, s4);
+  _mm_storeu_pd(sums + 10, s5);
+  _mm_storeu_pd(sums + 12, s6);
+  _mm_storeu_pd(sums + 14, s7);
+}
+#else
+void SumBlock(const table::TableView& view, const double* block,
+              double* sums) {
+  double acc[kBlockKernels] = {};
+  for (size_t r = 0; r < view.rows(); ++r) {
+    const double* row = view.Row(r).data();
+    for (size_t c = 0; c < view.cols(); ++c, block += kBlockKernels) {
+      const double x = row[c];
+      for (size_t j = 0; j < kBlockKernels; ++j) {
+        acc[j] = std::isnan(acc[j]) ? acc[j] : acc[j] + x * block[j];
+      }
+    }
+  }
+  std::copy_n(acc, kBlockKernels, sums);
+}
+#endif
 
 }  // namespace
 
@@ -84,33 +171,40 @@ Sketcher::Sketcher(const SketchParams& params)
 
 const std::vector<table::Matrix>& Sketcher::MatricesFor(size_t rows,
                                                         size_t cols) const {
-  const auto key = std::make_pair(rows, cols);
-  {
-    std::lock_guard<std::mutex> lock(cache_->mutex);
-    auto it = cache_->entries.find(key);
-    if (it != cache_->entries.end()) return *it->second;
-  }
-  // Generate outside the lock; on a race the first insert wins.
-  auto generated = std::make_shared<const std::vector<table::Matrix>>(
-      StableRandomMatrices(params_, rows, cols));
-  std::lock_guard<std::mutex> lock(cache_->mutex);
-  auto it = cache_->entries.emplace(key, std::move(generated)).first;
-  return *it->second;
+  return Cached(&cache_->mutex, &cache_->dense, rows, cols,
+                [&] { return StableRandomMatrices(params_, rows, cols); });
 }
 
 const std::vector<SparseKernel>& Sketcher::SparseKernelsFor(
     size_t rows, size_t cols) const {
-  const auto key = std::make_pair(rows, cols);
-  {
-    std::lock_guard<std::mutex> lock(cache_->mutex);
-    auto it = cache_->sparse_entries.find(key);
-    if (it != cache_->sparse_entries.end()) return *it->second;
-  }
-  auto generated = std::make_shared<const std::vector<SparseKernel>>(
-      SparseStableKernels(params_, rows, cols));
-  std::lock_guard<std::mutex> lock(cache_->mutex);
-  auto it = cache_->sparse_entries.emplace(key, std::move(generated)).first;
-  return *it->second;
+  return Cached(&cache_->mutex, &cache_->sparse, rows, cols,
+                [&] { return SparseStableKernels(params_, rows, cols); });
+}
+
+const std::vector<double>& Sketcher::BlockedKernelsFor(size_t rows,
+                                                       size_t cols) const {
+  return Cached(&cache_->mutex, &cache_->blocked, rows, cols, [&] {
+    // Kernel by kernel from the generator, so no row-major set is built
+    // (StableMatrixTest.BatchMatchesIndividual: these are MatricesFor's).
+    const size_t elements = rows * cols;
+    const size_t blocks = (params_.k + kBlockKernels - 1) / kBlockKernels;
+    std::vector<double> blocked(blocks * elements * kBlockKernels, 0.0);
+    for (size_t i = 0; i < params_.k; ++i) {
+      const table::Matrix kernel = StableRandomMatrix(params_, i, rows, cols);
+      double* out = blocked.data() +
+                    (i / kBlockKernels) * elements * kBlockKernels +
+                    i % kBlockKernels;
+      for (const double value : kernel.Values()) {
+        *out = value;
+        out += kBlockKernels;
+      }
+    }
+    return blocked;
+  });
+}
+
+size_t Sketcher::kernel_sets_generated() {
+  return kernel_sets.load(std::memory_order_relaxed);
 }
 
 Sketch Sketcher::SketchOf(const table::TableView& view) const {
@@ -135,18 +229,17 @@ Sketch Sketcher::SketchOf(const table::TableView& view) const {
     }
     return out;
   }
-  const auto& matrices = MatricesFor(view.rows(), view.cols());
-  for (size_t i = 0; i < params_.k; ++i) {
-    const table::Matrix& random = matrices[i];
-    double acc = 0.0;
-    for (size_t r = 0; r < view.rows(); ++r) {
-      auto data_row = view.Row(r);
-      auto random_row = random.Row(r);
-      for (size_t c = 0; c < view.cols(); ++c) {
-        acc += data_row[c] * random_row[c];
-      }
-    }
-    out.values[i] = acc;
+  // One pass over the view per block of 16 kernels. A padded lane of the
+  // last block may sum to NaN (inf * 0); it is dropped.
+  const std::vector<double>& blocked =
+      BlockedKernelsFor(view.rows(), view.cols());
+  const size_t block_values = view.size() * kBlockKernels;
+  double sums[kBlockKernels];
+  for (size_t first = 0; first < params_.k; first += kBlockKernels) {
+    SumBlock(view, blocked.data() + first / kBlockKernels * block_values,
+             sums);
+    std::copy_n(sums, std::min(kBlockKernels, params_.k - first),
+                out.values.begin() + static_cast<std::ptrdiff_t>(first));
   }
   return out;
 }
@@ -197,8 +290,8 @@ util::Result<std::vector<SketchField>> Sketcher::SketchAllPositions(
   }
 
   // Materialize the dense matrices of every shape with a kernel off the
-  // direct walk, so workers only read the cache (generation is deterministic
-  // per shape; pre-filling avoids duplicated generation racing on the lock).
+  // direct walk, so workers only read the cache and generation stays out of
+  // their busy histograms.
   // One forward FFT of the data then serves every shape and kernel that
   // rides the plan; Correlate is const and concurrency-safe.
   const auto reads_dense = [](Route route) { return route != Route::kDirect; };

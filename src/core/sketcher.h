@@ -88,7 +88,9 @@ class SketchField {
 /// family seed on first use and cached, so every Sketcher (and SketchPool)
 /// with equal params yields mutually comparable sketches.
 ///
-/// Thread-safe for concurrent SketchOf calls.
+/// Thread-safe for concurrent SketchOf calls. Each shape's kernels are
+/// generated once per layout, however many threads ask for them first: the
+/// first caller generates and the others wait, so callers need no pre-warm.
 class Sketcher {
  public:
   /// Validates `params` and builds a sketcher.
@@ -103,6 +105,12 @@ class Sketcher {
   /// "sketch on demand" cost of the paper's clustering scenario (2) — or
   /// O(k * nnz) sparse-kernel walks when the family's sparsity < 1,
   /// bit-identical to the dense walk (the skipped entries are exact zeros).
+  ///
+  /// The dense walk reads the view once per block of 16 kernels and keeps
+  /// 16 independent sums, one per kernel. Each sum starts at +0.0 and adds
+  /// the rounded product of every element in row-major order, with no
+  /// fused multiply-add, so it equals the one-kernel-at-a-time dot product
+  /// bit for bit (DESIGN.md Section 5).
   Sketch SketchOf(const table::TableView& view) const;
 
   /// A window shape: (rows, cols).
@@ -139,7 +147,9 @@ class Sketcher {
                                                SketchAlgorithm algorithm,
                                                size_t threads = 1) const;
 
-  /// The k random matrices for a window shape (cached).
+  /// The k random matrices for a window shape (cached). SketchOf does not
+  /// read them, so a shape that is only ever sketched one view at a time
+  /// never builds this copy.
   const std::vector<table::Matrix>& MatricesFor(size_t rows,
                                                 size_t cols) const;
 
@@ -149,21 +159,40 @@ class Sketcher {
   const std::vector<SparseKernel>& SparseKernelsFor(size_t rows,
                                                     size_t cols) const;
 
+  /// Process-wide count of kernel sets generated so far: one per shape and
+  /// layout (row-major, sparse, blocked) per sketcher cache. Test hook: any
+  /// number of concurrent first uses of a shape raise it by one.
+  static size_t kernel_sets_generated();
+
  private:
+  /// One shape's kernels in one layout. The entry is inserted under the
+  /// cache mutex and filled outside it under `once`, so concurrent first
+  /// users generate the kernels once and the others wait for them.
+  template <typename Kernels>
+  struct CacheEntry {
+    std::once_flag once;
+    Kernels kernels;
+  };
+  template <typename Kernels>
+  using ShapeMap = std::map<std::pair<size_t, size_t>, CacheEntry<Kernels>>;
+
   // Shape-keyed cache of generated stable matrices, shared so that Sketcher
   // remains cheap to move while the cache (which can hold tens of MB for
-  // large windows) is built once.
+  // large windows) is built once. Entries are never erased, and std::map
+  // never moves them, so references to their kernels stay valid.
   struct MatrixCache {
     std::mutex mutex;
-    std::map<std::pair<size_t, size_t>,
-             std::shared_ptr<const std::vector<table::Matrix>>>
-        entries;
-    std::map<std::pair<size_t, size_t>,
-             std::shared_ptr<const std::vector<SparseKernel>>>
-        sparse_entries;
+    ShapeMap<std::vector<table::Matrix>> dense;
+    ShapeMap<std::vector<SparseKernel>> sparse;
+    /// SketchOf's dense layout: kernel 16b + j at row-major element e is
+    /// value (b * elements + e) * 16 + j; the last block is zero-padded.
+    ShapeMap<std::vector<double>> blocked;
   };
 
   explicit Sketcher(const SketchParams& params);
+
+  /// The k kernels of a window shape in SketchOf's blocked layout (cached).
+  const std::vector<double>& BlockedKernelsFor(size_t rows, size_t cols) const;
 
   SketchParams params_;
   std::shared_ptr<MatrixCache> cache_;

@@ -99,7 +99,8 @@ util::Result<std::shared_ptr<const Snapshot>> Snapshot::Create(
         core::QuantizedCodePool pool,
         core::QuantizedCodePool::Build(snapshot->cache_.get(),
                                        spec.engine.quant, snapshot->params_,
-                                       object_rows, object_cols));
+                                       object_rows, object_cols,
+                                       spec.engine.threads));
     snapshot->codes_ =
         std::make_shared<const core::QuantizedCodePool>(std::move(pool));
     TABSKETCH_METRIC_GAUGE_SET("quant.pool.bytes",

@@ -17,10 +17,10 @@ namespace tabsketch::util {
 ///    TraceRecorder::Global() (when MetricsRegistry::TraceActive()).
 ///
 /// When both sinks are off at construction time, the constructor is a single
-/// relaxed load of the combined gate plus a branch, with no clock read —
-/// cheap enough to leave in hot paths unconditionally. The name must be a
-/// string literal: the span keeps its pointer, and the recorder copies it
-/// into its ring at Stop().
+/// relaxed load of the combined gate plus a branch, with no clock read, and
+/// the destructor two inline null checks — cheap enough to leave in hot
+/// paths unconditionally. The name must be a string literal: the span keeps
+/// its pointer, and the recorder copies it into its ring at Stop().
 class ScopedSpan {
  public:
   template <size_t N>
@@ -29,7 +29,9 @@ class ScopedSpan {
     if (bits == 0) return;
     Open(name, bits);
   }
-  ~ScopedSpan() { Stop(); }
+  ~ScopedSpan() {
+    if (seconds_ != nullptr || trace_name_ != nullptr) Stop();
+  }
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;

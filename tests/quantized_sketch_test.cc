@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "core/estimator.h"
+#include "core/lru_sketch_cache.h"
+#include "core/ondemand.h"
 #include "core/quantized_sketch.h"
+#include "core/sketch_cache.h"
 #include "core/sketcher.h"
 #include "rng/xoshiro256.h"
+#include "table/tiling.h"
 
 namespace tabsketch::core {
 namespace {
@@ -205,6 +210,86 @@ TEST(QuantizedCodePoolTest, BuildIsDeterministic) {
   EXPECT_EQ(a.usable_flags(), b.usable_flags());
   EXPECT_EQ(a.scale(), b.scale());
   EXPECT_EQ(a.offset(), b.offset());
+}
+
+/// Pools equal in every byte, the map's doubles included (so -0.0 != 0.0).
+void ExpectSamePool(const QuantizedCodePool& expected,
+                    const QuantizedCodePool& actual) {
+  EXPECT_EQ(expected.raw_codes(), actual.raw_codes());
+  EXPECT_EQ(expected.usable_flags(), actual.usable_flags());
+  const double expected_map[] = {expected.offset(), expected.scale()};
+  const double actual_map[] = {actual.offset(), actual.scale()};
+  EXPECT_EQ(std::memcmp(expected_map, actual_map, sizeof(expected_map)), 0)
+      << "offset " << actual.offset() << " vs " << expected.offset()
+      << ", scale " << actual.scale() << " vs " << expected.scale();
+}
+
+TEST(QuantizedCodePoolTest, ParallelBuildMatchesOneThreadOverAnLru) {
+  // 5 x 6 tiles of 8 x 8; tile 7 holds a NaN, so its sketch is unusable.
+  rng::Xoshiro256 gen(12);
+  table::Matrix data(40, 48);
+  for (double& value : data.Values()) value = gen.NextDouble() * 90.0 - 30.0;
+  data(9, 12) = std::numeric_limits<double>::quiet_NaN();
+  const table::TileGrid grid = table::TileGrid::Create(&data, 8, 8).value();
+  const SketchParams params{.p = 1.0, .k = 32, .seed = 5};
+  const Sketcher sketcher = Sketcher::Create(params).value();
+  const QuantizedCodePool reference =
+      QuantizedCodePool::BuildFromSketches(
+          SketchAllTilesParallel(sketcher, grid), QuantKind::kInt16, params,
+          8, 8)
+          .value();
+  ASSERT_EQ(reference.usable_flags()[7], 0u);
+  // Budget 0 keeps every tile; a budget of one byte keeps none.
+  for (const size_t budget : {size_t{0}, size_t{1}}) {
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      LruSketchCache::Options options;
+      options.capacity_bytes = budget;
+      LruSketchCache cache(&sketcher, &grid, options);
+      const QuantizedCodePool pool =
+          QuantizedCodePool::Build(&cache, QuantKind::kInt16, params, 8, 8,
+                                   threads)
+              .value();
+      SCOPED_TRACE(::testing::Message()
+                   << "budget " << budget << ", " << threads << " threads");
+      ExpectSamePool(reference, pool);
+      if (budget == 0) {
+        // Each tile is sketched once: the encode pass hits the cache.
+        EXPECT_EQ(cache.computed(), grid.num_tiles());
+      }
+    }
+  }
+}
+
+TEST(QuantizedCodePoolTest, ParallelBuildKeepsTheFirstSignedZeroExtreme) {
+  // The pool minimum is zero, met as +0.0 and -0.0 in different runs of a
+  // 4-thread build: the offset keeps the sign of the first, as one scan does.
+  const SketchParams params{.p = 1.0, .k = 2, .seed = 1};
+  for (const bool negative_first : {false, true}) {
+    std::vector<Sketch> sketches(8, Sketch{{1.0, 3.0}});
+    sketches[1].values[0] = negative_first ? -0.0 : 0.0;
+    sketches[6].values[1] = negative_first ? 0.0 : -0.0;
+    const QuantizedCodePool reference =
+        QuantizedCodePool::BuildFromSketches(sketches, QuantKind::kInt8,
+                                             params, 1, 1)
+            .value();
+    EXPECT_EQ(std::signbit(reference.offset()), negative_first);
+    FixedSketchSource source(sketches);
+    ExpectSamePool(reference,
+                   QuantizedCodePool::Build(&source, QuantKind::kInt8, params,
+                                            1, 1, 4)
+                       .value());
+  }
+}
+
+TEST(QuantizedCodePoolTest, ParallelBuildRejectsAWrongLengthSketch) {
+  const SketchParams params{.p = 1.0, .k = 4, .seed = 1};
+  std::vector<Sketch> sketches = RandomSketches(9, 4, 3);
+  sketches[6].values.pop_back();
+  FixedSketchSource source(sketches);
+  const auto pool =
+      QuantizedCodePool::Build(&source, QuantKind::kInt16, params, 1, 1, 4);
+  ASSERT_FALSE(pool.ok());
+  EXPECT_EQ(pool.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 }  // namespace

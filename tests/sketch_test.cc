@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/estimator.h"
@@ -257,6 +261,158 @@ TEST(SketcherTest, OversizedWindowIsInvalidArgument) {
     auto empty = sketcher->SketchAllPositions(data, 0, 2, algorithm);
     ASSERT_FALSE(empty.ok());
     EXPECT_EQ(empty.status().code(), util::StatusCode::kInvalidArgument);
+  }
+}
+
+/// SketchOf's dense walk before blocking: one kernel at a time into one
+/// accumulator, elements in row-major order. The blocked walk must equal
+/// it bit for bit.
+std::vector<double> OneKernelAtATime(const Sketcher& sketcher,
+                                     const table::TableView& view) {
+  std::vector<double> out;
+  for (const table::Matrix& random :
+       sketcher.MatricesFor(view.rows(), view.cols())) {
+    double acc = 0.0;
+    for (size_t r = 0; r < view.rows(); ++r) {
+      auto data_row = view.Row(r);
+      auto random_row = random.Row(r);
+      for (size_t c = 0; c < view.cols(); ++c) {
+        acc += data_row[c] * random_row[c];
+      }
+    }
+    out.push_back(acc);
+  }
+  return out;
+}
+
+/// memcmp of the two sketches, reporting the first differing component.
+::testing::AssertionResult SameBytes(const std::vector<double>& expected,
+                                     const std::vector<double>& actual) {
+  if (expected.size() != actual.size()) {
+    return ::testing::AssertionFailure()
+           << "length " << actual.size() << " != " << expected.size();
+  }
+  if (std::memcmp(expected.data(), actual.data(),
+                  expected.size() * sizeof(double)) == 0) {
+    return ::testing::AssertionSuccess();
+  }
+  for (size_t i = 0; i < expected.size(); ++i) {
+    if (std::memcmp(&expected[i], &actual[i], sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "component " << i << ": " << actual[i] << " != "
+             << expected[i];
+    }
+  }
+  return ::testing::AssertionFailure();
+}
+
+/// Views of the parent at a few origins: the whole-shape window at the
+/// corner and strided windows inside a wider parent.
+std::vector<table::TableView> Windows(const table::Matrix& parent,
+                                      size_t rows, size_t cols) {
+  std::vector<table::TableView> out;
+  for (const auto& [r, c] : {std::pair<size_t, size_t>{0, 0},
+                             {1, 3},
+                             {parent.rows() - rows, parent.cols() - cols},
+                             {(parent.rows() - rows) / 2, 5}}) {
+    out.push_back(parent.Window(r, c, rows, cols));
+  }
+  return out;
+}
+
+constexpr std::pair<size_t, size_t> kPinShapes[] = {
+    {1, 1}, {3, 5}, {7, 13}, {16, 144}};
+constexpr size_t kPinKs[] = {1, 15, 16, 17, 64, 256};
+
+TEST(SketcherBlockedWalkTest, MatchesOneKernelLoopBitForBit) {
+  const table::Matrix parent = RandomTable(24, 160, 31, 200.0);
+  for (const size_t k : kPinKs) {
+    const Sketcher sketcher =
+        Sketcher::Create({.p = 1.0, .k = k, .seed = 8}).value();
+    for (const auto& [rows, cols] : kPinShapes) {
+      for (const table::TableView& view : Windows(parent, rows, cols)) {
+        EXPECT_TRUE(SameBytes(OneKernelAtATime(sketcher, view),
+                              sketcher.SketchOf(view).values))
+            << "k=" << k << " shape " << rows << "x" << cols;
+      }
+    }
+  }
+}
+
+TEST(SketcherBlockedWalkTest, MatchesOneKernelLoopOnEdgeValues) {
+  // Each case patches a strided window of a wider parent, spread over its
+  // elements in row-major order, so sums turn NaN, +-inf, a signed zero or
+  // subnormal. No window lets two different NaNs meet in one add: which
+  // payload survives then follows the compiler's operand order, even in
+  // the one-kernel loop (GCC at -O2 under ThreadSanitizer swaps them).
+  const double quiet_nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<std::vector<double>> cases = {
+      {quiet_nan},        {-std::nan("0x2bad")}, {inf},
+      {-inf},             {inf, -inf},           {-inf, 1.0, quiet_nan},
+      {tiny, -1e-310, -tiny}};
+  for (const size_t k : kPinKs) {
+    const Sketcher sketcher =
+        Sketcher::Create({.p = 2.0, .k = k, .seed = 9}).value();
+    for (const auto& [rows, cols] : kPinShapes) {
+      std::vector<table::Matrix> parents;
+      for (const std::vector<double>& values : cases) {
+        table::Matrix parent = RandomTable(rows + 3, cols + 7, 33, 200.0);
+        const size_t size = rows * cols;
+        for (size_t i = 0; i < values.size() && i < size; ++i) {
+          const size_t e = i * size / values.size();
+          parent(1 + e / cols, 3 + e % cols) = values[i];
+        }
+        parents.push_back(std::move(parent));
+      }
+      table::Matrix zeros = RandomTable(rows + 3, cols + 7, 34);
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t c = 0; c < cols; ++c) zeros(1 + r, 3 + c) = -0.0;
+      }
+      parents.push_back(std::move(zeros));
+      for (const table::Matrix& parent : parents) {
+        const table::TableView view = parent.Window(1, 3, rows, cols);
+        EXPECT_TRUE(SameBytes(OneKernelAtATime(sketcher, view),
+                              sketcher.SketchOf(view).values))
+            << "k=" << k << " shape " << rows << "x" << cols;
+      }
+    }
+  }
+}
+
+TEST(SketcherKernelCacheTest, ConcurrentFirstUsesGenerateEachShapeOnce) {
+  constexpr size_t kThreads = 8;
+  const table::Matrix data = RandomTable(16, 40, 5);
+  const Sketcher dense =
+      Sketcher::Create({.p = 1.0, .k = 40, .seed = 3}).value();
+  const Sketcher sparse =
+      Sketcher::Create({.p = 1.0, .k = 24, .seed = 3, .sparsity = 0.2})
+          .value();
+  const size_t before = Sketcher::kernel_sets_generated();
+  std::vector<std::vector<Sketch>> sketches(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < 4; ++i) {
+        sketches[t].push_back(dense.SketchOf(data.Window(i, t, 7, 13)));
+        dense.SketchOf(data.Window(t, i, 8, 8));
+        sparse.SketchOf(data.Window(t, i, 5, 9));
+      }
+      dense.MatricesFor(4, 4);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  // Two blocked shapes, one row-major shape and one sparse shape. SketchOf
+  // built no row-major copy of its shapes.
+  EXPECT_EQ(Sketcher::kernel_sets_generated() - before, 4u);
+  dense.MatricesFor(7, 13);
+  EXPECT_EQ(Sketcher::kernel_sets_generated() - before, 5u);
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < 4; ++i) {
+      EXPECT_TRUE(SameBytes(OneKernelAtATime(dense, data.Window(i, t, 7, 13)),
+                            sketches[t][i].values));
+    }
   }
 }
 

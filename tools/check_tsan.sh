@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Builds the tsan CMake preset and runs the tests that exercise the parallel
 # code paths (pool build, shared CorrelationPlan, threaded k-means, on-demand
-# cache, ParallelFor itself) under ThreadSanitizer.
+# cache, the sketcher's once-per-shape kernel caches, ParallelFor itself)
+# under ThreadSanitizer.
 #
 # usage: tools/check_tsan.sh [extra ctest args...]
 set -euo pipefail
@@ -13,7 +14,7 @@ cmake --build --preset tsan -j "$(nproc)"
 
 # The parallel surface; everything else is single-threaded and only slows
 # the (10-20x overhead) sanitizer run down.
-TSAN_TESTS='ParallelFor|ParallelSketch|DefaultThreadCount|SketchPool|CorrelationPlan|OnDemand|KMeans|SketchBackend|Metrics|MetricsSnapshot|MetricsTicker|TraceRecorder|Audit|LruSketchCache|QueryEngine|Serve|Admission|Snapshot|CodeKernels|CodePool|Quant|Streaming|StreamServe|BuildSuccessor|Sparse'
+TSAN_TESTS='ParallelFor|ParallelSketch|DefaultThreadCount|SketchPool|CorrelationPlan|OnDemand|KMeans|SketchBackend|Metrics|MetricsSnapshot|MetricsTicker|TraceRecorder|Audit|LruSketchCache|QueryEngine|Serve|Admission|Snapshot|CodeKernels|CodePool|Quant|Streaming|StreamServe|BuildSuccessor|Sparse|Sketcher'
 
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir build-tsan --output-on-failure \
