@@ -501,16 +501,14 @@ int CmdCluster(const Flags& flags, std::ostream& out, std::ostream& err) {
   }
 
   if (!out_path.empty()) {
-    std::ofstream csv(out_path, std::ios::trunc);
-    if (!csv) {
-      return Fail(err,
-                  util::Status::IOError("cannot write " + out_path));
-    }
-    csv << "tile,grid_row,grid_col,cluster\n";
-    for (size_t t = 0; t < assignment.size(); ++t) {
-      csv << t << "," << t / grid.grid_cols() << ","
-          << t % grid.grid_cols() << "," << assignment[t] << "\n";
-    }
+    TABSKETCH_RETURN_CLI(
+        util::WriteFileAtomic(out_path, [&](std::ostream& csv) {
+          csv << "tile,grid_row,grid_col,cluster\n";
+          for (size_t t = 0; t < assignment.size(); ++t) {
+            csv << t << "," << t / grid.grid_cols() << ","
+                << t % grid.grid_cols() << "," << assignment[t] << "\n";
+          }
+        }));
     out << "assignments written to " << out_path << "\n";
   }
   return 0;
@@ -601,11 +599,10 @@ int CmdQuery(const Flags& flags, std::ostream& out, std::ostream& err) {
   const double seconds = timer.ElapsedSeconds();
 
   if (!out_path.empty()) {
-    std::ofstream file(out_path, std::ios::trunc);
-    if (!file) {
-      return Fail(err, util::Status::IOError("cannot write " + out_path));
-    }
-    for (const std::string& line : results) file << line << "\n";
+    TABSKETCH_RETURN_CLI(
+        util::WriteFileAtomic(out_path, [&](std::ostream& file) {
+          for (const std::string& line : results) file << line << "\n";
+        }));
   } else {
     for (const std::string& line : results) out << line << "\n";
   }

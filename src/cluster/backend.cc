@@ -1,27 +1,16 @@
 #include "cluster/backend.h"
 
-#include <cmath>
-#include <limits>
+#include <ranges>
 
+#include "core/knn.h"
 #include "util/metrics.h"
 
 namespace tabsketch::cluster {
 
 int ClusteringBackend::NearestCentroid(size_t object) {
-  int best = -1;
-  double best_distance = std::numeric_limits<double>::infinity();
-  const size_t k = num_centroids();
-  for (size_t centroid = 0; centroid < k; ++centroid) {
-    const double d = Distance(object, centroid);
-    // NaN fails every comparison, so `d < best_distance` already skips it;
-    // the explicit test documents the contract and guards reordering.
-    if (std::isnan(d)) continue;
-    if (d < best_distance) {
-      best_distance = d;
-      best = static_cast<int>(centroid);
-    }
-  }
-  return best;
+  return core::NearestCandidate(
+      std::views::iota(size_t{0}, num_centroids()),
+      [&](size_t centroid) { return Distance(object, centroid); });
 }
 
 void RecordDistanceEvaluations(const ClusteringBackend& backend,

@@ -1,10 +1,10 @@
 #include "cluster/sketch_backend.h"
 
-#include <cmath>
-#include <limits>
+#include <algorithm>
+#include <ranges>
 #include <utility>
 
-#include "core/lp_distance.h"
+#include "core/knn.h"
 #include "core/lru_sketch_cache.h"
 #include "core/ondemand.h"
 #include "util/logging.h"
@@ -51,6 +51,9 @@ util::Result<SketchBackend> SketchBackend::Create(
                                backend.code_pool_->bytes());
   }
   if (eval::SketchAuditor::Enabled()) {
+    TABSKETCH_ASSIGN_OR_RETURN(ExactBackend shadow,
+                               ExactBackend::Create(grid, params.p));
+    backend.audit_shadow_.emplace(std::move(shadow));
     backend.audit_ = eval::SketchAuditor::Global().ChannelFor(
         params.p, params.k, params.sparsity);
   }
@@ -77,13 +80,7 @@ void SketchBackend::InitCentroidsFromObjects(
   for (size_t index : object_indices) {
     centroids_.push_back(*TileSketch(index));
   }
-  if (audit_ != nullptr) {
-    audit_centroids_.clear();
-    audit_centroids_.reserve(object_indices.size());
-    for (size_t index : object_indices) {
-      audit_centroids_.push_back(grid_->Tile(index).ToMatrix());
-    }
-  }
+  if (audit_shadow_) audit_shadow_->InitCentroidsFromObjects(object_indices);
   RefreshCentroidCodes();
 }
 
@@ -104,12 +101,8 @@ double SketchBackend::Distance(size_t object, size_t centroid) {
   const double estimate = estimator_.EstimateWithScratch(
       TileSketch(object)->values, centroids_[centroid].values,
       ThreadScratch());
-  if (audit_ != nullptr && centroid < audit_centroids_.size() &&
-      eval::SketchAuditor::Global().ShouldSample()) {
-    audit_->Record(core::LpDistance(grid_->Tile(object),
-                                    audit_centroids_[centroid].View(),
-                                    sketcher_->params().p),
-                   estimate);
+  if (audit_ != nullptr && eval::SketchAuditor::Global().ShouldSample()) {
+    audit_->Record(audit_shadow_->Distance(object, centroid), estimate);
   }
   return estimate;
 }
@@ -123,10 +116,7 @@ double SketchBackend::ObjectDistance(size_t a, size_t b) {
   const double estimate = estimator_.EstimateWithScratch(
       sketch_a->values, sketch_b->values, ThreadScratch());
   if (audit_ != nullptr && eval::SketchAuditor::Global().ShouldSample()) {
-    audit_->Record(
-        core::LpDistance(grid_->Tile(a), grid_->Tile(b),
-                         sketcher_->params().p),
-        estimate);
+    audit_->Record(audit_shadow_->ObjectDistance(a, b), estimate);
   }
   return estimate;
 }
@@ -150,49 +140,17 @@ void SketchBackend::UpdateCentroids(const std::vector<int>& assignment) {
     sums[cluster].Scale(1.0 / static_cast<double>(counts[cluster]));
     centroids_[cluster] = std::move(sums[cluster]);
   }
-  if (audit_ != nullptr) UpdateAuditCentroids(assignment);
+  // By sketch linearity each sketch centroid above *is* the sketch of the
+  // shadow's mean member tile, which is what makes the audited
+  // object-to-centroid comparison meaningful.
+  if (audit_shadow_) audit_shadow_->UpdateCentroids(assignment);
   RefreshCentroidCodes();
-}
-
-/// Shadow mirror of ExactBackend::UpdateCentroids: the mean member tile per
-/// cluster, in data space. By sketch linearity the sketch centroid above *is*
-/// the sketch of this matrix, which is exactly what makes the audited
-/// object-to-centroid comparison meaningful.
-void SketchBackend::UpdateAuditCentroids(const std::vector<int>& assignment) {
-  const size_t k = centroids_.size();
-  std::vector<table::Matrix> sums(
-      k, table::Matrix(grid_->tile_rows(), grid_->tile_cols()));
-  std::vector<size_t> counts(k, 0);
-  for (size_t object = 0; object < assignment.size(); ++object) {
-    const int cluster = assignment[object];
-    if (cluster < 0) continue;
-    table::TableView tile = grid_->Tile(object);
-    table::Matrix& sum = sums[cluster];
-    for (size_t r = 0; r < tile.rows(); ++r) {
-      auto src = tile.Row(r);
-      auto dst = sum.Row(r);
-      for (size_t c = 0; c < src.size(); ++c) dst[c] += src[c];
-    }
-    ++counts[cluster];
-  }
-  if (audit_centroids_.size() != k) {
-    audit_centroids_.assign(
-        k, table::Matrix(grid_->tile_rows(), grid_->tile_cols()));
-  }
-  for (size_t cluster = 0; cluster < k; ++cluster) {
-    if (counts[cluster] == 0) continue;  // keep previous centroid
-    const double inv = 1.0 / static_cast<double>(counts[cluster]);
-    for (double& value : sums[cluster].Values()) value *= inv;
-    audit_centroids_[cluster] = std::move(sums[cluster]);
-  }
 }
 
 void SketchBackend::ResetCentroidToObject(size_t centroid, size_t object) {
   TABSKETCH_CHECK(centroid < centroids_.size());
   centroids_[centroid] = *TileSketch(object);
-  if (audit_ != nullptr && centroid < audit_centroids_.size()) {
-    audit_centroids_[centroid] = grid_->Tile(object).ToMatrix();
-  }
+  if (audit_shadow_) audit_shadow_->ResetCentroidToObject(centroid, object);
   RefreshCentroidCodes();
 }
 
@@ -207,48 +165,33 @@ void SketchBackend::RefreshCentroidCodes() {
 int SketchBackend::NearestCentroid(size_t object) {
   if (code_pool_ == nullptr) return ClusteringBackend::NearestCentroid(object);
 
-  // Code-scan prefilter. With per-comparison error bounded by `slack`
-  // (DESIGN.md §13), any centroid whose code distance exceeds
-  // min_c(code_c + slack) by more than slack has a true estimate strictly
-  // above some other centroid's — it can never win the NaN-skipping,
-  // lowest-index-tie argmin, so skipping its full estimate cannot change
-  // the assignment. NaN code distances (unusable tile or centroid) always
+  // The code filter with want = 1: a centroid it drops has a true estimate
+  // strictly above some other centroid's, so it can never win the argmin
+  // (DESIGN.md §13). NaN code distances (unusable tile or centroid) always
   // stay candidates.
   static thread_local core::kernels::CodeScratch code_scratch;
-  static thread_local std::vector<double> code_distances;
+  static thread_local std::vector<core::Neighbor> candidates;
   const bool l2 = estimator_.kind() == core::EstimatorKind::kL2;
   const double inv_scale = 1.0 / estimator_.scale();
-  const double slack = code_pool_->Slack(estimator_);
-  const size_t k = centroids_.size();
-  code_distances.resize(k);
-  double best_bound = std::numeric_limits<double>::infinity();
-  for (size_t c = 0; c < k; ++c) {
-    const double d = code_pool_->CodeEstimateAgainst(
-                         object, centroid_codes_[c], l2, &code_scratch) *
-                     inv_scale;
-    code_distances[c] = d;
-    if (d + slack < best_bound) best_bound = d + slack;
+  candidates.clear();
+  for (size_t c = 0; c < centroids_.size(); ++c) {
+    candidates.push_back(core::Neighbor{
+        c, code_pool_->CodeEstimateAgainst(object, centroid_codes_[c], l2,
+                                           &code_scratch) *
+               inv_scale});
   }
-  TABSKETCH_METRIC_COUNT_N("quant.scan.tiles", k);
-  TABSKETCH_METRIC_COUNT_N(
-      "quant.scan.bytes",
-      2 * k * code_pool_->k() * core::QuantCodeBytes(code_pool_->kind()));
-
-  int best = -1;
-  double best_distance = std::numeric_limits<double>::infinity();
-  size_t kept = 0;
-  for (size_t c = 0; c < k; ++c) {
-    if (code_distances[c] - slack > best_bound) continue;  // NaN-safe: kept
-    ++kept;
-    const double d = Distance(object, c);
-    if (std::isnan(d)) continue;
-    if (d < best_distance) {
-      best_distance = d;
-      best = static_cast<int>(c);
-    }
-  }
-  TABSKETCH_METRIC_COUNT_N("quant.candidates.kept", kept);
-  return best;
+  core::FilterByCode(&candidates, /*want=*/1, code_pool_->Slack(estimator_),
+                     code_pool_->row_bytes());
+  // Full estimates run in ascending centroid order, as the unfiltered scan
+  // runs them: the lowest-index tie rule and the auditor's per-call
+  // sampling both depend on it.
+  std::sort(candidates.begin(), candidates.end(),
+            [](const core::Neighbor& a, const core::Neighbor& b) {
+              return a.index < b.index;
+            });
+  return core::NearestCandidate(
+      candidates | std::views::transform(&core::Neighbor::index),
+      [&](size_t c) { return Distance(object, c); });
 }
 
 std::string SketchBackend::name() const {

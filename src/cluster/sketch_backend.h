@@ -2,17 +2,18 @@
 #define TABSKETCH_CLUSTER_SKETCH_BACKEND_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cluster/backend.h"
+#include "cluster/exact_backend.h"
 #include "core/estimator.h"
 #include "core/quantized_sketch.h"
 #include "core/sketch_cache.h"
 #include "core/sketch_params.h"
 #include "core/sketcher.h"
 #include "eval/audit.h"
-#include "table/matrix.h"
 #include "table/tiling.h"
 #include "util/result.h"
 
@@ -41,9 +42,10 @@ enum class SketchMode {
 /// When the global SketchAuditor is enabled at Create() time, a sampled
 /// fraction of estimates is shadow-checked against the exact Lp distance.
 /// Because sketch-space centroids have no data-space representation, the
-/// backend then also maintains exact shadow centroids (mean member tiles,
-/// mirroring ExactBackend) — pure bookkeeping that never feeds back into any
-/// estimate, so clustering output is identical with auditing on or off.
+/// backend then also drives an ExactBackend over the same grid through every
+/// centroid mutation, and the audit reads its distances — pure bookkeeping
+/// that never feeds back into any estimate, so clustering output is
+/// identical with auditing on or off.
 class SketchBackend : public ClusteringBackend {
  public:
   /// `grid` must outlive the backend. In kPrecomputed mode this sketches
@@ -57,9 +59,10 @@ class SketchBackend : public ClusteringBackend {
   /// in kPrecomputed mode.
   ///
   /// `quant` (not kOff) builds a QuantizedCodePool over the tile sketches
-  /// and routes the k-means assignment scan (NearestCentroid) through a
-  /// code-space prefilter: centroids whose code distance provably exceeds
-  /// the best centroid's upper bound are skipped without a full estimate.
+  /// and routes the k-means assignment scan (NearestCentroid) through the
+  /// code filter (core::FilterByCode with want = 1): centroids whose code
+  /// distance provably exceeds the best centroid's upper bound are skipped
+  /// without a full estimate.
   /// Assignments are byte-identical to kOff — the slack bound guarantees no
   /// winning centroid is ever pruned — only distance_evaluations() shrinks.
   static util::Result<SketchBackend> Create(
@@ -94,9 +97,6 @@ class SketchBackend : public ClusteringBackend {
   /// bounded cache can evict the entry while a caller still holds it.
   std::shared_ptr<const core::Sketch> TileSketch(size_t index);
 
-  /// Recomputes audit_centroids_ as mean member tiles (audit-mode only).
-  void UpdateAuditCentroids(const std::vector<int>& assignment);
-
   /// Re-encodes every centroid against the code pool's affine map (quant
   /// mode only). Called after each centroid mutation, so the read-only
   /// assignment phase always sees codes of the current centroids. A
@@ -123,8 +123,9 @@ class SketchBackend : public ClusteringBackend {
   /// Non-null only while auditing; cached at Create() so the per-call cost
   /// when auditing is off is a single null-pointer check.
   eval::SketchAuditor::Channel* audit_ = nullptr;
-  /// Exact data-space mirrors of centroids_, maintained only while auditing.
-  std::vector<table::Matrix> audit_centroids_;
+  /// The exact distances the audit checks against, with data-space mirrors
+  /// of centroids_; present only while auditing.
+  std::optional<ExactBackend> audit_shadow_;
 };
 
 }  // namespace tabsketch::cluster

@@ -1,7 +1,9 @@
 #ifndef TABSKETCH_CORE_KNN_H_
 #define TABSKETCH_CORE_KNN_H_
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 namespace tabsketch::core {
@@ -29,6 +31,66 @@ bool NeighborBefore(const Neighbor& a, const Neighbor& b);
 /// k, keeping its capacity for reuse (the query engine's per-thread
 /// workspace leans on this to stay allocation-free across batch requests).
 void SmallestKNeighborsInPlace(std::vector<Neighbor>* all, size_t k);
+
+// --- The candidate scan --------------------------------------------------
+//
+// k-means assignment and knn are one step: estimate only the candidates a
+// cheap bound cannot rule out, then keep the nearest. FilterByCode decides
+// which candidates still need a full estimate (DESIGN.md §13); k-means
+// (want = 1) then runs NearestCandidate over the survivors and knn runs
+// EstimateAndKeepNearest.
+
+/// The code filter of DESIGN.md §13. `*candidates` holds {index, code
+/// distance} for every scanned candidate, each code distance within `slack`
+/// of its full estimate. On return it holds only the candidates a full
+/// estimate could still rank among the `want` nearest: with T the `want`-th
+/// smallest code distance under NeighborBefore, every candidate whose code
+/// distance is not more than T + 2·slack, NaN included (a NaN T keeps all).
+/// With at most `want` candidates, all are kept.
+///
+/// Survivors stay in the order `nth_element(want − 1, NeighborBefore)` left
+/// them in, which is the order knn fetches their sketches in: its LRU hit
+/// ratio depends on that order (DESIGN.md §13). Counts `quant.scan.tiles`,
+/// `quant.scan.bytes` (two code rows of `row_bytes` per candidate) and
+/// `quant.candidates.kept`. `want` must be at least 1.
+void FilterByCode(std::vector<Neighbor>* candidates, size_t want,
+                  double slack, size_t row_bytes);
+
+/// The k-means argmin: the candidate with the smallest `distance_of(c)`, or
+/// -1 when every distance is NaN (or there is no candidate). NaN never wins,
+/// and a strict `<` keeps the first of equal distances. `distance_of` runs
+/// once per candidate in the order `candidates` lists them, so a list in
+/// ascending index order gives the lowest-index tie rule and the auditor's
+/// per-call sampling sees the same calls as an unfiltered scan.
+template <typename Indices, typename DistanceOf>
+int NearestCandidate(const Indices& candidates, DistanceOf&& distance_of) {
+  int best = -1;
+  double best_distance = std::numeric_limits<double>::infinity();
+  for (const size_t candidate : candidates) {
+    const double d = distance_of(candidate);
+    // NaN fails every comparison, so `d < best_distance` already skips it;
+    // the explicit test documents the contract and guards reordering.
+    if (std::isnan(d)) continue;
+    if (d < best_distance) {
+      best_distance = d;
+      best = static_cast<int>(candidate);
+    }
+  }
+  return best;
+}
+
+/// The knn estimate step: sets each candidate's distance to
+/// `estimate_of(index)`, called in array order (the order knn fetches
+/// sketches in), then keeps the `want` nearest, sorted, as
+/// SmallestKNeighborsInPlace does.
+template <typename EstimateOf>
+void EstimateAndKeepNearest(std::vector<Neighbor>* candidates, size_t want,
+                            EstimateOf&& estimate_of) {
+  for (Neighbor& candidate : *candidates) {
+    candidate.distance = estimate_of(candidate.index);
+  }
+  SmallestKNeighborsInPlace(candidates, want);
+}
 
 }  // namespace tabsketch::core
 

@@ -130,8 +130,8 @@ util::Result<QuantizedCodePool> QuantizedCodePool::Empty(
   return pool;
 }
 
-void QuantizedCodePool::EncodeRow(size_t i, std::span<const double> values) {
-  unsigned char* row = codes_.data() + i * k_ * QuantCodeBytes(kind_);
+void QuantizedCodePool::EncodeRow(std::span<const double> values,
+                                  unsigned char* row) const {
   for (size_t j = 0; j < k_; ++j) {
     const uint32_t code = EncodeValue(values[j]);
     if (kind_ == QuantKind::kInt8) {
@@ -188,7 +188,10 @@ util::Result<QuantizedCodePool> QuantizedCodePool::BuildImpl(
   }
   // Pass 2: encode, one row per tile.
   util::ParallelFor(count, threads, [&](size_t i) {
-    if (pool.usable_[i] != 0) pool.EncodeRow(i, ValuesOf(lookup(i)));
+    if (pool.usable_[i] != 0) {
+      pool.EncodeRow(ValuesOf(lookup(i)),
+                     pool.codes_.data() + i * pool.row_bytes());
+    }
   });
   return pool;
 }
@@ -200,16 +203,6 @@ util::Result<QuantizedCodePool> QuantizedCodePool::Build(
   return BuildImpl([cache](size_t i) { return cache->Get(i); },
                    cache->num_tiles(), kind, params, object_rows,
                    object_cols, threads);
-}
-
-util::Result<QuantizedCodePool> QuantizedCodePool::BuildFromSketches(
-    std::span<const Sketch> sketches, QuantKind kind,
-    const SketchParams& params, size_t object_rows, size_t object_cols) {
-  auto sketch_of = [&](size_t i) -> std::span<const double> {
-    return sketches[i].values;
-  };
-  return BuildImpl(sketch_of, sketches.size(), kind, params, object_rows,
-                   object_cols, /*threads=*/1);
 }
 
 util::Result<QuantizedCodePool> QuantizedCodePool::BuildFromGetter(
@@ -237,27 +230,16 @@ util::Result<QuantizedCodePool> QuantizedCodePool::BuildSuccessor(
     }
   }
 
-  // A new tile fits the base map iff all its finite components land inside
-  // the representable range padded by half a quantization step — a clamped
-  // encode of such a value still satisfies the <= scale/2 per-component
-  // error bound (the same acceptance window Quantize uses). Anything
+  // A new tile fits the base map iff all its finite components are
+  // representable under it (the acceptance window Quantize uses). Anything
   // further out means the pool range grew and the map must be re-derived.
-  const double lo = base.offset_ - 0.5 * base.scale_;
-  const double hi = base.offset_ +
-                    base.scale_ * static_cast<double>(base.MaxCode()) +
-                    0.5 * base.scale_;
   bool fits = true;
   for (size_t i = 0; i < count && fits; ++i) {
     if (base_of[i] != kNewTile) continue;
     std::span<const double> values = sketch_of(i);
     if (values.size() != base.params_.k) return SketchLengthError();
     if (!AllFinite(values)) continue;  // unusable tile; map-independent
-    for (const double value : values) {
-      if (value < lo || value > hi) {
-        fits = false;
-        break;
-      }
-    }
+    fits = base.Representable(values);
   }
   if (!fits) {
     *rebuilt_map = true;
@@ -272,7 +254,7 @@ util::Result<QuantizedCodePool> QuantizedCodePool::BuildSuccessor(
             base.object_cols_));
   pool.scale_ = base.scale_;
   pool.offset_ = base.offset_;
-  const size_t row_bytes = pool.k_ * QuantCodeBytes(pool.kind_);
+  const size_t row_bytes = pool.row_bytes();
   for (size_t i = 0; i < count; ++i) {
     unsigned char* row = pool.codes_.data() + i * row_bytes;
     if (base_of[i] != kNewTile) {
@@ -287,7 +269,7 @@ util::Result<QuantizedCodePool> QuantizedCodePool::BuildSuccessor(
       pool.usable_[i] = 0;  // all-zero row, like BuildImpl
       continue;
     }
-    pool.EncodeRow(i, values);
+    pool.EncodeRow(values, row);
   }
   return pool;
 }
@@ -332,9 +314,8 @@ double QuantizedCodePool::CodeEstimate(size_t a, size_t b, bool l2,
   if (usable_[a] == 0 || usable_[b] == 0) {
     return std::numeric_limits<double>::quiet_NaN();
   }
-  const size_t code_bytes = QuantCodeBytes(kind_);
-  return CodeDistance(codes_.data() + a * k_ * code_bytes,
-                      codes_.data() + b * k_ * code_bytes, l2, scratch);
+  return CodeDistance(codes_.data() + a * row_bytes(),
+                      codes_.data() + b * row_bytes(), l2, scratch);
 }
 
 double QuantizedCodePool::CodeEstimateAgainst(
@@ -344,40 +325,35 @@ double QuantizedCodePool::CodeEstimateAgainst(
   if (usable_[a] == 0 || !other.usable) {
     return std::numeric_limits<double>::quiet_NaN();
   }
-  TABSKETCH_CHECK(other.codes.size() == k_ * QuantCodeBytes(kind_));
-  return CodeDistance(codes_.data() + a * k_ * QuantCodeBytes(kind_),
-                      other.codes.data(), l2, scratch);
+  TABSKETCH_CHECK(other.codes.size() == row_bytes());
+  return CodeDistance(codes_.data() + a * row_bytes(), other.codes.data(),
+                      l2, scratch);
 }
 
 QuantizedVector QuantizedCodePool::Quantize(
     std::span<const double> values) const {
   QuantizedVector result;
-  if (values.size() != k_ || !AllFinite(values)) return result;
-  // Accept only values inside the pool's range, padded by half a step: a
-  // clamped encode of such a value still satisfies the <= scale/2 error
-  // bound. Sketch-space centroids are convex combinations of pool values,
-  // so they land inside the range up to mean-rounding noise; anything
-  // further out (a reloaded pool, pathological rounding) stays unusable and
-  // therefore an unconditional candidate.
+  // Sketch-space centroids are convex combinations of pool values, so they
+  // are representable up to mean-rounding noise; anything further out (a
+  // reloaded pool, pathological rounding) stays unusable and therefore an
+  // unconditional candidate.
+  if (values.size() != k_ || !AllFinite(values) || !Representable(values)) {
+    return result;
+  }
+  result.codes.assign(row_bytes(), 0);
+  EncodeRow(values, result.codes.data());
+  result.usable = true;
+  return result;
+}
+
+bool QuantizedCodePool::Representable(std::span<const double> values) const {
   const double lo = offset_ - 0.5 * scale_;
   const double hi =
       offset_ + scale_ * static_cast<double>(MaxCode()) + 0.5 * scale_;
-  for (double value : values) {
-    if (value < lo || value > hi) return result;
+  for (const double value : values) {
+    if (value < lo || value > hi) return false;
   }
-  const size_t code_bytes = QuantCodeBytes(kind_);
-  result.codes.assign(k_ * code_bytes, 0);
-  for (size_t j = 0; j < k_; ++j) {
-    const uint32_t code = EncodeValue(values[j]);
-    if (kind_ == QuantKind::kInt8) {
-      result.codes[j] = static_cast<unsigned char>(code);
-    } else {
-      const uint16_t code16 = static_cast<uint16_t>(code);
-      std::memcpy(result.codes.data() + 2 * j, &code16, sizeof(code16));
-    }
-  }
-  result.usable = true;
-  return result;
+  return true;
 }
 
 double QuantizedCodePool::Slack(const DistanceEstimator& estimator) const {

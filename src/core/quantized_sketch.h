@@ -74,12 +74,6 @@ class QuantizedCodePool {
                                                size_t object_cols,
                                                size_t threads = 1);
 
-  /// Build over an in-memory sketch span (the reload path, before the set
-  /// moves into a FixedSketchSource).
-  static util::Result<QuantizedCodePool> BuildFromSketches(
-      std::span<const Sketch> sketches, QuantKind kind,
-      const SketchParams& params, size_t object_rows, size_t object_cols);
-
   /// Build over any "sketch of tile i" getter (the streaming-ingest path,
   /// where window sketches live behind shared pointers).
   static util::Result<QuantizedCodePool> BuildFromGetter(
@@ -114,6 +108,8 @@ class QuantizedCodePool {
   QuantKind kind() const { return kind_; }
   size_t count() const { return count_; }
   size_t k() const { return k_; }
+  /// Bytes of one tile's code row: k codes in the kind's width.
+  size_t row_bytes() const { return k_ * QuantCodeBytes(kind_); }
   double scale() const { return scale_; }
   double offset() const { return offset_; }
   const SketchParams& params() const { return params_; }
@@ -201,8 +197,12 @@ class QuantizedCodePool {
   }
   /// Encodes one finite in-range value (clamped to the code range).
   uint32_t EncodeValue(double value) const;
-  /// Encodes tile `i`'s finite sketch into its code row.
-  void EncodeRow(size_t i, std::span<const double> values);
+  /// Encodes finite `values` into `row`, row_bytes() long.
+  void EncodeRow(std::span<const double> values, unsigned char* row) const;
+  /// True when every component lies inside the map's representable range
+  /// padded by half a step, where a clamped encode still meets the
+  /// <= scale/2 error bound. Callers test finiteness first.
+  bool Representable(std::span<const double> values) const;
   /// Max representable code: levels - 1.
   uint32_t MaxCode() const { return kind_ == QuantKind::kInt8 ? 255 : 65535; }
   double CodeDistance(const unsigned char* a, const unsigned char* b, bool l2,

@@ -131,66 +131,6 @@ std::string QueryEngine::AnswerDistance(const QueryRequest& request,
   return out.str();
 }
 
-void QueryEngine::QuantFilterCandidates(size_t query, size_t want,
-                                        Workspace* workspace,
-                                        RequestStats* stats) const {
-  const core::QuantizedCodePool& pool = *codes_;
-  const size_t n = cache_->num_tiles();
-  const bool l2 = estimator_->kind() == core::EstimatorKind::kL2;
-  const double inv_scale = 1.0 / estimator_->scale();
-
-  std::vector<core::Neighbor>& codes = workspace->code_neighbors;
-  codes.clear();
-  {
-    TABSKETCH_TRACE_SPAN("quant.scan");
-    for (size_t i = 0; i < n; ++i) {
-      if (i == query) continue;
-      codes.push_back(core::Neighbor{
-          i, pool.CodeEstimate(query, i, l2, &workspace->code_scratch) *
-                 inv_scale});
-    }
-  }
-  TABSKETCH_METRIC_COUNT_N("quant.scan.tiles", codes.size());
-  TABSKETCH_METRIC_COUNT_N(
-      "quant.scan.bytes",
-      2 * codes.size() * pool.k() * core::QuantCodeBytes(pool.kind()));
-
-  // The safe over-fetch threshold: every tile the full scan could rank in
-  // its top `want` has a code distance within 2*slack of the want-th best
-  // code distance (each side of the comparison moves by at most slack —
-  // DESIGN.md §13). A NaN want-th distance (fewer than `want` usable tiles)
-  // or a NaN candidate distance fails the `>` test, so NaN is always kept.
-  double threshold = std::numeric_limits<double>::infinity();
-  if (codes.size() > want) {
-    std::nth_element(codes.begin(),
-                     codes.begin() + static_cast<ptrdiff_t>(want - 1),
-                     codes.end(), core::NeighborBefore);
-    threshold =
-        codes[want - 1].distance + 2.0 * pool.Slack(*estimator_);
-  }
-
-  // Refine the survivors with full double sketches — from here on the
-  // pipeline is exactly the unquantized scan, restricted to indices that
-  // can still influence the answer.
-  const std::shared_ptr<const core::Sketch> query_sketch =
-      GetSketch(query, stats);
-  std::vector<core::Neighbor>& out = workspace->neighbors;
-  for (const core::Neighbor& candidate : codes) {
-    if (candidate.distance > threshold) continue;
-    const std::shared_ptr<const core::Sketch> other =
-        GetSketch(candidate.index, stats);
-    out.push_back(core::Neighbor{
-        candidate.index,
-        estimator_->EstimateWithScratch(query_sketch->values, other->values,
-                                        &workspace->scratch)});
-  }
-  TABSKETCH_METRIC_COUNT_N("quant.candidates.kept", out.size());
-  if (stats != nullptr) {
-    stats->quant_scanned += codes.size();
-    stats->quant_kept += out.size();
-  }
-}
-
 std::string QueryEngine::AnswerKnn(const QueryRequest& request,
                                    Workspace* workspace,
                                    RequestStats* stats) const {
@@ -206,24 +146,43 @@ std::string QueryEngine::AnswerKnn(const QueryRequest& request,
     want = std::min(std::max(want, request.k), n - 1);
   }
 
+  // Candidates: every other tile, or with quant on only those the code
+  // filter keeps (DESIGN.md §13), in the order the filter leaves them.
   std::vector<core::Neighbor>& all = workspace->neighbors;
   all.clear();
   if (options_.quant != core::QuantKind::kOff) {
-    QuantFilterCandidates(request.a, want, workspace, stats);
+    const bool l2 = estimator_->kind() == core::EstimatorKind::kL2;
+    const double inv_scale = 1.0 / estimator_->scale();
+    {
+      TABSKETCH_TRACE_SPAN("quant.scan");
+      for (size_t i = 0; i < n; ++i) {
+        if (i == request.a) continue;
+        all.push_back(core::Neighbor{
+            i, codes_->CodeEstimate(request.a, i, l2,
+                                    &workspace->code_scratch) *
+                   inv_scale});
+      }
+    }
+    const size_t scanned = all.size();
+    core::FilterByCode(&all, want, codes_->Slack(*estimator_),
+                       codes_->row_bytes());
+    if (stats != nullptr) {
+      stats->quant_scanned += scanned;
+      stats->quant_kept += all.size();
+    }
   } else {
-    // Filter: estimated distance to every other tile, sketches via the
-    // cache.
-    const std::shared_ptr<const core::Sketch> query =
-        GetSketch(request.a, stats);
     for (size_t i = 0; i < n; ++i) {
-      if (i == request.a) continue;
-      const std::shared_ptr<const core::Sketch> other = GetSketch(i, stats);
-      all.push_back(core::Neighbor{
-          i, estimator_->EstimateWithScratch(query->values, other->values,
-                                             &workspace->scratch)});
+      if (i != request.a) all.push_back(core::Neighbor{i, 0.0});
     }
   }
-  core::SmallestKNeighborsInPlace(&all, want);
+  // Estimate: full sketches via the cache, the query's first.
+  const std::shared_ptr<const core::Sketch> query =
+      GetSketch(request.a, stats);
+  core::EstimateAndKeepNearest(&all, want, [&](size_t i) {
+    const std::shared_ptr<const core::Sketch> other = GetSketch(i, stats);
+    return estimator_->EstimateWithScratch(query->values, other->values,
+                                           &workspace->scratch);
+  });
 
   std::vector<core::Neighbor>* top = &all;
   if (options_.refine) {

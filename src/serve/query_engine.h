@@ -156,7 +156,6 @@ class QueryEngine {
   struct Workspace {
     std::vector<double> scratch;
     std::vector<core::Neighbor> neighbors;
-    std::vector<core::Neighbor> code_neighbors;
     std::vector<core::Neighbor> refined;
     core::kernels::CodeScratch code_scratch;
   };
@@ -171,11 +170,6 @@ class QueryEngine {
                              RequestStats* stats) const;
   std::string AnswerKnn(const QueryRequest& request, Workspace* workspace,
                         RequestStats* stats) const;
-  /// The quant filter step: scans codes, keeps every tile within 2*slack of
-  /// the `want`-th best code distance, and fills workspace->neighbors with
-  /// the survivors' full-sketch estimates.
-  void QuantFilterCandidates(size_t query, size_t want, Workspace* workspace,
-                             RequestStats* stats) const;
 
   const table::TileGrid* grid_;
   core::TileSketchCache* cache_;

@@ -136,23 +136,24 @@ util::Result<std::shared_ptr<const Snapshot>> Snapshot::WithSketchSet(
   snapshot->engine_options_ = base.engine_options_;
   if (reuse_grid) snapshot->table_ = base.table_;
   snapshot->params_ = set.params;
-  // The successor's code tier is derived from the *new* sketches (before
-  // they move into the fixed source), so a reload swaps sketches and codes
-  // as one unit — a request never sees day-2 sketches with day-1 codes.
+  snapshot->cache_ =
+      std::make_unique<core::FixedSketchSource>(std::move(set.sketches));
+  snapshot->description_ = "sketches " + path;
+  // The successor's code tier is derived from the *new* sketches, so a
+  // reload swaps sketches and codes as one unit — a request never sees
+  // day-2 sketches with day-1 codes.
   if (snapshot->engine_options_.quant != core::QuantKind::kOff) {
     TABSKETCH_ASSIGN_OR_RETURN(
         core::QuantizedCodePool pool,
-        core::QuantizedCodePool::BuildFromSketches(
-            set.sketches, snapshot->engine_options_.quant, set.params,
-            set.object_rows, set.object_cols));
+        core::QuantizedCodePool::Build(
+            snapshot->cache_.get(), snapshot->engine_options_.quant,
+            set.params, set.object_rows, set.object_cols,
+            snapshot->engine_options_.threads));
     snapshot->codes_ =
         std::make_shared<const core::QuantizedCodePool>(std::move(pool));
     TABSKETCH_METRIC_GAUGE_SET("quant.pool.bytes",
                                snapshot->codes_->bytes());
   }
-  snapshot->cache_ =
-      std::make_unique<core::FixedSketchSource>(std::move(set.sketches));
-  snapshot->description_ = "sketches " + path;
 
   TABSKETCH_ASSIGN_OR_RETURN(
       core::DistanceEstimator estimator,

@@ -15,8 +15,9 @@ namespace tabsketch::util {
 /// size limit) therefore never leaves a truncated file at `path`: readers
 /// see either the previous complete file or the new complete one, and a
 /// failed temp file is removed. Every on-disk writer routes through here:
-/// tables, sketch sets, pools, the metrics file the serve daemon's ticker
-/// rewrites, and --port-file.
+/// tables, sketch sets, pools, the --metrics-json file (at exit and on every
+/// tick of the serve daemon's ticker), the --trace-json trace, --port-file,
+/// and the `cluster --out` and `query --out` files.
 Status WriteFileAtomic(const std::string& path,
                        const std::function<void(std::ostream&)>& write);
 

@@ -252,7 +252,6 @@ void MetricsTicker::Stop() {
   }
   wake_.notify_all();
   if (thread_.joinable()) thread_.join();
-  TickOnce();  // final tick: the metrics file reflects shutdown-time values
 }
 
 void MetricsTicker::Run() {

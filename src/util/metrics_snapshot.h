@@ -132,8 +132,9 @@ class MetricsTicker {
   MetricsTicker(const MetricsTicker&) = delete;
   MetricsTicker& operator=(const MetricsTicker&) = delete;
 
-  /// Stops the thread (idempotent; also run by the destructor). A final
-  /// tick runs before the thread exits so the metrics file is fresh.
+  /// Stops the thread (idempotent; also run by the destructor). No final
+  /// tick: the file keeps the last interval's capture, and the exit-time
+  /// file is util::FlushObservability's one write.
   void Stop();
 
   /// Ticks completed so far (including the constructor's baseline tick).

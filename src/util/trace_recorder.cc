@@ -4,8 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
+#include "util/atomic_file.h"
 #include "util/metrics.h"
 
 namespace tabsketch::util {
@@ -235,16 +235,9 @@ void TraceRecorder::WriteChromeJson(std::ostream& os) const {
 }
 
 Status TraceRecorder::WriteChromeJsonFile(const std::string& path) const {
-  std::ofstream os(path, std::ios::trunc);
-  if (!os) {
-    return Status::IOError("cannot open trace output file: " + path);
-  }
-  WriteChromeJson(os);
-  os.flush();
-  if (!os) {
-    return Status::IOError("failed writing trace output file: " + path);
-  }
-  return Status::OK();
+  return WriteFileAtomic(path, [this](std::ostream& os) {
+    WriteChromeJson(os);
+  });
 }
 
 }  // namespace tabsketch::util

@@ -106,6 +106,8 @@ class TraceRecorder {
   /// trace-event JSON object with top-level "schema", "displayTimeUnit",
   /// "dropped" and "traceEvents" keys. Safe to call after Stop().
   void WriteChromeJson(std::ostream& os) const;
+  /// WriteChromeJson into `path` through util::WriteFileAtomic: a failed
+  /// write is an IOError and leaves any previous file intact.
   Status WriteChromeJsonFile(const std::string& path) const;
 
  private:

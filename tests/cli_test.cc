@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -467,6 +468,76 @@ TEST(CliTest, QueryOutputIsByteIdenticalAcrossThreadsAndCaches) {
   std::remove(sketch_path.c_str());
   std::remove(out_path.c_str());
   std::remove(json_path.c_str());
+}
+
+/// Runs the CLI in a child capped at 1 KiB per file, with the cap's SIGXFSZ
+/// ignored so a write past it fails with EFBIG instead of killing the
+/// child; the child exits with the CLI's exit code.
+void RunCliUnderFileSizeCap(const std::vector<const char*>& argv) {
+  rlimit cap{};
+  cap.rlim_cur = cap.rlim_max = 1024;
+  setrlimit(RLIMIT_FSIZE, &cap);
+  std::signal(SIGXFSZ, SIG_IGN);
+  std::exit(RunCli(argv).code);
+}
+
+TEST(CliWriteDeathTest, QueryOutFailedWriteKeepsThePreviousFile) {
+  const std::string table_path = TempPath("cli_fsize_query.tbl");
+  const std::string batch_path = TempPath("cli_fsize_query_batch.txt");
+  const std::string out_path = TempPath("cli_fsize_query_out.txt");
+  const std::string table_flag = "--table=" + table_path;
+  const std::string batch_flag = "--batch=" + batch_path;
+  const std::string out_flag = "--out=" + out_path;
+  {
+    const std::string generate_out = "--out=" + table_path;
+    ASSERT_EQ(RunCli({"generate", "--dataset=six-region",
+                      generate_out.c_str(), "--rows=64", "--cols=64",
+                      "--seed=11"})
+                  .code,
+              0);
+  }
+  {
+    // 8 knn lines over 64 tiles print far more than the 1 KiB cap.
+    std::ofstream batch(batch_path);
+    for (int i = 0; i < 8; ++i) batch << "knn " << i << " 63\n";
+  }
+  { std::ofstream(out_path) << "previous answers\n"; }
+  EXPECT_EXIT(RunCliUnderFileSizeCap({"query", table_flag.c_str(),
+                                      "--tile-rows=8", "--tile-cols=8",
+                                      batch_flag.c_str(), out_flag.c_str()}),
+              ::testing::ExitedWithCode(1), "");
+  // The previous file is intact and no temp file is left behind.
+  EXPECT_EQ(ReadWholeFile(out_path), "previous answers\n");
+  EXPECT_FALSE(std::filesystem::exists(out_path + ".tmp"));
+  for (const std::string& path : {table_path, batch_path, out_path}) {
+    std::remove(path.c_str());
+  }
+}
+
+TEST(CliWriteDeathTest, ClusterOutFailedWriteKeepsThePreviousFile) {
+  const std::string table_path = TempPath("cli_fsize_cluster.tbl");
+  const std::string out_path = TempPath("cli_fsize_cluster_out.csv");
+  const std::string table_flag = "--table=" + table_path;
+  const std::string out_flag = "--out=" + out_path;
+  {
+    const std::string generate_out = "--out=" + table_path;
+    ASSERT_EQ(RunCli({"generate", "--dataset=six-region",
+                      generate_out.c_str(), "--rows=64", "--cols=64",
+                      "--seed=11"})
+                  .code,
+              0);
+  }
+  { std::ofstream(out_path) << "previous assignments\n"; }
+  // 256 tiles of 4x4: the CSV runs past the 1 KiB cap.
+  EXPECT_EXIT(RunCliUnderFileSizeCap({"cluster", table_flag.c_str(),
+                                      "--tile-rows=4", "--tile-cols=4",
+                                      "--k=3", "--mode=exact",
+                                      "--threads=1", out_flag.c_str()}),
+              ::testing::ExitedWithCode(1), "");
+  EXPECT_EQ(ReadWholeFile(out_path), "previous assignments\n");
+  EXPECT_FALSE(std::filesystem::exists(out_path + ".tmp"));
+  std::remove(table_path.c_str());
+  std::remove(out_path.c_str());
 }
 
 // The quantized code tier is a filter only: every --quant width must

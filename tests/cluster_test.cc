@@ -189,6 +189,44 @@ TEST(SketchBackendTest, CentroidSketchIsMeanOfMemberSketches) {
   }
 }
 
+TEST(SketchBackendTest, NearestCentroidTieAndAllNaNWithAndWithoutCodes) {
+  BandedData banded = MakeBanded(3, 8, 32, 4, 4, 5);
+  auto grid = table::TileGrid::Create(&banded.data, 4, 4);
+  ASSERT_TRUE(grid.ok());
+  table::Matrix all_nan(8, 8);
+  all_nan.Fill(std::numeric_limits<double>::quiet_NaN());
+  auto nan_grid = table::TileGrid::Create(&all_nan, 4, 4);
+  ASSERT_TRUE(nan_grid.ok());
+  const core::SketchParams params{.p = 1.0, .k = 64, .seed = 5};
+  for (const core::QuantKind quant :
+       {core::QuantKind::kOff, core::QuantKind::kInt8,
+        core::QuantKind::kInt16}) {
+    SCOPED_TRACE(core::QuantKindName(quant));
+    auto backend =
+        SketchBackend::Create(&*grid, params, SketchMode::kPrecomputed,
+                              core::EstimatorKind::kAuto, 1, 0, quant);
+    ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+    // Centroids 0 and 2 are both tile 3, so they tie for every object and
+    // the lower index must win each time.
+    backend->InitCentroidsFromObjects({3, 40, 3});
+    for (size_t object = 0; object < backend->num_objects(); ++object) {
+      const int best = backend->NearestCentroid(object);
+      EXPECT_TRUE(best == 0 || best == 1) << "object " << object;
+    }
+    EXPECT_EQ(backend->NearestCentroid(3), 0);
+
+    // Every distance is NaN on an all-NaN table: nothing is assignable.
+    auto nan_backend =
+        SketchBackend::Create(&*nan_grid, params, SketchMode::kPrecomputed,
+                              core::EstimatorKind::kAuto, 1, 0, quant);
+    ASSERT_TRUE(nan_backend.ok()) << nan_backend.status().ToString();
+    nan_backend->InitCentroidsFromObjects({0, 1});
+    for (size_t object = 0; object < nan_backend->num_objects(); ++object) {
+      EXPECT_EQ(nan_backend->NearestCentroid(object), -1);
+    }
+  }
+}
+
 TEST(KMeansTest, RejectsBadK) {
   table::Matrix data(4, 4);
   auto grid = table::TileGrid::Create(&data, 2, 2);

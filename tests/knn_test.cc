@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
+#include <ranges>
 #include <vector>
 
 #include "core/knn.h"
+#include "rng/xoshiro256.h"
 
 namespace tabsketch::core {
 namespace {
@@ -49,6 +53,158 @@ TEST(SmallestKNeighborsTest, NaNDistancesSortLastDeterministically) {
   // The NaN tail is ordered by index.
   EXPECT_EQ(top[4].index, 1u);
   EXPECT_EQ(top[5].index, 3u);
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// The knn code filter as QueryEngine wrote it before the shared scan:
+/// nth_element to the want-th code distance, then every candidate not more
+/// than 2*slack above it, in the order nth_element left them.
+std::vector<size_t> KnnRule(std::vector<Neighbor> codes, size_t want,
+                            double slack) {
+  double threshold = kInf;
+  if (codes.size() > want) {
+    std::nth_element(codes.begin(),
+                     codes.begin() + static_cast<ptrdiff_t>(want - 1),
+                     codes.end(), NeighborBefore);
+    threshold = codes[want - 1].distance + 2.0 * slack;
+  }
+  std::vector<size_t> kept;
+  for (const Neighbor& candidate : codes) {
+    if (candidate.distance > threshold) continue;
+    kept.push_back(candidate.index);
+  }
+  return kept;
+}
+
+/// The k-means code filter as SketchBackend wrote it before the shared
+/// scan: skip centroid c when code_c - slack > min(code + slack), in index
+/// order.
+std::vector<size_t> KMeansRule(const std::vector<Neighbor>& codes,
+                               double slack) {
+  double best_bound = kInf;
+  for (const Neighbor& candidate : codes) {
+    if (candidate.distance + slack < best_bound) {
+      best_bound = candidate.distance + slack;
+    }
+  }
+  std::vector<size_t> kept;
+  for (const Neighbor& candidate : codes) {
+    if (candidate.distance - slack > best_bound) continue;
+    kept.push_back(candidate.index);
+  }
+  return kept;
+}
+
+std::vector<size_t> Indices(const std::vector<Neighbor>& neighbors) {
+  std::vector<size_t> out;
+  for (const Neighbor& neighbor : neighbors) out.push_back(neighbor.index);
+  return out;
+}
+
+/// Code distances drawn from NaN, +-0, +-inf and multiples of a quarter, so
+/// with slack 1/4 every threshold is exact and many candidates sit on it.
+std::vector<Neighbor> EdgeCodes(size_t n, rng::Xoshiro256* gen) {
+  const double values[] = {kNaN, 0.0,  -0.0, kInf, -kInf, 0.25, 0.5,
+                           0.75, 1.0,  1.25, 1.5,  2.0,   3.0};
+  std::vector<Neighbor> codes;
+  for (size_t i = 0; i < n; ++i) {
+    codes.push_back(Neighbor{i, values[gen->Next() % std::size(values)]});
+  }
+  return codes;
+}
+
+TEST(CodeFilterTest, MatchesBothRulesOnEdgeValues) {
+  rng::Xoshiro256 gen(24);
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{20}, size_t{255}}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<Neighbor> codes = EdgeCodes(n, &gen);
+      if (trial == 0) {
+        for (Neighbor& code : codes) code.distance = kNaN;
+      } else if (trial == 1) {
+        for (Neighbor& code : codes) code.distance = 1.0;
+      }
+      for (const double slack : {0.0, 0.25}) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " trial="
+                                          << trial << " slack=" << slack);
+        for (const size_t want : {size_t{1}, size_t{2}, n - 1, n, n + 1}) {
+          if (want == 0) continue;
+          std::vector<Neighbor> kept = codes;
+          FilterByCode(&kept, want, slack, /*row_bytes=*/64);
+          EXPECT_EQ(Indices(kept), KnnRule(codes, want, slack))
+              << "want=" << want;
+          // Each survivor keeps its code distance.
+          for (const Neighbor& survivor : kept) {
+            const double code = codes[survivor.index].distance;
+            EXPECT_TRUE(survivor.distance == code ||
+                        (std::isnan(survivor.distance) && std::isnan(code)));
+          }
+        }
+        // k-means is the want = 1 case; it runs survivors in index order.
+        std::vector<Neighbor> kept = codes;
+        FilterByCode(&kept, 1, slack, /*row_bytes=*/64);
+        std::vector<size_t> indices = Indices(kept);
+        std::sort(indices.begin(), indices.end());
+        EXPECT_EQ(indices, KMeansRule(codes, slack));
+      }
+    }
+  }
+}
+
+TEST(CodeFilterTest, KeepsEveryCandidateAtTheThreshold) {
+  // want = 3: T = 1.0, so 1.5 (T + 2*slack exactly) stays and 1.75 goes.
+  std::vector<Neighbor> codes = {
+      {0, 1.75}, {1, 1.5}, {2, 0.5}, {3, kNaN}, {4, 1.0}, {5, -0.0}};
+  FilterByCode(&codes, 3, 0.25, 1);
+  std::vector<size_t> indices = Indices(codes);
+  std::sort(indices.begin(), indices.end());
+  EXPECT_EQ(indices, (std::vector<size_t>{1, 2, 3, 4, 5}));
+}
+
+TEST(NearestCandidateTest, NaNNeverWinsAndAllNaNIsMinusOne) {
+  const std::vector<double> all_nan = {kNaN, kNaN, kNaN};
+  const auto distance_of = [&](size_t c) { return all_nan[c]; };
+  EXPECT_EQ(NearestCandidate(std::views::iota(size_t{0}, size_t{3}),
+                             distance_of),
+            -1);
+  EXPECT_EQ(NearestCandidate(std::vector<size_t>{}, distance_of), -1);
+  const std::vector<double> mixed = {kNaN, 2.0, kNaN, 1.0, kNaN};
+  EXPECT_EQ(NearestCandidate(std::views::iota(size_t{0}, size_t{5}),
+                             [&](size_t c) { return mixed[c]; }),
+            3);
+}
+
+TEST(NearestCandidateTest, LowestIndexWinsATieWithAndWithoutCodes) {
+  // Centroids 1 and 3 tie on the full estimate; 1 must win, whether the
+  // scan runs over every centroid or over the survivors of a code filter
+  // put back in index order.
+  const std::vector<double> full = {5.0, 1.0, 4.0, 1.0, 9.0};
+  std::vector<size_t> calls;
+  const auto distance_of = [&](size_t c) {
+    calls.push_back(c);
+    return full[c];
+  };
+  EXPECT_EQ(NearestCandidate(std::views::iota(size_t{0}, full.size()),
+                             distance_of),
+            1);
+  EXPECT_EQ(calls, (std::vector<size_t>{0, 1, 2, 3, 4}));
+
+  // Codes within slack 0.5 of `full`; centroid 3's code is the smaller, so
+  // nth_element leaves it ahead of 1.
+  std::vector<Neighbor> codes = {
+      {0, 5.25}, {1, 1.25}, {2, 4.5}, {3, 0.75}, {4, 9.0}};
+  FilterByCode(&codes, 1, 0.5, 1);
+  EXPECT_EQ(codes.front().index, 3u);
+  std::sort(codes.begin(), codes.end(),
+            [](const Neighbor& a, const Neighbor& b) {
+              return a.index < b.index;
+            });
+  calls.clear();
+  EXPECT_EQ(NearestCandidate(codes | std::views::transform(&Neighbor::index),
+                             distance_of),
+            1);
+  EXPECT_EQ(calls, (std::vector<size_t>{1, 3}));
 }
 
 }  // namespace

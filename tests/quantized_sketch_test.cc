@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,10 +32,20 @@ std::vector<Sketch> RandomSketches(size_t count, size_t k, uint64_t seed,
   return sketches;
 }
 
+/// A pool over in-memory sketches, through BuildFromGetter.
+util::Result<QuantizedCodePool> BuildFromSketches(
+    std::span<const Sketch> sketches, QuantKind kind,
+    const SketchParams& params, size_t object_rows, size_t object_cols) {
+  return QuantizedCodePool::BuildFromGetter(
+      [sketches](size_t i) -> std::span<const double> {
+        return sketches[i].values;
+      },
+      sketches.size(), kind, params, object_rows, object_cols);
+}
+
 QuantizedCodePool BuildPool(const std::vector<Sketch>& sketches,
                             QuantKind kind, const SketchParams& params) {
-  auto pool = QuantizedCodePool::BuildFromSketches(sketches, kind, params,
-                                                   4, 4);
+  auto pool = BuildFromSketches(sketches, kind, params, 4, 4);
   EXPECT_TRUE(pool.ok()) << pool.status().ToString();
   return std::move(pool).value();
 }
@@ -98,8 +109,8 @@ TEST(QuantizedCodePoolTest, DegeneratePoolsAreSafe) {
   EXPECT_EQ(pool.Slack(est), 0.0);
 
   // Empty pool builds (count 0).
-  auto empty = QuantizedCodePool::BuildFromSketches(
-      std::span<const Sketch>{}, QuantKind::kInt8, params, 4, 4);
+  auto empty = BuildFromSketches(std::span<const Sketch>{}, QuantKind::kInt8,
+                                 params, 4, 4);
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(empty->count(), 0u);
 }
@@ -234,9 +245,8 @@ TEST(QuantizedCodePoolTest, ParallelBuildMatchesOneThreadOverAnLru) {
   const SketchParams params{.p = 1.0, .k = 32, .seed = 5};
   const Sketcher sketcher = Sketcher::Create(params).value();
   const QuantizedCodePool reference =
-      QuantizedCodePool::BuildFromSketches(
-          SketchAllTilesParallel(sketcher, grid), QuantKind::kInt16, params,
-          8, 8)
+      BuildFromSketches(SketchAllTilesParallel(sketcher, grid),
+                        QuantKind::kInt16, params, 8, 8)
           .value();
   ASSERT_EQ(reference.usable_flags()[7], 0u);
   // Budget 0 keeps every tile; a budget of one byte keeps none.
@@ -269,9 +279,7 @@ TEST(QuantizedCodePoolTest, ParallelBuildKeepsTheFirstSignedZeroExtreme) {
     sketches[1].values[0] = negative_first ? -0.0 : 0.0;
     sketches[6].values[1] = negative_first ? 0.0 : -0.0;
     const QuantizedCodePool reference =
-        QuantizedCodePool::BuildFromSketches(sketches, QuantKind::kInt8,
-                                             params, 1, 1)
-            .value();
+        BuildFromSketches(sketches, QuantKind::kInt8, params, 1, 1).value();
     EXPECT_EQ(std::signbit(reference.offset()), negative_first);
     FixedSketchSource source(sketches);
     ExpectSamePool(reference,
