@@ -592,6 +592,11 @@ int CmdQuery(const Flags& flags, std::ostream& out, std::ostream& err) {
   // and budget yields byte-identical answers (sketches are deterministic).
   TABSKETCH_ASSIGN_CLI(const std::shared_ptr<const serve::Snapshot> snapshot,
                        serve::Snapshot::Create(spec));
+  // The cache's counters are lifetime totals, which include the code tier's
+  // build; the batch's own lookups are the difference across Run.
+  const core::TileSketchCache& cache = snapshot->cache();
+  const size_t hits_before = cache.hits();
+  const size_t computed_before = cache.computed();
 
   util::WallTimer timer;
   TABSKETCH_ASSIGN_CLI(const std::vector<std::string> results,
@@ -608,10 +613,9 @@ int CmdQuery(const Flags& flags, std::ostream& out, std::ostream& err) {
   }
   // Statistics go to stderr: they vary with --threads/--cache-bytes and
   // timing, while the answers above must not.
-  const core::TileSketchCache& cache = snapshot->cache();
   err << "answered " << results.size() << " requests in " << seconds
-      << "s (" << cache.hits() << " cache hits, " << cache.computed()
-      << " sketches computed)\n";
+      << "s (" << cache.hits() - hits_before << " cache hits, "
+      << cache.computed() - computed_before << " sketches computed)\n";
   const auto* lru = dynamic_cast<const core::LruSketchCache*>(&cache);
   if (lru != nullptr && lru->capacity_bytes() > 0) {
     err << "lru cache: " << lru->evictions() << " evictions, peak "
@@ -758,7 +762,6 @@ int CmdServe(const Flags& flags, std::ostream& out, std::ostream& err) {
 
   options.port = static_cast<uint16_t>(port);
   options.deadline_ms = static_cast<uint32_t>(deadline_ms);
-  options.enable_reload = !ingest_enabled;
   options.ingest = ingest.get();
   options.ticker = &ticker;
   TABSKETCH_ASSIGN_CLI(const std::unique_ptr<serve::Server> server,

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "util/logging.h"
 #include "util/parallel.h"
 
 namespace tabsketch::core {
@@ -15,7 +14,7 @@ GrowingTableSketcher::GrowingTableSketcher(Sketcher sketcher, size_t num_rows,
       tile_rows_(tile_rows),
       tile_cols_(tile_cols),
       grid_rows_(num_rows / tile_rows),
-      table_(num_rows, 0),
+      table_(std::make_shared<const table::Matrix>(num_rows, 0)),
       sketches_(grid_rows_) {}
 
 util::Result<GrowingTableSketcher> GrowingTableSketcher::Create(
@@ -34,26 +33,27 @@ util::Result<GrowingTableSketcher> GrowingTableSketcher::Create(
 
 util::Status GrowingTableSketcher::AppendColumns(const table::Matrix& piece,
                                                  size_t threads) {
-  if (piece.rows() != table_.rows()) {
+  if (piece.rows() != table_->rows()) {
     std::ostringstream msg;
     msg << "appended piece has " << piece.rows() << " rows, table has "
-        << table_.rows();
+        << table_->rows();
     return util::Status::InvalidArgument(msg.str());
   }
   if (piece.cols() == 0) return util::Status::OK();
 
-  // Grow the table (column-axis append implies a rebuild of the row-major
-  // storage; the sketching work saved dominates this copy).
-  table::Matrix grown(table_.rows(), table_.cols() + piece.cols());
-  for (size_t r = 0; r < table_.rows(); ++r) {
-    auto old_row = table_.Row(r);
+  // Grow the table into a fresh matrix (column-axis append implies a rebuild
+  // of the row-major storage; the sketching work saved dominates this copy).
+  // The old matrix may still serve a generation, so it is never written.
+  table::Matrix grown(table_->rows(), table_->cols() + piece.cols());
+  for (size_t r = 0; r < table_->rows(); ++r) {
+    auto old_row = table_->Row(r);
     auto new_row = piece.Row(r);
     auto dst = grown.Row(r);
     std::copy(old_row.begin(), old_row.end(), dst.begin());
     std::copy(new_row.begin(), new_row.end(),
               dst.begin() + static_cast<std::ptrdiff_t>(old_row.size()));
   }
-  table_ = std::move(grown);
+  table_ = std::make_shared<const table::Matrix>(std::move(grown));
 
   SketchNewTiles(threads == 0 ? 1 : threads);
   return util::Status::OK();
@@ -69,14 +69,14 @@ util::Status GrowingTableSketcher::RetireColumns(size_t tile_columns) {
   if (tile_columns == 0) return util::Status::OK();
 
   const size_t dropped_cols = tile_columns * tile_cols_;
-  table::Matrix shrunk(table_.rows(), table_.cols() - dropped_cols);
-  for (size_t r = 0; r < table_.rows(); ++r) {
-    auto old_row = table_.Row(r);
+  table::Matrix shrunk(table_->rows(), table_->cols() - dropped_cols);
+  for (size_t r = 0; r < table_->rows(); ++r) {
+    auto old_row = table_->Row(r);
     auto dst = shrunk.Row(r);
     std::copy(old_row.begin() + static_cast<std::ptrdiff_t>(dropped_cols),
               old_row.end(), dst.begin());
   }
-  table_ = std::move(shrunk);
+  table_ = std::make_shared<const table::Matrix>(std::move(shrunk));
 
   for (auto& row : sketches_) {
     row.erase(row.begin(),
@@ -88,7 +88,7 @@ util::Status GrowingTableSketcher::RetireColumns(size_t tile_columns) {
 }
 
 void GrowingTableSketcher::SketchNewTiles(size_t threads) {
-  const size_t completed_cols = table_.cols() / tile_cols_;
+  const size_t completed_cols = table_->cols() / tile_cols_;
   if (completed_cols <= grid_cols_) return;
   const size_t new_cols = completed_cols - grid_cols_;
 
@@ -99,7 +99,7 @@ void GrowingTableSketcher::SketchNewTiles(size_t threads) {
   util::ParallelFor(fresh.size(), threads, [&](size_t job) {
     const size_t gc = grid_cols_ + job / grid_rows_;
     const size_t gr = job % grid_rows_;
-    const table::TableView tile = table_.Window(
+    const table::TableView tile = table_->Window(
         gr * tile_rows_, gc * tile_cols_, tile_rows_, tile_cols_);
     fresh[job] = std::make_shared<const Sketch>(sketcher_.SketchOf(tile));
   });
@@ -108,14 +108,6 @@ void GrowingTableSketcher::SketchNewTiles(size_t threads) {
     ++sketches_computed_;
   }
   grid_cols_ = completed_cols;
-}
-
-const Sketch& GrowingTableSketcher::TileSketch(size_t grid_row,
-                                               size_t grid_col) const {
-  TABSKETCH_CHECK(grid_row < grid_rows_ && grid_col < grid_cols_)
-      << "tile (" << grid_row << "," << grid_col << ") out of "
-      << grid_rows_ << "x" << grid_cols_;
-  return *sketches_[grid_row][grid_col];
 }
 
 std::vector<Sketch> GrowingTableSketcher::SketchesInGridOrder() const {

@@ -47,7 +47,12 @@ class GrowingTableSketcher {
   /// (if any) and grows again on the next append.
   util::Status RetireColumns(size_t tile_columns);
 
-  const table::Matrix& table() const { return table_; }
+  const table::Matrix& table() const { return *table_; }
+  /// The same window table, shared: a serving generation holds it for exact
+  /// refine instead of copying it. The store never writes a matrix it has
+  /// handed out (every append and retire builds a fresh one), so a holder's
+  /// bytes stay fixed after later appends and retires.
+  std::shared_ptr<const table::Matrix> shared_table() const { return table_; }
   const SketchParams& params() const { return sketcher_.params(); }
   size_t tile_rows() const { return tile_rows_; }
   size_t tile_cols() const { return tile_cols_; }
@@ -58,16 +63,14 @@ class GrowingTableSketcher {
   size_t num_tiles() const { return grid_rows_ * grid_cols_; }
 
   /// Columns appended but not yet part of a completed tile column.
-  size_t pending_cols() const { return table_.cols() - grid_cols_ * tile_cols_; }
+  size_t pending_cols() const {
+    return table_->cols() - grid_cols_ * tile_cols_;
+  }
 
   /// Tile columns retired since creation; the window's first tile column is
   /// tile column `retired_tile_cols()` of the full (never-materialized)
   /// stream.
   size_t retired_tile_cols() const { return retired_tile_cols_; }
-
-  /// Sketch of completed tile (grid_row, grid_col), grid_col relative to
-  /// the current window start.
-  const Sketch& TileSketch(size_t grid_row, size_t grid_col) const;
 
   /// All completed tile sketches in TileGrid row-major order (tile index =
   /// grid_row * grid_cols() + grid_col), matching what
@@ -98,7 +101,8 @@ class GrowingTableSketcher {
   size_t grid_rows_;
   size_t grid_cols_ = 0;
   size_t retired_tile_cols_ = 0;
-  table::Matrix table_;
+  /// Replaced, never written, once handed out (see shared_table()).
+  std::shared_ptr<const table::Matrix> table_;
   /// sketches_[grid_row][grid_col]; shared so snapshot generations can
   /// alias them (see SketchSharesInGridOrder).
   std::vector<std::vector<std::shared_ptr<const Sketch>>> sketches_;

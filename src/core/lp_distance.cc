@@ -31,11 +31,6 @@ double SumAbsPow(std::span<const double> a, std::span<const double> b,
 
 }  // namespace
 
-double LpDistancePow(std::span<const double> a, std::span<const double> b,
-                     double p) {
-  return SumAbsPow(a, b, p);
-}
-
 double LpDistance(std::span<const double> a, std::span<const double> b,
                   double p) {
   const double acc = SumAbsPow(a, b, p);

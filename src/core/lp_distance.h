@@ -26,12 +26,6 @@ double LpDistance(std::span<const double> a, std::span<const double> b,
 double LpDistance(const table::TableView& a, const table::TableView& b,
                   double p);
 
-/// Sum of |a_i - b_i|^p without the final 1/p root (the "p-th power" of the
-/// distance for p >= 1). Useful when only comparisons are needed, since
-/// x -> x^(1/p) is monotone.
-double LpDistancePow(std::span<const double> a, std::span<const double> b,
-                     double p);
-
 }  // namespace tabsketch::core
 
 #endif  // TABSKETCH_CORE_LP_DISTANCE_H_

@@ -189,12 +189,6 @@ class QuantizedCodePool {
       const SketchParams& params, size_t object_rows, size_t object_cols,
       size_t threads);
 
-  const uint8_t* Codes8(size_t i) const {
-    return reinterpret_cast<const uint8_t*>(codes_.data()) + i * k_;
-  }
-  const uint16_t* Codes16(size_t i) const {
-    return reinterpret_cast<const uint16_t*>(codes_.data()) + i * k_;
-  }
   /// Encodes one finite in-range value (clamped to the code range).
   uint32_t EncodeValue(double value) const;
   /// Encodes finite `values` into `row`, row_bytes() long.

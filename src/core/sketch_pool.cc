@@ -88,13 +88,6 @@ std::vector<std::pair<size_t, size_t>> SketchPool::CanonicalSizes() const {
   return out;
 }
 
-bool SketchPool::Covers(size_t rows, size_t cols) const {
-  if (rows == 0 || cols == 0) return false;
-  const size_t a = std::bit_floor(rows);
-  const size_t b = std::bit_floor(cols);
-  return fields_.count({a, b}) > 0;
-}
-
 util::Result<Sketch> SketchPool::Query(size_t row, size_t col, size_t rows,
                                        size_t cols) const {
   if (rows == 0 || cols == 0) {

@@ -72,11 +72,6 @@ class SketchPool {
   /// The canonical (height, width) pairs this pool holds, sorted.
   std::vector<std::pair<size_t, size_t>> CanonicalSizes() const;
 
-  /// True if the pool can answer queries for rows x cols rectangles, i.e.
-  /// the canonical size (largest power of two <= rows, same for cols) is
-  /// stored.
-  bool Covers(size_t rows, size_t cols) const;
-
   /// Compound sketch of the rectangle anchored at (row, col) spanning
   /// rows x cols. Always the four-corner sum, even when the rectangle is
   /// exactly canonical (the four anchors coincide and the sketch is 4x one

@@ -1,14 +1,11 @@
 #include "serve/ingest.h"
 
-#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
 
-#include "core/estimator.h"
 #include "core/sketch_cache.h"
 #include "table/table_io.h"
-#include "table/tiling.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/status.h"
@@ -89,77 +86,60 @@ util::Result<std::shared_ptr<const Snapshot>>
 StreamingIngest::BuildSnapshotLocked(std::vector<size_t> base_of,
                                      bool* codes_rebuilt) {
   *codes_rebuilt = false;
+  // Taken, not read: if this build fails, the base/window pairing is unknown
+  // and the next build re-derives the codes from scratch rather than risk a
+  // stale mapping.
+  const std::shared_ptr<const core::QuantizedCodePool> base =
+      std::move(codes_base_);
   std::vector<std::shared_ptr<const core::Sketch>> shares =
       store_.SketchSharesInGridOrder();
-  const size_t tiles = shares.size();
 
   std::shared_ptr<Snapshot> snapshot(new Snapshot());
   snapshot->engine_options_ = spec_.engine;
   snapshot->params_ = spec_.params;
 
-  // Pin a copy of the window table for exact refine: the store's matrix
-  // moves on every append/retire, so each generation owns its bytes (the
-  // sketches, by contrast, are shared — they never move or change).
-  const table::TileGrid* grid = nullptr;
+  // Refine reads the store's own window matrix, which the store never
+  // writes once handed out; the sketches are shared the same way.
   if (store_.table().cols() >= store_.tile_cols()) {
-    auto data = std::make_shared<Snapshot::TableData>();
-    data->matrix = store_.table();
     TABSKETCH_ASSIGN_OR_RETURN(
-        table::TileGrid made,
-        table::TileGrid::Create(&data->matrix, store_.tile_rows(),
-                                store_.tile_cols()));
-    data->grid = std::make_unique<table::TileGrid>(std::move(made));
-    TABSKETCH_CHECK(data->grid->num_tiles() == tiles)
+        snapshot->table_,
+        Snapshot::TableData::Over(store_.shared_table(), store_.tile_rows(),
+                                  store_.tile_cols()));
+    TABSKETCH_CHECK(snapshot->table_->grid->num_tiles() == shares.size())
         << "window grid disagrees with the sketch store";
-    snapshot->table_ = std::move(data);
-    grid = snapshot->table_->grid.get();
   } else if (spec_.engine.refine) {
     return util::Status::FailedPrecondition(
         "refined streaming serving needs at least one completed tile "
         "column");
   }
 
-  if (spec_.engine.quant != core::QuantKind::kOff) {
+  // A successor copies its surviving code rows; the first generation, and
+  // the one after a failed build, get theirs from Finish.
+  std::shared_ptr<const core::QuantizedCodePool> codes;
+  if (base != nullptr && !base_of.empty()) {
     auto sketch_of = [&shares](size_t i) -> std::span<const double> {
       return shares[i]->values;
     };
-    const bool incremental = !base_of.empty() && codes_base_ != nullptr;
-    util::Result<core::QuantizedCodePool> pool =
-        incremental
-            ? core::QuantizedCodePool::BuildSuccessor(*codes_base_, sketch_of,
-                                                      base_of, codes_rebuilt)
-            : core::QuantizedCodePool::BuildFromGetter(
-                  sketch_of, tiles, spec_.engine.quant, spec_.params,
-                  store_.tile_rows(), store_.tile_cols());
-    if (!pool.ok()) {
-      // The base/window pairing is now unknown; re-derive from scratch on
-      // the next build rather than risk a stale mapping.
-      codes_base_.reset();
-      return pool.status();
-    }
-    snapshot->codes_ =
-        std::make_shared<const core::QuantizedCodePool>(std::move(*pool));
-    codes_base_ = snapshot->codes_;
-    TABSKETCH_METRIC_GAUGE_SET("quant.pool.bytes", snapshot->codes_->bytes());
+    TABSKETCH_ASSIGN_OR_RETURN(
+        core::QuantizedCodePool pool,
+        core::QuantizedCodePool::BuildSuccessor(*base, sketch_of, base_of,
+                                                codes_rebuilt));
+    codes = std::make_shared<const core::QuantizedCodePool>(std::move(pool));
   }
 
   snapshot->cache_ =
       std::make_unique<core::FixedSketchSource>(std::move(shares));
-  TABSKETCH_ASSIGN_OR_RETURN(
-      core::DistanceEstimator estimator,
-      core::DistanceEstimator::Create(spec_.params));
-  snapshot->estimator_ =
-      std::make_unique<core::DistanceEstimator>(std::move(estimator));
-  snapshot->engine_ = std::make_unique<QueryEngine>(
-      grid, snapshot->cache_.get(), snapshot->estimator_.get(),
-      snapshot->engine_options_, snapshot->codes_.get());
-
   std::ostringstream description;
   description << "stream " << spec_.table_path << " tile-cols ["
               << store_.retired_tile_cols() << ", "
               << store_.retired_tile_cols() + store_.grid_cols() << ")";
   snapshot->description_ = description.str();
-  return std::shared_ptr<const Snapshot>(std::move(snapshot));
+  TABSKETCH_ASSIGN_OR_RETURN(
+      std::shared_ptr<const Snapshot> finished,
+      Snapshot::Finish(std::move(snapshot), store_.tile_rows(),
+                       store_.tile_cols(), std::move(codes)));
+  codes_base_ = finished->codes_;
+  return finished;
 }
 
 util::Result<StreamingIngest::AppendResult> StreamingIngest::Append(

@@ -18,7 +18,8 @@ namespace tabsketch::serve {
 /// holds the window, and every append/retire builds the next Snapshot
 /// generation *incrementally* from the previous one — all surviving tile
 /// sketches are shared (the same heap objects, never recomputed, via
-/// FixedSketchSource's aliasing constructor), quantized code rows are
+/// FixedSketchSource's aliasing constructor), the window table is the
+/// store's own matrix (shared, never copied), quantized code rows are
 /// copied (never re-encoded) with the affine map re-derived only when the
 /// pool's value range grows, and only the newly completed tiles are
 /// sketched. Generations are published through the caller's RCU

@@ -514,7 +514,7 @@ std::string Server::ProcessQuery(const QueryRequest& request,
 
 std::string Server::ProcessReload(const std::string& path) {
   TABSKETCH_METRIC_COUNT("serve.requests.reload");
-  if (!options_.enable_reload) {
+  if (options_.ingest != nullptr) {
     TABSKETCH_METRIC_COUNT("serve.requests.errors");
     return ErrorLine("failed-precondition", "reload disabled");
   }

@@ -93,12 +93,11 @@ struct ServerOptions {
   /// deadline bounds time spent waiting for an execution slot, not
   /// execution itself.
   uint32_t deadline_ms = 0;
-  /// When false, `reload` returns a failed-precondition error.
-  bool enable_reload = true;
   /// Streaming-ingest driver behind the `append` / `retire` / `window`
   /// verbs; null (the default) answers them with a failed-precondition
   /// error. Must outlive the server. Successor snapshots it builds are
-  /// published through the same SnapshotHolder the server reads.
+  /// published through the same SnapshotHolder the server reads, so when it
+  /// is set `reload` answers failed-precondition instead.
   StreamingIngest* ingest = nullptr;
   /// Rolling-snapshot ticker (util/metrics_snapshot.h) backing the `stats`
   /// verb's last-window rates; owned by the caller, must outlive the

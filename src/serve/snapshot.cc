@@ -11,19 +11,6 @@
 namespace tabsketch::serve {
 namespace {
 
-/// Loads `path` into a heap-pinned TableData (matrix first, then the grid
-/// pointing into it; the shared_ptr guarantees the matrix never moves).
-util::Result<std::shared_ptr<const Snapshot::TableData>> LoadTable(
-    const std::string& path, size_t tile_rows, size_t tile_cols) {
-  auto data = std::make_shared<Snapshot::TableData>();
-  TABSKETCH_ASSIGN_OR_RETURN(data->matrix, table::ReadBinary(path));
-  TABSKETCH_ASSIGN_OR_RETURN(
-      table::TileGrid grid,
-      table::TileGrid::Create(&data->matrix, tile_rows, tile_cols));
-  data->grid = std::make_unique<table::TileGrid>(std::move(grid));
-  return std::shared_ptr<const Snapshot::TableData>(std::move(data));
-}
-
 /// True when the sketch set's object shape and count line up with the grid,
 /// i.e. the set can serve as that grid's precomputed sketches.
 bool SetMatchesGrid(const core::SketchSet& set, const table::TileGrid& grid) {
@@ -33,6 +20,18 @@ bool SetMatchesGrid(const core::SketchSet& set, const table::TileGrid& grid) {
 }
 
 }  // namespace
+
+util::Result<std::shared_ptr<const Snapshot::TableData>>
+Snapshot::TableData::Over(std::shared_ptr<const table::Matrix> matrix,
+                          size_t tile_rows, size_t tile_cols) {
+  auto data = std::make_shared<TableData>();
+  data->matrix = std::move(matrix);
+  TABSKETCH_ASSIGN_OR_RETURN(
+      table::TileGrid grid,
+      table::TileGrid::Create(data->matrix.get(), tile_rows, tile_cols));
+  data->grid = std::make_unique<table::TileGrid>(std::move(grid));
+  return std::shared_ptr<const TableData>(std::move(data));
+}
 
 util::Result<std::shared_ptr<const Snapshot>> Snapshot::Create(
     const SnapshotSpec& spec) {
@@ -45,21 +44,23 @@ util::Result<std::shared_ptr<const Snapshot>> Snapshot::Create(
         "refined knn needs table data, not just sketches");
   }
 
-  // shared_ptr<Snapshot> first, const-qualified on return: the constructor
+  // shared_ptr<Snapshot> first, const-qualified by Finish: the constructor
   // is private, so no make_shared.
   std::shared_ptr<Snapshot> snapshot(new Snapshot());
   snapshot->engine_options_ = spec.engine;
 
   const table::TileGrid* grid = nullptr;
   if (!spec.table_path.empty()) {
+    TABSKETCH_ASSIGN_OR_RETURN(table::Matrix matrix,
+                               table::ReadBinary(spec.table_path));
     TABSKETCH_ASSIGN_OR_RETURN(
         snapshot->table_,
-        LoadTable(spec.table_path, spec.tile_rows, spec.tile_cols));
+        TableData::Over(std::make_shared<const table::Matrix>(
+                            std::move(matrix)),
+                        spec.tile_rows, spec.tile_cols));
     grid = snapshot->table_->grid.get();
   }
 
-  size_t object_rows = 0;
-  size_t object_cols = 0;
   if (!spec.sketches_path.empty()) {
     TABSKETCH_ASSIGN_OR_RETURN(core::SketchSet set,
                                core::ReadSketchSet(spec.sketches_path));
@@ -69,53 +70,26 @@ util::Result<std::shared_ptr<const Snapshot>> Snapshot::Create(
           " does not match the tile grid");
     }
     snapshot->params_ = set.params;
-    object_rows = set.object_rows;
-    object_cols = set.object_cols;
     snapshot->cache_ = std::make_unique<core::FixedSketchSource>(
         std::move(set.sketches));
     snapshot->description_ = "sketches " + spec.sketches_path;
-  } else {
-    snapshot->params_ = spec.params;
-    object_rows = grid->tile_rows();
-    object_cols = grid->tile_cols();
-    TABSKETCH_ASSIGN_OR_RETURN(core::Sketcher sketcher,
-                               core::Sketcher::Create(snapshot->params_));
-    snapshot->sketcher_ =
-        std::make_unique<core::Sketcher>(std::move(sketcher));
-    // The pinned code tier spends part of a positive budget; the sketch
-    // cache gets what is left, keeping `cache_bytes` a bound on total sketch
-    // memory.
-    core::LruSketchCache::Options options;
-    options.capacity_bytes = core::QuantizedCodePool::SketchCacheBudget(
-        spec.cache_bytes, spec.engine.quant, grid->num_tiles(),
-        snapshot->params_.k);
-    snapshot->cache_ = std::make_unique<core::LruSketchCache>(
-        snapshot->sketcher_.get(), grid, options);
-    snapshot->description_ = "table " + spec.table_path;
+    return Finish(std::move(snapshot), set.object_rows, set.object_cols);
   }
 
-  if (spec.engine.quant != core::QuantKind::kOff) {
-    TABSKETCH_ASSIGN_OR_RETURN(
-        core::QuantizedCodePool pool,
-        core::QuantizedCodePool::Build(snapshot->cache_.get(),
-                                       spec.engine.quant, snapshot->params_,
-                                       object_rows, object_cols,
-                                       spec.engine.threads));
-    snapshot->codes_ =
-        std::make_shared<const core::QuantizedCodePool>(std::move(pool));
-    TABSKETCH_METRIC_GAUGE_SET("quant.pool.bytes",
-                               snapshot->codes_->bytes());
-  }
-
-  TABSKETCH_ASSIGN_OR_RETURN(
-      core::DistanceEstimator estimator,
-      core::DistanceEstimator::Create(snapshot->params_));
-  snapshot->estimator_ =
-      std::make_unique<core::DistanceEstimator>(std::move(estimator));
-  snapshot->engine_ = std::make_unique<QueryEngine>(
-      grid, snapshot->cache_.get(), snapshot->estimator_.get(),
-      snapshot->engine_options_, snapshot->codes_.get());
-  return std::shared_ptr<const Snapshot>(std::move(snapshot));
+  snapshot->params_ = spec.params;
+  TABSKETCH_ASSIGN_OR_RETURN(core::Sketcher sketcher,
+                             core::Sketcher::Create(snapshot->params_));
+  snapshot->sketcher_ = std::make_unique<core::Sketcher>(std::move(sketcher));
+  // The pinned code tier spends part of a positive budget; the sketch cache
+  // gets what is left, keeping `cache_bytes` a bound on total sketch memory.
+  core::LruSketchCache::Options options;
+  options.capacity_bytes = core::QuantizedCodePool::SketchCacheBudget(
+      spec.cache_bytes, spec.engine.quant, grid->num_tiles(),
+      snapshot->params_.k);
+  snapshot->cache_ = std::make_unique<core::LruSketchCache>(
+      snapshot->sketcher_.get(), grid, options);
+  snapshot->description_ = "table " + spec.table_path;
+  return Finish(std::move(snapshot), grid->tile_rows(), grid->tile_cols());
 }
 
 util::Result<std::shared_ptr<const Snapshot>> Snapshot::WithSketchSet(
@@ -132,6 +106,9 @@ util::Result<std::shared_ptr<const Snapshot>> Snapshot::WithSketchSet(
         path + " does not match");
   }
 
+  // The successor's code tier is derived from the *new* sketches, so a
+  // reload swaps sketches and codes as one unit — a request never sees
+  // day-2 sketches with day-1 codes.
   std::shared_ptr<Snapshot> snapshot(new Snapshot());
   snapshot->engine_options_ = base.engine_options_;
   if (reuse_grid) snapshot->table_ = base.table_;
@@ -139,21 +116,25 @@ util::Result<std::shared_ptr<const Snapshot>> Snapshot::WithSketchSet(
   snapshot->cache_ =
       std::make_unique<core::FixedSketchSource>(std::move(set.sketches));
   snapshot->description_ = "sketches " + path;
-  // The successor's code tier is derived from the *new* sketches, so a
-  // reload swaps sketches and codes as one unit — a request never sees
-  // day-2 sketches with day-1 codes.
-  if (snapshot->engine_options_.quant != core::QuantKind::kOff) {
+  return Finish(std::move(snapshot), set.object_rows, set.object_cols);
+}
+
+util::Result<std::shared_ptr<const Snapshot>> Snapshot::Finish(
+    std::shared_ptr<Snapshot> snapshot, size_t object_rows,
+    size_t object_cols, std::shared_ptr<const core::QuantizedCodePool> codes) {
+  const QueryEngineOptions& options = snapshot->engine_options_;
+  if (codes == nullptr && options.quant != core::QuantKind::kOff) {
     TABSKETCH_ASSIGN_OR_RETURN(
         core::QuantizedCodePool pool,
-        core::QuantizedCodePool::Build(
-            snapshot->cache_.get(), snapshot->engine_options_.quant,
-            set.params, set.object_rows, set.object_cols,
-            snapshot->engine_options_.threads));
-    snapshot->codes_ =
-        std::make_shared<const core::QuantizedCodePool>(std::move(pool));
-    TABSKETCH_METRIC_GAUGE_SET("quant.pool.bytes",
-                               snapshot->codes_->bytes());
+        core::QuantizedCodePool::Build(snapshot->cache_.get(), options.quant,
+                                       snapshot->params_, object_rows,
+                                       object_cols, options.threads));
+    codes = std::make_shared<const core::QuantizedCodePool>(std::move(pool));
   }
+  if (codes != nullptr) {
+    TABSKETCH_METRIC_GAUGE_SET("quant.pool.bytes", codes->bytes());
+  }
+  snapshot->codes_ = std::move(codes);
 
   TABSKETCH_ASSIGN_OR_RETURN(
       core::DistanceEstimator estimator,
@@ -161,9 +142,9 @@ util::Result<std::shared_ptr<const Snapshot>> Snapshot::WithSketchSet(
   snapshot->estimator_ =
       std::make_unique<core::DistanceEstimator>(std::move(estimator));
   snapshot->engine_ = std::make_unique<QueryEngine>(
-      reuse_grid ? snapshot->table_->grid.get() : nullptr,
-      snapshot->cache_.get(), snapshot->estimator_.get(),
-      snapshot->engine_options_, snapshot->codes_.get());
+      snapshot->table_ != nullptr ? snapshot->table_->grid.get() : nullptr,
+      snapshot->cache_.get(), snapshot->estimator_.get(), options,
+      snapshot->codes_.get());
   return std::shared_ptr<const Snapshot>(std::move(snapshot));
 }
 

@@ -51,10 +51,16 @@ class Snapshot {
  public:
   /// Heap-pinned table + grid. Shared (not owned) so a successor snapshot
   /// built by WithSketchSet can reuse the same table data when the new
-  /// sketch set matches the grid — the matrix never moves once the grid
-  /// points into it.
+  /// sketch set matches the grid. The matrix is shared too, so a streaming
+  /// generation holds the window store's matrix instead of a copy; the grid
+  /// points into it, and neither ever moves or changes.
   struct TableData {
-    table::Matrix matrix;
+    /// A tile_rows x tile_cols grid over `matrix`.
+    static util::Result<std::shared_ptr<const TableData>> Over(
+        std::shared_ptr<const table::Matrix> matrix, size_t tile_rows,
+        size_t tile_cols);
+
+    std::shared_ptr<const table::Matrix> matrix;
     std::unique_ptr<table::TileGrid> grid;
   };
 
@@ -91,8 +97,20 @@ class Snapshot {
  private:
   Snapshot() = default;
 
-  /// Builds streaming-ingest successors field by field (serve/ingest.cc),
-  /// reusing surviving sketches and codes across generations.
+  /// The one step every generation ends in, once its table, sketch source,
+  /// params, engine options and description are set: builds the code tier
+  /// over the sketch source with `engine.threads` unless `codes` already
+  /// holds one (an ingest successor), sets quant.pool.bytes, and creates the
+  /// estimator and the engine. `object_rows` x `object_cols` is the sketched
+  /// tile shape.
+  static util::Result<std::shared_ptr<const Snapshot>> Finish(
+      std::shared_ptr<Snapshot> snapshot, size_t object_rows,
+      size_t object_cols,
+      std::shared_ptr<const core::QuantizedCodePool> codes = nullptr);
+
+  /// Sets a streaming-ingest generation's table and sketch source
+  /// (serve/ingest.cc), reusing surviving sketches and codes across
+  /// generations, then calls Finish.
   friend class StreamingIngest;
 
   std::shared_ptr<const TableData> table_;

@@ -35,13 +35,4 @@ Matrix TableView::ToMatrix() const {
   return out;
 }
 
-void TableView::Linearize(std::vector<double>* out) const {
-  out->resize(size());
-  double* dst = out->data();
-  for (size_t r = 0; r < rows_; ++r) {
-    auto src = Row(r);
-    dst = std::copy(src.begin(), src.end(), dst);
-  }
-}
-
 }  // namespace tabsketch::table

@@ -119,10 +119,6 @@ class TableView {
   /// Copies the view into an owning row-major Matrix.
   Matrix ToMatrix() const;
 
-  /// Copies the view into `out` in row-major order ("linearized in some
-  /// consistent way", paper Section 3.2). `out` is resized to size().
-  void Linearize(std::vector<double>* out) const;
-
  private:
   const double* origin_ = nullptr;
   size_t rows_ = 0;

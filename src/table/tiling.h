@@ -50,8 +50,6 @@ class TileGrid {
                            tile_rows_, tile_cols_);
   }
 
-  const Matrix& parent() const { return *parent_; }
-
  private:
   TileGrid(const Matrix* parent, size_t tile_rows, size_t tile_cols)
       : parent_(parent),

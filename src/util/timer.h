@@ -10,10 +10,7 @@ class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}
 
-  /// Resets the start time to now.
-  void Restart() { start_ = Clock::now(); }
-
-  /// Seconds elapsed since construction or the last Restart().
+  /// Seconds elapsed since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }

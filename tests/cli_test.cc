@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
 #include <sys/resource.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -22,12 +19,15 @@
 #include "cli/commands.h"
 #include "cli/flags.h"
 #include "json_checker.h"
+#include "line_client.h"
 #include "table/matrix.h"
 #include "table/table_io.h"
 #include "util/metrics.h"
 
 namespace tabsketch::cli {
 namespace {
+
+using testing::LineClient;
 
 util::Result<Flags> ParseArgs(std::vector<const char*> argv) {
   argv.insert(argv.begin(), "tabsketch");
@@ -470,6 +470,57 @@ TEST(CliTest, QueryOutputIsByteIdenticalAcrossThreadsAndCaches) {
   std::remove(json_path.c_str());
 }
 
+TEST(CliTest, QueryCountsOnlyTheBatchsCacheLookups) {
+  // The cache counters also saw the code tier's build; the stderr summary
+  // counts only the batch's own lookups: one distance, two tiles.
+  const std::string table_path = TempPath("cli_query_counts_table.tbl");
+  const std::string batch_path = TempPath("cli_query_counts_batch.txt");
+  const std::string sketch_path = TempPath("cli_query_counts_sketches.bin");
+  const std::string table_flag = "--table=" + table_path;
+  const std::string batch_flag = "--batch=" + batch_path;
+  const std::string sketches_flag = "--sketches=" + sketch_path;
+  {
+    const std::string out_flag = "--out=" + table_path;
+    ASSERT_EQ(RunCli({"generate", "--dataset=six-region", out_flag.c_str(),
+                      "--rows=64", "--cols=64", "--seed=11"})
+                  .code,
+              0);
+    const std::string sketch_out = "--out=" + sketch_path;
+    ASSERT_EQ(RunCli({"sketch", table_flag.c_str(), sketch_out.c_str(),
+                      "--tile-rows=8", "--tile-cols=8", "--p=1", "--k=64",
+                      "--seed=42"})
+                  .code,
+              0);
+    std::ofstream batch(batch_path);
+    batch << "distance 0 1\n";
+  }
+  const auto summary = [&](std::vector<const char*> extra) {
+    std::vector<const char*> argv = {"query", table_flag.c_str(),
+                                     "--tile-rows=8", "--tile-cols=8",
+                                     batch_flag.c_str()};
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    const CliRun run = RunCli(argv);
+    EXPECT_EQ(run.code, 0) << run.err;
+    const size_t open = run.err.find("s (");
+    const size_t close = run.err.find(")\n", open);
+    return open == std::string::npos || close == std::string::npos
+               ? run.err
+               : run.err.substr(open + 3, close - open - 3);
+  };
+  EXPECT_EQ(summary({"--p=1", "--k=64"}),
+            "0 cache hits, 2 sketches computed");
+  EXPECT_EQ(summary({"--p=1", "--k=64", "--quant=int8"}),
+            "2 cache hits, 0 sketches computed");
+  EXPECT_EQ(summary({sketches_flag.c_str()}),
+            "2 cache hits, 0 sketches computed");
+  EXPECT_EQ(summary({sketches_flag.c_str(), "--quant=int16"}),
+            "2 cache hits, 0 sketches computed");
+
+  std::remove(table_path.c_str());
+  std::remove(batch_path.c_str());
+  std::remove(sketch_path.c_str());
+}
+
 /// Runs the CLI in a child capped at 1 KiB per file, with the cap's SIGXFSZ
 /// ignored so a write past it fails with EFBIG instead of killing the
 /// child; the child exits with the CLI's exit code.
@@ -644,56 +695,6 @@ TEST(CliTest, QuantOutputsAreByteIdenticalToOff) {
   std::remove(json_path.c_str());
 }
 
-/// Minimal blocking line client for the serve daemon tests.
-class CliServeClient {
- public:
-  explicit CliServeClient(uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    connected_ = fd_ >= 0 &&
-                 ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
-  }
-  ~CliServeClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  bool connected() const { return connected_; }
-
-  void SendLine(const std::string& line) {
-    const std::string framed = line + "\n";
-    size_t sent = 0;
-    while (sent < framed.size()) {
-      const ssize_t n = ::send(fd_, framed.data() + sent,
-                               framed.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) return;
-      sent += static_cast<size_t>(n);
-    }
-  }
-
-  std::string RecvLine() {
-    while (true) {
-      const size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        const std::string line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return "";
-      buffer_.append(chunk, static_cast<size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-  std::string buffer_;
-};
-
 std::vector<std::string> SplitLines(const std::string& text) {
   std::vector<std::string> lines;
   std::istringstream in(text);
@@ -795,7 +796,7 @@ TEST(CliTest, ServeDaemonMatchesQueryAndReloads) {
     ASSERT_NE(port, 0) << "daemon never wrote its port file";
 
     {
-      CliServeClient client(port);
+      LineClient client(port);
       ASSERT_TRUE(client.connected());
       client.SendLine("ping");
       EXPECT_EQ(client.RecvLine(), "ok ping");
@@ -1043,7 +1044,7 @@ TEST(CliTest, TopOnceAndTickerMetricsFileAgainstLiveDaemon) {
   // requests and the client-side diffed rate is observable.
   std::atomic<bool> stop_traffic{false};
   std::thread traffic([&] {
-    CliServeClient client(port);
+    LineClient client(port);
     if (!client.connected()) return;
     while (!stop_traffic.load()) {
       client.SendLine("distance 0 1");
@@ -1259,7 +1260,7 @@ TEST(CliTest, ServeIngestDaemonMatchesQueryOnStitchedTable) {
   ASSERT_NE(port, 0) << "daemon never wrote its port file";
 
   {
-    CliServeClient client(port);
+    LineClient client(port);
     ASSERT_TRUE(client.connected());
     client.SendLine("window");
     EXPECT_EQ(client.RecvLine(),

@@ -102,17 +102,6 @@ TEST(GrowingTest, NeverRecomputesASketch) {
   EXPECT_EQ(growing->sketches_computed(), 10u);
 }
 
-TEST(GrowingTest, TileSketchAccessorMatchesGridOrder) {
-  SketchParams params{.p = 1.0, .k = 4, .seed = 5};
-  auto growing = GrowingTableSketcher::Create(params, 8, 4, 4);
-  ASSERT_TRUE(growing.ok());
-  ASSERT_TRUE(growing->AppendColumns(RandomPiece(8, 8, 9)).ok());
-  const std::vector<Sketch> flat = growing->SketchesInGridOrder();
-  ASSERT_EQ(flat.size(), 4u);
-  EXPECT_EQ(growing->TileSketch(0, 1).values, flat[1].values);
-  EXPECT_EQ(growing->TileSketch(1, 0).values, flat[2].values);
-}
-
 TEST(GrowingTest, EmptyAppendIsNoop) {
   auto growing = GrowingTableSketcher::Create({.p = 1.0, .k = 4, .seed = 1},
                                               8, 4, 4);

@@ -1,18 +1,19 @@
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/growing.h"
 #include "core/quantized_sketch.h"
+#include "line_client.h"
 #include "rng/xoshiro256.h"
 #include "serve/ingest.h"
 #include "serve/query_engine.h"
@@ -24,6 +25,8 @@
 
 namespace tabsketch::serve {
 namespace {
+
+using testing::LineClient;
 
 table::Matrix RandomTable(size_t rows, size_t cols, uint64_t seed) {
   rng::Xoshiro256 gen(seed);
@@ -55,62 +58,6 @@ table::Matrix DropLeadingCols(const table::Matrix& in, size_t cols) {
 std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
-
-/// Blocking line-protocol client (same shape as serve_test.cc's).
-class TestClient {
- public:
-  explicit TestClient(uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd_, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    EXPECT_EQ(::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
-  }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  TestClient(const TestClient&) = delete;
-  TestClient& operator=(const TestClient&) = delete;
-
-  void SendLine(const std::string& line) {
-    const std::string framed = line + "\n";
-    size_t sent = 0;
-    while (sent < framed.size()) {
-      const ssize_t n = ::send(fd_, framed.data() + sent,
-                               framed.size() - sent, MSG_NOSIGNAL);
-      ASSERT_GT(n, 0);
-      sent += static_cast<size_t>(n);
-    }
-  }
-
-  std::string RecvLine() {
-    while (true) {
-      const size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        const std::string line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return "";
-      buffer_.append(chunk, static_cast<size_t>(n));
-    }
-  }
-
-  std::string Ask(const std::string& line) {
-    SendLine(line);
-    return RecvLine();
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
 
 constexpr size_t kRows = 24;
 constexpr size_t kTileRows = 6;
@@ -327,6 +274,78 @@ TEST_F(StreamServeTest, RetireMatchesColdSuffixSnapshot) {
   }
 }
 
+TEST_F(StreamServeTest, HeldGenerationKeepsRefinedAnswersAcrossSlides) {
+  // Refine reads the window table a generation shares with the store, so a
+  // generation a reader still holds must answer the same bytes after later
+  // appends and retires, and the newest must match a cold snapshot.
+  for (const core::QuantKind quant :
+       {core::QuantKind::kOff, core::QuantKind::kInt16}) {
+    SCOPED_TRACE(std::string("quant=") + core::QuantKindName(quant));
+    const SnapshotSpec spec = Spec(quant, 2, /*refine=*/true);
+    auto ingest = StreamingIngest::Create(spec);
+    ASSERT_TRUE(ingest.ok()) << ingest.status().ToString();
+    SnapshotHolder holder((*ingest)->initial());
+
+    auto appended = (*ingest)->Append(piece_full_path_, &holder);
+    ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+    const std::shared_ptr<const Snapshot> held = appended->snapshot;
+    const std::vector<std::string> held_lines =
+        QueryLines(held->num_tiles());
+    const std::vector<std::string> held_answers = Answers(*held, held_lines);
+
+    ASSERT_TRUE((*ingest)->Retire(1, &holder).ok());
+    auto newest = (*ingest)->Append(piece_full_path_, &holder);
+    ASSERT_TRUE(newest.ok()) << newest.status().ToString();
+    EXPECT_EQ(Answers(*held, held_lines), held_answers);
+
+    const std::shared_ptr<const Snapshot> cold = ColdSnapshot(
+        ConcatCols(DropLeadingCols(ConcatCols(seed_, piece_full_), kTileCols),
+                   piece_full_),
+        spec, std::string("slid_refined_") + core::QuantKindName(quant) +
+                  ".tbl");
+    ASSERT_NE(cold, nullptr);
+    ASSERT_EQ(newest->snapshot->num_tiles(), cold->num_tiles());
+    const std::vector<std::string> lines = QueryLines(cold->num_tiles());
+    EXPECT_EQ(Answers(*newest->snapshot, lines), Answers(*cold, lines));
+  }
+}
+
+TEST_F(StreamServeTest, FirstGenerationCodesMatchOneThreadBuild) {
+  // The first generation's code tier is built over its sketch source with
+  // the engine's threads; its bytes and map must be a one-thread build's.
+  for (const core::QuantKind quant :
+       {core::QuantKind::kInt8, core::QuantKind::kInt16}) {
+    for (const size_t threads : {size_t{1}, size_t{3}}) {
+      SCOPED_TRACE(std::string("quant=") + core::QuantKindName(quant) +
+                   " threads=" + std::to_string(threads));
+      const SnapshotSpec spec = Spec(quant, threads);
+      auto ingest = StreamingIngest::Create(spec);
+      ASSERT_TRUE(ingest.ok()) << ingest.status().ToString();
+      const core::QuantizedCodePool* codes = (*ingest)->initial()->codes();
+      ASSERT_NE(codes, nullptr);
+
+      auto store = core::GrowingTableSketcher::Create(spec.params, kRows,
+                                                      kTileRows, kTileCols);
+      ASSERT_TRUE(store.ok());
+      ASSERT_TRUE(store->AppendColumns(seed_).ok());
+      const std::vector<std::shared_ptr<const core::Sketch>> shares =
+          store->SketchSharesInGridOrder();
+      auto reference = core::QuantizedCodePool::BuildFromGetter(
+          [&shares](size_t i) -> std::span<const double> {
+            return shares[i]->values;
+          },
+          shares.size(), quant, spec.params, kTileRows, kTileCols);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      EXPECT_EQ(codes->raw_codes(), reference->raw_codes());
+      EXPECT_EQ(codes->usable_flags(), reference->usable_flags());
+      EXPECT_EQ(std::bit_cast<uint64_t>(codes->offset()),
+                std::bit_cast<uint64_t>(reference->offset()));
+      EXPECT_EQ(std::bit_cast<uint64_t>(codes->scale()),
+                std::bit_cast<uint64_t>(reference->scale()));
+    }
+  }
+}
+
 TEST_F(StreamServeTest, RefinedServingRefusesToRetireTheWholeWindow) {
   const SnapshotSpec spec = Spec(core::QuantKind::kOff, 1, /*refine=*/true);
   auto ingest = StreamingIngest::Create(spec);
@@ -348,10 +367,9 @@ TEST_F(StreamServeTest, WireVerbsRoundTrip) {
   SnapshotHolder holder((*ingest)->initial());
   ServerOptions options;
   options.ingest = ingest->get();
-  options.enable_reload = false;
   auto server = Server::Start(&holder, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
-  TestClient client((*server)->port());
+  LineClient client((*server)->port());
 
   EXPECT_EQ(client.Ask("window"),
             "ok window tile-cols=2 start=0 pending=0 tiles=8");
@@ -399,7 +417,7 @@ TEST_F(StreamServeTest, VerbsFailClosedWithoutIngest) {
   SnapshotHolder holder(std::move(*snapshot));
   auto server = Server::Start(&holder, ServerOptions{});
   ASSERT_TRUE(server.ok());
-  TestClient client((*server)->port());
+  LineClient client((*server)->port());
   const std::string expected =
       "error failed-precondition streaming ingest disabled (start serve "
       "with --ingest)";
@@ -422,7 +440,6 @@ TEST_F(StreamServeTest, ConcurrentAppendsNeverMixGenerations) {
     SnapshotHolder holder((*ingest)->initial());
     ServerOptions options;
     options.ingest = ingest->get();
-    options.enable_reload = false;
     options.max_inflight = 8;
     options.max_queue = 256;
     auto server = Server::Start(&holder, options);
@@ -443,7 +460,7 @@ TEST_F(StreamServeTest, ConcurrentAppendsNeverMixGenerations) {
     clients.reserve(kQueryThreads);
     for (size_t t = 0; t < kQueryThreads; ++t) {
       clients.emplace_back([&, t] {
-        TestClient client((*server)->port());
+        LineClient client((*server)->port());
         for (size_t round = 0; round < kRoundsPerThread; ++round) {
           const size_t pick = (t * kRoundsPerThread + round) % lines.size();
           seen[t].push_back({pick, client.Ask(lines[pick])});

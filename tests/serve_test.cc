@@ -1,10 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -19,9 +14,10 @@
 #include <vector>
 
 #include "core/ondemand.h"
-#include "json_checker.h"
 #include "core/sketch_io.h"
 #include "core/sketcher.h"
+#include "json_checker.h"
+#include "line_client.h"
 #include "rng/xoshiro256.h"
 #include "serve/query_engine.h"
 #include "serve/server.h"
@@ -36,6 +32,7 @@ namespace tabsketch::serve {
 namespace {
 
 using std::chrono::steady_clock;
+using testing::LineClient;
 
 table::Matrix RandomTable(size_t rows, size_t cols, uint64_t seed) {
   rng::Xoshiro256 gen(seed);
@@ -47,86 +44,6 @@ table::Matrix RandomTable(size_t rows, size_t cols, uint64_t seed) {
 std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
-
-/// Blocking line-protocol test client on a loopback socket.
-class TestClient {
- public:
-  explicit TestClient(uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd_, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    EXPECT_EQ(::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
-  }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  TestClient(const TestClient&) = delete;
-  TestClient& operator=(const TestClient&) = delete;
-
-  void SendLine(const std::string& line) {
-    const std::string framed = line + "\n";
-    size_t sent = 0;
-    while (sent < framed.size()) {
-      const ssize_t n = ::send(fd_, framed.data() + sent,
-                               framed.size() - sent, MSG_NOSIGNAL);
-      ASSERT_GT(n, 0);
-      sent += static_cast<size_t>(n);
-    }
-  }
-
-  /// Makes a blocking receive give up (as EOF) after `seconds`, so a reply
-  /// that never comes fails the test instead of hanging it.
-  void SetRecvTimeout(int seconds) {
-    const timeval timeout{seconds, 0};
-    EXPECT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                           sizeof(timeout)),
-              0);
-  }
-
-  /// Sends `bytes` as-is until done or the peer hangs up; returns whether
-  /// every byte went out.
-  bool SendRaw(const std::string& bytes) {
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      sent += static_cast<size_t>(n);
-    }
-    return true;
-  }
-
-  /// Next response line, or "" on EOF.
-  std::string RecvLine() {
-    while (true) {
-      const size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        const std::string line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return "";
-      buffer_.append(chunk, static_cast<size_t>(n));
-    }
-  }
-
-  /// True if the peer closes without sending more data.
-  bool AtEof() {
-    char byte;
-    return ::recv(fd_, &byte, 1, 0) == 0;
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
 
 /// Writes the shared table + two sketch-set generations (different seeds) to
 /// temp files once for the whole suite.
@@ -392,7 +309,7 @@ TEST_F(ServeTest, PingQuitAndBlankLineProtocol) {
   auto server = Server::Start(&holder, ServerOptions{});
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  TestClient client((*server)->port());
+  LineClient client((*server)->port());
   // Blank and comment lines produce no response; the next response after
   // them must be the ping's.
   client.SendLine("");
@@ -415,8 +332,8 @@ TEST_F(ServeTest, OverlongLineGetsOneErrorThenEofOthersUnaffected) {
   auto server = Server::Start(&holder, ServerOptions{});
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  TestClient bystander((*server)->port());
-  TestClient flooder((*server)->port());
+  LineClient bystander((*server)->port());
+  LineClient flooder((*server)->port());
   flooder.SetRecvTimeout(10);
   // 1 MiB with no newline. The daemon stops reading at the cap, so the tail
   // of the send may fail once it hangs up; only the reply matters.
@@ -429,7 +346,7 @@ TEST_F(ServeTest, OverlongLineGetsOneErrorThenEofOthersUnaffected) {
 
   bystander.SendLine("ping");
   EXPECT_EQ(bystander.RecvLine(), "ok ping");
-  TestClient newcomer((*server)->port());
+  LineClient newcomer((*server)->port());
   newcomer.SendLine("ping");
   EXPECT_EQ(newcomer.RecvLine(), "ok ping");
   (*server)->Shutdown();
@@ -454,7 +371,7 @@ TEST_F(ServeTest, FinishedConnectionThreadsAreReaped) {
 
   const size_t before = MappingCount();
   for (int i = 0; i < 500; ++i) {
-    TestClient client((*server)->port());
+    LineClient client((*server)->port());
     client.SendLine("ping");
     ASSERT_EQ(client.RecvLine(), "ok ping");
     client.SendLine("quit");
@@ -487,7 +404,7 @@ TEST_F(ServeTest, MixedBatchByteIdenticalToQueryEngineAcrossConfigs) {
     SnapshotHolder holder(*snapshot);
     auto server = Server::Start(&holder, ServerOptions{});
     ASSERT_TRUE(server.ok()) << server.status().ToString();
-    TestClient client((*server)->port());
+    LineClient client((*server)->port());
     for (const std::string& line : lines) client.SendLine(line);
     for (size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(client.RecvLine(), expected[i])
@@ -516,7 +433,7 @@ TEST_F(ServeTest, ConcurrentClientsGetByteIdenticalAnswers) {
   std::vector<std::vector<std::string>> answers(kClients);
   for (size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      TestClient client((*server)->port());
+      LineClient client((*server)->port());
       for (const std::string& line : lines) client.SendLine(line);
       for (size_t i = 0; i < lines.size(); ++i) {
         answers[c].push_back(client.RecvLine());
@@ -551,11 +468,11 @@ TEST_F(ServeTest, DeadlineExpiryReturnsTypedError) {
   auto server = Server::Start(&holder, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  TestClient blocker((*server)->port());
+  LineClient blocker((*server)->port());
   blocker.SendLine("distance 0 1");
   while (entered.load() == 0) std::this_thread::yield();
 
-  TestClient victim((*server)->port());
+  LineClient victim((*server)->port());
   victim.SendLine("distance 2 3");
   const std::string error = victim.RecvLine();
   EXPECT_EQ(error.find("error deadline-exceeded"), 0u) << error;
@@ -582,11 +499,11 @@ TEST_F(ServeTest, OverloadedQueueShedsWithTypedError) {
   auto server = Server::Start(&holder, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  TestClient blocker((*server)->port());
+  LineClient blocker((*server)->port());
   blocker.SendLine("distance 0 1");
   while (entered.load() == 0) std::this_thread::yield();
 
-  TestClient shed((*server)->port());
+  LineClient shed((*server)->port());
   shed.SendLine("distance 2 3");
   const std::string error = shed.RecvLine();
   EXPECT_EQ(error.find("error overloaded"), 0u) << error;
@@ -611,7 +528,7 @@ TEST_F(ServeTest, ReloadSwapsSnapshotForNewRequests) {
   SnapshotHolder holder(*day1);
   auto server = Server::Start(&holder, ServerOptions{});
   ASSERT_TRUE(server.ok()) << server.status().ToString();
-  TestClient client((*server)->port());
+  LineClient client((*server)->port());
   client.SendLine("distance 2 7");
   EXPECT_EQ(client.RecvLine(), day1_answer);
   client.SendLine("reload " + day2_path_);
@@ -635,7 +552,7 @@ TEST_F(ServeTest, ReloadFailureKeepsServingOldSnapshot) {
   SnapshotHolder holder(*day1);
   auto server = Server::Start(&holder, ServerOptions{});
   ASSERT_TRUE(server.ok()) << server.status().ToString();
-  TestClient client((*server)->port());
+  LineClient client((*server)->port());
   client.SendLine("reload " + TempPath("serve_test_missing.sks"));
   const std::string error = client.RecvLine();
   EXPECT_EQ(error.find("error io-error"), 0u) << error;
@@ -672,11 +589,11 @@ TEST_F(ServeTest, SnapshotSwapMidRequestKeepsOldSnapshotAnswer) {
   auto server = Server::Start(&holder, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  TestClient inflight((*server)->port());
+  LineClient inflight((*server)->port());
   inflight.SendLine("distance 2 7");  // captures day1, parks in the hook
   while (entered.load() == 0) std::this_thread::yield();
 
-  TestClient admin((*server)->port());
+  LineClient admin((*server)->port());
   admin.SendLine("reload " + day2_path_);
   EXPECT_EQ(admin.RecvLine().find("ok reload "), 0u);
   EXPECT_EQ(holder.swaps(), 1u);
@@ -705,7 +622,7 @@ TEST_F(ServeTest, GracefulShutdownDrainsInflightRequest) {
   auto server = Server::Start(&holder, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  TestClient client((*server)->port());
+  LineClient client((*server)->port());
   client.SendLine("distance 0 1");
   while (entered.load() == 0) std::this_thread::yield();
 
@@ -760,7 +677,7 @@ double JsonNumber(const std::string& json, const std::string& key) {
 }
 
 /// Reads a multi-line `stats prom` response until its `# EOF` marker.
-std::string RecvPromText(TestClient* client) {
+std::string RecvPromText(LineClient* client) {
   std::string text;
   for (;;) {
     const std::string line = client->RecvLine();
@@ -776,7 +693,7 @@ TEST_F(ServeTest, HealthAndStatsAnswerOneLineJson) {
   SnapshotHolder holder(*snapshot);
   auto server = Server::Start(&holder, ServerOptions{});
   ASSERT_TRUE(server.ok()) << server.status().ToString();
-  TestClient client((*server)->port());
+  LineClient client((*server)->port());
 
   client.SendLine("health");
   const std::string health = client.RecvLine();
@@ -843,7 +760,7 @@ TEST_F(ServeTest, SlowQueryLogRecordsWithAttributionAndJsonlMirror) {
   auto server = Server::Start(&holder, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  TestClient client((*server)->port());
+  LineClient client((*server)->port());
   client.SendLine("distance 0 1");
   EXPECT_EQ(client.RecvLine().find("distance 0 1 = "), 0u);
   client.SendLine("knn 2 3");
@@ -890,7 +807,7 @@ TEST_F(ServeTest, FastRequestsStayOutOfSlowLog) {
   options.slow_ms = 10000.0;  // nothing in this test is that slow
   auto server = Server::Start(&holder, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
-  TestClient client((*server)->port());
+  LineClient client((*server)->port());
   client.SendLine("distance 0 1");
   EXPECT_EQ(client.RecvLine().find("distance 0 1 = "), 0u);
   client.SendLine("stats slow");
@@ -921,11 +838,11 @@ TEST_F(ServeTest, StatsVerbsAnswerWhileQueryPathIsSaturated) {
   auto server = Server::Start(&holder, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  TestClient blocker((*server)->port());
+  LineClient blocker((*server)->port());
   blocker.SendLine("distance 0 1");
   while (entered.load() == 0) std::this_thread::yield();
 
-  TestClient observer((*server)->port());
+  LineClient observer((*server)->port());
   observer.SendLine("stats json");
   EXPECT_TRUE(testing::JsonChecker::Valid(observer.RecvLine()));
   observer.SendLine("health");
@@ -949,7 +866,7 @@ TEST_F(ServeTest, StatsJsonCountsTrafficAndPromExposesRegistry) {
   auto server = Server::Start(&holder, ServerOptions{});
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  TestClient client((*server)->port());
+  LineClient client((*server)->port());
   for (int i = 0; i < 3; ++i) {
     client.SendLine("distance 0 1");
     EXPECT_EQ(client.RecvLine().find("distance 0 1 = "), 0u);
@@ -1004,7 +921,7 @@ TEST_F(ServeTest, StatsJsonWindowRatesComeFromTickerBaseline) {
   // an interval old exists, the diff window over the continuing stream must
   // show a non-zero rate. (A single up-front burst could race the ticker —
   // a tick between burst and scrape would swallow it into the baseline.)
-  TestClient client((*server)->port());
+  LineClient client((*server)->port());
   std::string last_stats;
   bool saw_window_rate = false;
   for (int attempt = 0; attempt < 400 && !saw_window_rate; ++attempt) {
@@ -1049,13 +966,13 @@ TEST_F(ServeTest, GaugesBalanceOnEveryExitPath) {
     auto server = Server::Start(&holder, options);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-    TestClient blocker((*server)->port());
+    LineClient blocker((*server)->port());
     blocker.SendLine("distance 0 1");
     while (entered.load() == 0) std::this_thread::yield();
     // The parked request holds its per-verb in-flight gauge.
     EXPECT_EQ(inflight_distance->value(), 1.0);
 
-    TestClient shed((*server)->port());
+    LineClient shed((*server)->port());
     shed.SendLine("knn 2 3");
     EXPECT_EQ(shed.RecvLine().find("error overloaded"), 0u);
     shed.SendLine("frobnicate");
@@ -1085,10 +1002,10 @@ TEST_F(ServeTest, GaugesBalanceOnEveryExitPath) {
     auto server = Server::Start(&holder, options);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-    TestClient blocker((*server)->port());
+    LineClient blocker((*server)->port());
     blocker.SendLine("distance 0 1");
     while (entered.load() == 0) std::this_thread::yield();
-    TestClient victim((*server)->port());
+    LineClient victim((*server)->port());
     victim.SendLine("knn 2 3");
     EXPECT_EQ(victim.RecvLine().find("error deadline-exceeded"), 0u);
     release.set_value();
@@ -1120,8 +1037,8 @@ TEST_F(ServeTest, AnswersByteIdenticalWithIntrospectionPlaneOn) {
   auto server = Server::Start(&holder, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  TestClient observer((*server)->port());
-  TestClient client((*server)->port());
+  LineClient observer((*server)->port());
+  LineClient client((*server)->port());
   for (size_t i = 0; i < lines.size(); ++i) {
     client.SendLine(lines[i]);
     EXPECT_EQ(client.RecvLine(), expected[i]) << "line " << i;

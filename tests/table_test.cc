@@ -87,13 +87,6 @@ TEST(TableViewTest, WindowSeesParentStorage) {
   EXPECT_DOUBLE_EQ(window(1, 1), 23.0);
 }
 
-TEST(TableViewTest, LinearizeIsRowMajor) {
-  Matrix m(3, 3, {0, 1, 2, 3, 4, 5, 6, 7, 8});
-  std::vector<double> out;
-  m.Window(1, 1, 2, 2).Linearize(&out);
-  EXPECT_EQ(out, (std::vector<double>{4, 5, 7, 8}));
-}
-
 TEST(TableViewTest, ToMatrixCopies) {
   Matrix m(3, 3, {0, 1, 2, 3, 4, 5, 6, 7, 8});
   Matrix copy = m.Window(0, 1, 2, 2).ToMatrix();
