@@ -11,7 +11,10 @@ namespace tabsketch::cluster {
 /// The distance-computation strategy plugged into k-means. The paper's
 /// experimental design holds the clustering loop fixed and swaps only "the
 /// routines to calculate the distance between tiles" (Section 4.4); this
-/// interface is that swap point. Implementations:
+/// interface is that swap point. The loop (RunKMeans) is the same for every
+/// backend; only the assignment scan inside NearestCentroid may differ, and
+/// only in how many full distances it computes, never in its answer.
+/// Implementations:
 ///   - ExactBackend:   exact Lp distances over full tiles (scenario 3),
 ///   - SketchBackend:  sketch-estimated distances, with sketches either
 ///                     precomputed (scenario 1) or computed on demand and
@@ -52,16 +55,19 @@ class ClusteringBackend {
   /// Distance between two objects (used by k-means++ seeding).
   virtual double ObjectDistance(size_t a, size_t b) = 0;
 
-  /// Index of the centroid nearest to `object`, or -1 when every distance is
-  /// NaN (the k-means assignment step). The default scans all centroids with
-  /// Distance(), skipping NaNs, ties broken by lowest centroid index.
-  /// Backends with a cheap lower-bound tier (SketchBackend's quantized
-  /// codes) override this to prune centroids that provably cannot win —
-  /// overrides must return exactly what the default scan would, so
-  /// clustering output never depends on the backend's pruning. Same
-  /// thread-safety contract as Distance(): safe to call concurrently
-  /// between centroid mutations.
-  virtual int NearestCentroid(size_t object);
+  /// Index of the centroid nearest to `object`, or -1 when no distance is
+  /// finite (the k-means assignment step): the smallest Distance(), the
+  /// lowest centroid index among equals, NaN and +inf never winning.
+  /// `previous` is the object's assignment from the last pass (-1 for none
+  /// yet); it is a hint only. The default ignores it and scans every
+  /// centroid with Distance() in index order, which is what ExactBackend,
+  /// the paper's baseline, runs. Overrides may try `previous` first and skip
+  /// centroids that provably cannot win (SketchBackend's code filter and
+  /// count rejection, DESIGN.md §13), but must return exactly what the
+  /// default scan would, so clustering output never depends on the
+  /// backend's pruning. Same thread-safety contract as Distance(): safe to
+  /// call concurrently between centroid mutations.
+  virtual int NearestCentroid(size_t object, int previous);
 
   /// Recomputes every centroid as the mean of its assigned objects.
   /// `assignment[i]` in [0, k) or -1 for unassigned; clusters with no
@@ -75,8 +81,10 @@ class ClusteringBackend {
   /// Human-readable backend name for reports.
   virtual std::string name() const = 0;
 
-  /// Total Distance()/ObjectDistance() evaluations so far; the comparison
-  /// count whose unit cost the paper's approach shrinks.
+  /// Total full distance evaluations so far (Distance(), ObjectDistance()
+  /// and those NearestCentroid computes; a centroid it rejects without one
+  /// is not counted): the comparison count whose unit cost the paper's
+  /// approach shrinks.
   size_t distance_evaluations() const {
     return distance_evaluations_.load(std::memory_order_relaxed);
   }

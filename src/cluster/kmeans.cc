@@ -29,10 +29,10 @@ size_t AssignAll(ClusteringBackend* backend, size_t threads,
   std::atomic<size_t> changed{0};
   util::ParallelFor(n, threads, [&](size_t object) {
     // The backend owns the centroid scan (ClusteringBackend::NearestCentroid
-    // documents the NaN-as-+inf / lowest-index-tie contract), so backends
-    // with a quantized lower-bound tier can prune without changing any
-    // assignment.
-    const int best = backend->NearestCentroid(object);
+    // documents the NaN-as-+inf / lowest-index-tie contract), so a backend
+    // can try the previous assignment first and prune without changing any
+    // assignment. Each worker reads and writes only its own objects' slots.
+    const int best = backend->NearestCentroid(object, (*assignment)[object]);
     if ((*assignment)[object] != best) {
       (*assignment)[object] = best;
       changed.fetch_add(1, std::memory_order_relaxed);

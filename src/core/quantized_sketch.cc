@@ -16,11 +16,6 @@
 namespace tabsketch::core {
 namespace {
 
-/// Relative padding applied to the quantization error bound; dominates every
-/// floating-point rounding term in the threshold comparisons (see
-/// QuantizedCodePool::Slack and DESIGN.md §13).
-constexpr double kSlackSafety = 1.0 + 1e-6;
-
 bool AllFinite(std::span<const double> values) {
   for (double value : values) {
     if (!std::isfinite(value)) return false;

@@ -70,8 +70,11 @@ std::vector<SparseKernel> SparseStableKernels(const SketchParams& params,
   return out;
 }
 
-table::Matrix CrossCorrelateSparse(const table::Matrix& data,
-                                   const SparseKernel& kernel) {
+// Aligned to a cache line so its hot loop sits at the same offset from a
+// 64-byte boundary in every binary: with identical object code, the sparse
+// pool build ran up to ~45% slower when the link put that loop across a line.
+[[gnu::aligned(64)]] table::Matrix CrossCorrelateSparse(
+    const table::Matrix& data, const SparseKernel& kernel) {
   TABSKETCH_CHECK(kernel.rows >= 1 && kernel.cols >= 1 &&
                   kernel.rows <= data.rows() && kernel.cols <= data.cols())
       << "kernel " << kernel.rows << "x" << kernel.cols

@@ -14,7 +14,7 @@ cmake --build --preset asan -j "$(nproc)"
 
 # The FFT/pool surface plus the seeded reader and parser fuzzing; the full
 # suite also runs clean but takes much longer under the sanitizer.
-ASAN_TESTS='Fft|Dft|Correlat|Twiddle|SketchPool|OddK|Sketcher|Metrics|MetricsSnapshot|MetricsTicker|Golden|EpsilonDelta|DyadicFactor|TraceRecorder|Audit|LruSketchCache|QueryEngine|ParseBatch|Serve|Admission|Snapshot|CodeKernels|CodePool|Quant|Growing|Streaming|StreamServe|BuildSuccessor|AppendPiece|Sparse|CorruptionRobustness|CodeFilter|NearestCandidate|KnnLookupOrder'
+ASAN_TESTS='Fft|Dft|Correlat|Twiddle|SketchPool|OddK|Sketcher|Metrics|MetricsSnapshot|MetricsTicker|Golden|EpsilonDelta|DyadicFactor|TraceRecorder|Audit|LruSketchCache|QueryEngine|ParseBatch|Serve|Admission|Snapshot|CodeKernels|CodePool|Quant|Growing|Streaming|StreamServe|BuildSuccessor|AppendPiece|Sparse|CorruptionRobustness|CodeFilter|NearestCandidate|KnnLookupOrder|KMeans|SketchBackend|CountRejection|NearestCentroidRejection'
 
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir build-asan --output-on-failure \

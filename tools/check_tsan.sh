@@ -14,7 +14,7 @@ cmake --build --preset tsan -j "$(nproc)"
 
 # The parallel surface; everything else is single-threaded and only slows
 # the (10-20x overhead) sanitizer run down.
-TSAN_TESTS='ParallelFor|ParallelSketch|DefaultThreadCount|SketchPool|CorrelationPlan|OnDemand|KMeans|SketchBackend|Metrics|MetricsSnapshot|MetricsTicker|TraceRecorder|Audit|LruSketchCache|QueryEngine|Serve|Admission|Snapshot|CodeKernels|CodePool|Quant|Growing|Streaming|StreamServe|BuildSuccessor|Sparse|Sketcher|CodeFilter|NearestCandidate|KnnLookupOrder'
+TSAN_TESTS='ParallelFor|ParallelSketch|DefaultThreadCount|SketchPool|CorrelationPlan|OnDemand|KMeans|SketchBackend|Metrics|MetricsSnapshot|MetricsTicker|TraceRecorder|Audit|LruSketchCache|QueryEngine|Serve|Admission|Snapshot|CodeKernels|CodePool|Quant|Growing|Streaming|StreamServe|BuildSuccessor|Sparse|Sketcher|CodeFilter|NearestCandidate|KnnLookupOrder|CountRejection|NearestCentroidRejection'
 
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir build-tsan --output-on-failure \
