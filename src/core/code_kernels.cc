@@ -1,5 +1,7 @@
 #include "core/code_kernels.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/logging.h"
@@ -43,6 +45,39 @@ uint64_t SumSquaredDiff16(const uint16_t* a, const uint16_t* b, size_t k) {
     sum += static_cast<uint64_t>(d * d);
   }
   return sum;
+}
+
+void SumBlock(const double* const* tile_rows, size_t tiles, size_t rows,
+              size_t cols, const double* block, double* sums) {
+  // When a NaN sum meets a NaN product, x86 keeps the first operand's
+  // payload. The one-kernel loop, built at -O3, and the AVX2 walk add the
+  // product to the sum; GCC vectorizes this loop's adds with the operands
+  // swapped, so it keeps a NaN sum explicitly.
+  for (size_t t = 0; t < tiles; ++t, sums += kBlockKernels) {
+    double acc[kBlockKernels] = {};
+    const double* kernels = block;
+    for (size_t r = 0; r < rows; ++r) {
+      const double* row = tile_rows[t * rows + r];
+      for (size_t c = 0; c < cols; ++c, kernels += kBlockKernels) {
+        const double x = row[c];
+        for (size_t j = 0; j < kBlockKernels; ++j) {
+          acc[j] = std::isnan(acc[j]) ? acc[j] : acc[j] + x * kernels[j];
+        }
+      }
+    }
+    std::copy_n(acc, kBlockKernels, sums);
+  }
+}
+
+std::optional<size_t> CountAbove(const double* a, const double* b, size_t k,
+                                 double threshold) {
+  size_t above = 0;
+  for (size_t i = 0; i < k; ++i) {
+    const double d = std::fabs(a[i] - b[i]);
+    if (std::isnan(d)) return std::nullopt;
+    above += d > threshold;
+  }
+  return above;
 }
 
 }  // namespace scalar
@@ -100,6 +135,31 @@ uint64_t SumSquaredDiff(const uint16_t* a, const uint16_t* b, size_t k) {
   if (Avx2Active()) return avx2::SumSquaredDiff16(a, b, k);
 #endif
   return scalar::SumSquaredDiff16(a, b, k);
+}
+
+void SumBlock(const double* const* tile_rows, size_t tiles, size_t rows,
+              size_t cols, const double* block, double* sums) {
+#if defined(TABSKETCH_HAVE_AVX2)
+  static_assert(kBlockKernels == avx2::kBlockKernels);
+  if (Avx2Active()) {
+    avx2::SumBlock(tile_rows, tiles, rows, cols, block, sums);
+    return;
+  }
+#endif
+  scalar::SumBlock(tile_rows, tiles, rows, cols, block, sums);
+}
+
+std::optional<size_t> CountAbove(const double* a, const double* b, size_t k,
+                                 double threshold) {
+#if defined(TABSKETCH_HAVE_AVX2)
+  if (Avx2Active()) {
+    bool nan = false;
+    const size_t above = avx2::CountAbove(a, b, k, threshold, &nan);
+    if (nan) return std::nullopt;
+    return above;
+  }
+#endif
+  return scalar::CountAbove(a, b, k, threshold);
 }
 
 namespace {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace tabsketch::core::kernels {
@@ -46,6 +47,27 @@ double MedianAbsDiff(const uint16_t* a, const uint16_t* b, size_t k,
 uint64_t SumSquaredDiff(const uint8_t* a, const uint8_t* b, size_t k);
 uint64_t SumSquaredDiff(const uint16_t* a, const uint16_t* b, size_t k);
 
+/// Kernels per block of SketchOf's dense walk (core/sketcher.h). A block
+/// holds 16 kernels interleaved element by element: kernel j's value at
+/// row-major element e is block[e * kBlockKernels + j].
+inline constexpr size_t kBlockKernels = 16;
+
+/// The dense walk over one block: sums[t * kBlockKernels + j] is the dot
+/// product of tile t with kernel j, for `tiles` tiles of rows x cols whose
+/// row r starts at tile_rows[t * rows + r]. Each sum starts at +0.0 and adds
+/// x * kernel for every element x in row-major order, rounding the product
+/// and then the sum, as a one-kernel dot product does; a NaN sum keeps its
+/// payload. The AVX2 walk reads the block once per two tiles, and is
+/// bit-identical to the plain one.
+void SumBlock(const double* const* tile_rows, size_t tiles, size_t rows,
+              size_t cols, const double* block, double* sums);
+
+/// How many |a_i - b_i| exceed `threshold`, over k components, or nullopt
+/// when some difference is NaN. The median estimator's rejection count
+/// (DistanceEstimator::ProvablyGreater).
+std::optional<size_t> CountAbove(const double* a, const double* b, size_t k,
+                                 double threshold);
+
 /// True when the AVX2 kernel translation unit was compiled in
 /// (TABSKETCH_SIMD=ON on an x86-64 toolchain).
 bool Avx2CompiledIn();
@@ -53,14 +75,19 @@ bool Avx2CompiledIn();
 /// i.e. the dispatched entry points above take the vector path.
 bool Avx2Active();
 
-/// Scalar reference implementations, always available. The dispatched entry
-/// points above must produce bit-identical results; the code-kernel tests
-/// assert exactly that on whatever hardware they run.
+/// Scalar reference implementations, always available: the plain loops a
+/// TABSKETCH_SIMD=OFF build and a CPU without AVX2 run. The dispatched entry
+/// points above must produce bit-identical results; the code-kernel, sketch
+/// and count tests assert exactly that on whatever hardware they run.
 namespace scalar {
 void AbsDiff8(const uint8_t* a, const uint8_t* b, size_t k, uint16_t* out);
 void AbsDiff16(const uint16_t* a, const uint16_t* b, size_t k, uint16_t* out);
 uint64_t SumSquaredDiff8(const uint8_t* a, const uint8_t* b, size_t k);
 uint64_t SumSquaredDiff16(const uint16_t* a, const uint16_t* b, size_t k);
+void SumBlock(const double* const* tile_rows, size_t tiles, size_t rows,
+              size_t cols, const double* block, double* sums);
+std::optional<size_t> CountAbove(const double* a, const double* b, size_t k,
+                                 double threshold);
 }  // namespace scalar
 
 }  // namespace tabsketch::core::kernels

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 
+#include "core/code_kernels.h"
 #include "core/scale_factor.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -62,16 +64,11 @@ bool DistanceEstimator::ProvablyGreater(std::span<const double> a,
       threshold == std::numeric_limits<double>::infinity()) {
     return false;
   }
-  const size_t k = a.size();
-  size_t above = 0;
-  for (size_t i = 0; i < k; ++i) {
-    const double d = std::fabs(a[i] - b[i]);
-    // nth_element over a NaN can return a finite median that wins, so a NaN
-    // difference gets the full estimate.
-    if (std::isnan(d)) return false;
-    above += d > threshold;
-  }
-  return above >= k / 2 + 1;
+  // nth_element over a NaN can return a finite median that wins, so a NaN
+  // difference (no count) gets the full estimate.
+  const std::optional<size_t> above =
+      kernels::CountAbove(a.data(), b.data(), a.size(), threshold);
+  return above && *above >= a.size() / 2 + 1;
 }
 
 double DistanceEstimator::Estimate(std::span<const double> a,

@@ -8,10 +8,7 @@
 #include <tuple>
 #include <utility>
 
-#if defined(TABSKETCH_HAVE_SSE2)
-#include <emmintrin.h>
-#endif
-
+#include "core/code_kernels.h"
 #include "core/stable_matrix.h"
 #include "fft/correlate.h"
 #include "util/logging.h"
@@ -35,9 +32,7 @@ util::Status WindowFitError(size_t window_rows, size_t window_cols,
   return util::Status::InvalidArgument(msg.str());
 }
 
-/// Kernels per block of SketchOf's dense walk: 16 independent sums, which
-/// is eight SSE2 registers.
-constexpr size_t kBlockKernels = 16;
+using kernels::kBlockKernels;
 
 /// What Sketcher::kernel_sets_generated() reports.
 std::atomic<size_t> kernel_sets{0};
@@ -59,62 +54,38 @@ const auto& Cached(std::mutex* mutex, Map* map, size_t rows, size_t cols,
   return entry->kernels;
 }
 
-// Sums one block: sums[j] is the dot product of `view` with kernel j of
-// `block`, whose kernels are interleaved element by element. Every sum
-// starts at +0.0 and adds x * kernel in row-major order, rounding the
-// product and then the sum, exactly as a one-kernel dot product would.
-// When a NaN sum meets a NaN product, x86 keeps the first operand's
-// payload; the one-kernel loop, built at -O3, adds the product to the sum,
-// and so do the SSE2 adds. GCC vectorizes the plain walk's adds with the
-// operands swapped, so the plain walk keeps a NaN sum explicitly.
-#if defined(TABSKETCH_HAVE_SSE2)
-// Aligned loads: every block and every element's 16 values start at a
-// multiple of 128 bytes from the vector's 16-byte-aligned storage.
-static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= 16);
+/// SketchEach's fan-out unit: at most 16 tiles, which share each block
+/// while it sits in cache (DESIGN.md Section 5).
+constexpr size_t kGroupTiles = 16;
 
-void SumBlock(const table::TableView& view, const double* block,
-              double* sums) {
-  __m128d s0 = _mm_setzero_pd();
-  __m128d s1 = s0, s2 = s0, s3 = s0, s4 = s0, s5 = s0, s6 = s0, s7 = s0;
-  for (size_t r = 0; r < view.rows(); ++r) {
-    const double* row = view.Row(r).data();
-    for (size_t c = 0; c < view.cols(); ++c, block += kBlockKernels) {
-      const __m128d x = _mm_set1_pd(row[c]);
-      s0 = _mm_add_pd(s0, _mm_mul_pd(x, _mm_load_pd(block)));
-      s1 = _mm_add_pd(s1, _mm_mul_pd(x, _mm_load_pd(block + 2)));
-      s2 = _mm_add_pd(s2, _mm_mul_pd(x, _mm_load_pd(block + 4)));
-      s3 = _mm_add_pd(s3, _mm_mul_pd(x, _mm_load_pd(block + 6)));
-      s4 = _mm_add_pd(s4, _mm_mul_pd(x, _mm_load_pd(block + 8)));
-      s5 = _mm_add_pd(s5, _mm_mul_pd(x, _mm_load_pd(block + 10)));
-      s6 = _mm_add_pd(s6, _mm_mul_pd(x, _mm_load_pd(block + 12)));
-      s7 = _mm_add_pd(s7, _mm_mul_pd(x, _mm_load_pd(block + 14)));
+/// The dense walk over `views` (at most kGroupTiles, one shape): for each
+/// block of `blocked` in turn, every view's sums against it, written into
+/// the matching `out` sketch. A padded lane of the last block may sum to
+/// NaN (inf * 0); it is dropped.
+void SumGroup(std::span<const table::TableView> views,
+              const std::vector<double>& blocked, size_t k,
+              std::span<Sketch> out) {
+  const size_t rows = views.front().rows();
+  const size_t cols = views.front().cols();
+  std::vector<const double*> tile_rows;
+  tile_rows.reserve(views.size() * rows);
+  for (const table::TableView& view : views) {
+    for (size_t r = 0; r < rows; ++r) tile_rows.push_back(view.Row(r).data());
+  }
+  for (Sketch& sketch : out) sketch.values.resize(k);
+  const size_t block_values = rows * cols * kBlockKernels;
+  double sums[kGroupTiles * kBlockKernels];
+  for (size_t first = 0; first < k; first += kBlockKernels) {
+    kernels::SumBlock(tile_rows.data(), views.size(), rows, cols,
+                      blocked.data() + first / kBlockKernels * block_values,
+                      sums);
+    const size_t width = std::min(kBlockKernels, k - first);
+    for (size_t t = 0; t < views.size(); ++t) {
+      std::copy_n(sums + t * kBlockKernels, width,
+                  out[t].values.begin() + static_cast<std::ptrdiff_t>(first));
     }
   }
-  _mm_storeu_pd(sums, s0);
-  _mm_storeu_pd(sums + 2, s1);
-  _mm_storeu_pd(sums + 4, s2);
-  _mm_storeu_pd(sums + 6, s3);
-  _mm_storeu_pd(sums + 8, s4);
-  _mm_storeu_pd(sums + 10, s5);
-  _mm_storeu_pd(sums + 12, s6);
-  _mm_storeu_pd(sums + 14, s7);
 }
-#else
-void SumBlock(const table::TableView& view, const double* block,
-              double* sums) {
-  double acc[kBlockKernels] = {};
-  for (size_t r = 0; r < view.rows(); ++r) {
-    const double* row = view.Row(r).data();
-    for (size_t c = 0; c < view.cols(); ++c, block += kBlockKernels) {
-      const double x = row[c];
-      for (size_t j = 0; j < kBlockKernels; ++j) {
-        acc[j] = std::isnan(acc[j]) ? acc[j] : acc[j] + x * block[j];
-      }
-    }
-  }
-  std::copy_n(acc, kBlockKernels, sums);
-}
-#endif
 
 }  // namespace
 
@@ -182,14 +153,15 @@ const std::vector<SparseKernel>& Sketcher::SparseKernelsFor(
 }
 
 const std::vector<double>& Sketcher::BlockedKernelsFor(size_t rows,
-                                                       size_t cols) const {
+                                                       size_t cols,
+                                                       size_t threads) const {
   return Cached(&cache_->mutex, &cache_->blocked, rows, cols, [&] {
     // Kernel by kernel from the generator, so no row-major set is built
     // (StableMatrixTest.BatchMatchesIndividual: these are MatricesFor's).
     const size_t elements = rows * cols;
     const size_t blocks = (params_.k + kBlockKernels - 1) / kBlockKernels;
     std::vector<double> blocked(blocks * elements * kBlockKernels, 0.0);
-    for (size_t i = 0; i < params_.k; ++i) {
+    util::ParallelFor(params_.k, threads, [&](size_t i) {
       const table::Matrix kernel = StableRandomMatrix(params_, i, rows, cols);
       double* out = blocked.data() +
                     (i / kBlockKernels) * elements * kBlockKernels +
@@ -198,7 +170,7 @@ const std::vector<double>& Sketcher::BlockedKernelsFor(size_t rows,
         *out = value;
         out += kBlockKernels;
       }
-    }
+    });
     return blocked;
   });
 }
@@ -229,18 +201,35 @@ Sketch Sketcher::SketchOf(const table::TableView& view) const {
     }
     return out;
   }
-  // One pass over the view per block of 16 kernels. A padded lane of the
-  // last block may sum to NaN (inf * 0); it is dropped.
-  const std::vector<double>& blocked =
-      BlockedKernelsFor(view.rows(), view.cols());
-  const size_t block_values = view.size() * kBlockKernels;
-  double sums[kBlockKernels];
-  for (size_t first = 0; first < params_.k; first += kBlockKernels) {
-    SumBlock(view, blocked.data() + first / kBlockKernels * block_values,
-             sums);
-    std::copy_n(sums, std::min(kBlockKernels, params_.k - first),
-                out.values.begin() + static_cast<std::ptrdiff_t>(first));
+  SumGroup({&view, 1}, BlockedKernelsFor(view.rows(), view.cols(), 1),
+           params_.k, {&out, 1});
+  return out;
+}
+
+std::vector<Sketch> Sketcher::SketchEach(
+    std::span<const table::TableView> views, size_t threads) const {
+  std::vector<Sketch> out(views.size());
+  if (params_.sparsity < 1.0 || views.empty()) {
+    util::ParallelFor(views.size(), threads,
+                      [&](size_t i) { out[i] = SketchOf(views[i]); });
+    return out;
   }
+  const size_t rows = views.front().rows();
+  const size_t cols = views.front().cols();
+  for (const table::TableView& view : views) {
+    TABSKETCH_CHECK(!view.empty()) << "cannot sketch an empty subtable";
+    TABSKETCH_CHECK(view.rows() == rows && view.cols() == cols)
+        << "SketchEach over views of different shapes";
+  }
+  TABSKETCH_METRIC_COUNT_N("sketcher.sketch_of.calls", views.size());
+  const std::vector<double>& blocked = BlockedKernelsFor(rows, cols, threads);
+  const size_t groups = (views.size() + kGroupTiles - 1) / kGroupTiles;
+  util::ParallelFor(groups, threads, [&](size_t g) {
+    const size_t first = g * kGroupTiles;
+    const size_t count = std::min(kGroupTiles, views.size() - first);
+    SumGroup(views.subspan(first, count), blocked, params_.k,
+             std::span<Sketch>(out).subspan(first, count));
+  });
   return out;
 }
 

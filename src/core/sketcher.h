@@ -110,8 +110,18 @@ class Sketcher {
   /// 16 independent sums, one per kernel. Each sum starts at +0.0 and adds
   /// the rounded product of every element in row-major order, with no
   /// fused multiply-add, so it equals the one-kernel-at-a-time dot product
-  /// bit for bit (DESIGN.md Section 5).
+  /// bit for bit (DESIGN.md Section 5). It is SketchEach's one-view case.
   Sketch SketchOf(const table::TableView& view) const;
+
+  /// SketchOf of every view, bit for bit, over `threads`; the views must
+  /// share one shape. The dense walk first generates the shape's kernels
+  /// over `threads` if no caller has, then fans groups of up to 16 views
+  /// over `threads` and sums each group against one block of kernels at a
+  /// time, so a block is read from memory once per group rather than once
+  /// per view. A sparse family runs SketchOf on each view. Counts one
+  /// sketcher.sketch_of.calls per view.
+  std::vector<Sketch> SketchEach(std::span<const table::TableView> views,
+                                 size_t threads = 1) const;
 
   /// A window shape: (rows, cols).
   using WindowShape = std::pair<size_t, size_t>;
@@ -191,8 +201,11 @@ class Sketcher {
 
   explicit Sketcher(const SketchParams& params);
 
-  /// The k kernels of a window shape in SketchOf's blocked layout (cached).
-  const std::vector<double>& BlockedKernelsFor(size_t rows, size_t cols) const;
+  /// The k kernels of a window shape in SketchOf's blocked layout (cached),
+  /// generated over `threads` by whichever caller comes first. Each kernel
+  /// fills only its own lanes, so the bytes do not depend on `threads`.
+  const std::vector<double>& BlockedKernelsFor(size_t rows, size_t cols,
+                                               size_t threads) const;
 
   SketchParams params_;
   std::shared_ptr<MatrixCache> cache_;

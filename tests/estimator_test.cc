@@ -5,8 +5,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
+#include "core/code_kernels.h"
 #include "core/estimator.h"
 #include "core/lp_distance.h"
 #include "core/sketcher.h"
@@ -347,6 +349,64 @@ TEST(CountRejectionTest, NaNDifferenceAlwaysGetsTheFullEstimate) {
           }
         }
       }
+    }
+  }
+}
+
+TEST(CountRejectionTest, DispatchedCountMatchesPlainCount) {
+  // The AVX2 count runs four components a step and the rest in a tail, so
+  // each k puts the specials in the vector body, the tail or both.
+  const double nan = NaNWithPayload(0x7ff8000000000001ULL);
+  const std::vector<double> thresholds = {
+      0.0, -0.0, kDenormMin, kMinNormal / 2, kMinNormal, 1.0, 1e300, kInf};
+  for (const size_t k : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                         size_t{5}, size_t{7}, size_t{64}, size_t{256}}) {
+    SCOPED_TRACE(k);
+    rng::Xoshiro256 gen(k * 11 + 5);
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<double> a(k), b(k);
+      const double magnitude =
+          std::ldexp(1.0, static_cast<int>(gen.NextBounded(80)) - 40);
+      for (size_t i = 0; i < k; ++i) {
+        const bool special = trial % 2 == 0 && gen.NextBounded(4) == 0;
+        a[i] = RandomComponent(gen, magnitude, special);
+        b[i] = trial % 5 == 1 ? a[i] : RandomComponent(gen, magnitude, special);
+      }
+      if (trial % 7 == 3) a[gen.NextBounded(k)] = nan;  // body or tail
+      const double drawn = magnitude * gen.NextDouble();
+      for (const double threshold : {drawn, thresholds[trial % 8]}) {
+        EXPECT_EQ(kernels::CountAbove(a.data(), b.data(), k, threshold),
+                  kernels::scalar::CountAbove(a.data(), b.data(), k,
+                                              threshold))
+            << "trial " << trial << " threshold " << threshold;
+      }
+    }
+    // ±0 differences, and ±inf ones against every threshold.
+    const std::vector<double> zeros(k, 0.0);
+    std::vector<double> signed_zeros(k), infs(k);
+    for (size_t i = 0; i < k; ++i) {
+      signed_zeros[i] = i % 2 == 0 ? -0.0 : 0.0;
+      infs[i] = i % 3 == 0 ? -kInf : kInf;
+    }
+    for (const double threshold : thresholds) {
+      EXPECT_EQ(kernels::CountAbove(zeros.data(), signed_zeros.data(), k,
+                                    threshold),
+                kernels::scalar::CountAbove(zeros.data(), signed_zeros.data(),
+                                            k, threshold));
+      EXPECT_EQ(kernels::CountAbove(infs.data(), zeros.data(), k, threshold),
+                kernels::scalar::CountAbove(infs.data(), zeros.data(), k,
+                                            threshold));
+    }
+    // One NaN anywhere, in the vector body or the tail, means no count.
+    for (size_t at = 0; at < k; ++at) {
+      std::vector<double> a(k, 1e10);
+      a[at] = nan;
+      EXPECT_EQ(kernels::CountAbove(a.data(), zeros.data(), k, 1.0),
+                std::nullopt)
+          << at;
+      EXPECT_EQ(kernels::scalar::CountAbove(a.data(), zeros.data(), k, 1.0),
+                std::nullopt)
+          << at;
     }
   }
 }

@@ -9,10 +9,12 @@
 
 #include "core/estimator.h"
 #include "core/lp_distance.h"
+#include "core/ondemand.h"
 #include "core/sketcher.h"
 #include "core/stable_matrix.h"
 #include "rng/xoshiro256.h"
 #include "table/matrix.h"
+#include "table/tiling.h"
 
 namespace tabsketch::core {
 namespace {
@@ -324,6 +326,38 @@ constexpr std::pair<size_t, size_t> kPinShapes[] = {
     {1, 1}, {3, 5}, {7, 13}, {16, 144}};
 constexpr size_t kPinKs[] = {1, 15, 16, 17, 64, 256};
 
+/// The edge-value tables: each patches a window of a wider parent at
+/// (1, 3), spread over its elements in row-major order, so sums turn NaN,
+/// +-inf, a signed zero or subnormal. No table lets two different NaNs meet
+/// in one add: which payload survives then follows the compiler's operand
+/// order, even in the one-kernel loop (GCC at -O2 under ThreadSanitizer
+/// swaps them).
+std::vector<table::Matrix> EdgeValueParents(size_t rows, size_t cols) {
+  const double quiet_nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<std::vector<double>> cases = {
+      {quiet_nan},        {-std::nan("0x2bad")}, {inf},
+      {-inf},             {inf, -inf},           {-inf, 1.0, quiet_nan},
+      {tiny, -1e-310, -tiny}};
+  std::vector<table::Matrix> parents;
+  for (const std::vector<double>& values : cases) {
+    table::Matrix parent = RandomTable(rows + 3, cols + 7, 33, 200.0);
+    const size_t size = rows * cols;
+    for (size_t i = 0; i < values.size() && i < size; ++i) {
+      const size_t e = i * size / values.size();
+      parent(1 + e / cols, 3 + e % cols) = values[i];
+    }
+    parents.push_back(std::move(parent));
+  }
+  table::Matrix zeros = RandomTable(rows + 3, cols + 7, 34);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) zeros(1 + r, 3 + c) = -0.0;
+  }
+  parents.push_back(std::move(zeros));
+  return parents;
+}
+
 TEST(SketcherBlockedWalkTest, MatchesOneKernelLoopBitForBit) {
   const table::Matrix parent = RandomTable(24, 160, 31, 200.0);
   for (const size_t k : kPinKs) {
@@ -340,43 +374,103 @@ TEST(SketcherBlockedWalkTest, MatchesOneKernelLoopBitForBit) {
 }
 
 TEST(SketcherBlockedWalkTest, MatchesOneKernelLoopOnEdgeValues) {
-  // Each case patches a strided window of a wider parent, spread over its
-  // elements in row-major order, so sums turn NaN, +-inf, a signed zero or
-  // subnormal. No window lets two different NaNs meet in one add: which
-  // payload survives then follows the compiler's operand order, even in
-  // the one-kernel loop (GCC at -O2 under ThreadSanitizer swaps them).
-  const double quiet_nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  const double tiny = std::numeric_limits<double>::denorm_min();
-  const std::vector<std::vector<double>> cases = {
-      {quiet_nan},        {-std::nan("0x2bad")}, {inf},
-      {-inf},             {inf, -inf},           {-inf, 1.0, quiet_nan},
-      {tiny, -1e-310, -tiny}};
   for (const size_t k : kPinKs) {
     const Sketcher sketcher =
         Sketcher::Create({.p = 2.0, .k = k, .seed = 9}).value();
     for (const auto& [rows, cols] : kPinShapes) {
-      std::vector<table::Matrix> parents;
-      for (const std::vector<double>& values : cases) {
-        table::Matrix parent = RandomTable(rows + 3, cols + 7, 33, 200.0);
-        const size_t size = rows * cols;
-        for (size_t i = 0; i < values.size() && i < size; ++i) {
-          const size_t e = i * size / values.size();
-          parent(1 + e / cols, 3 + e % cols) = values[i];
-        }
-        parents.push_back(std::move(parent));
-      }
-      table::Matrix zeros = RandomTable(rows + 3, cols + 7, 34);
-      for (size_t r = 0; r < rows; ++r) {
-        for (size_t c = 0; c < cols; ++c) zeros(1 + r, 3 + c) = -0.0;
-      }
-      parents.push_back(std::move(zeros));
-      for (const table::Matrix& parent : parents) {
+      for (const table::Matrix& parent : EdgeValueParents(rows, cols)) {
         const table::TableView view = parent.Window(1, 3, rows, cols);
         EXPECT_TRUE(SameBytes(OneKernelAtATime(sketcher, view),
                               sketcher.SketchOf(view).values))
             << "k=" << k << " shape " << rows << "x" << cols;
       }
+    }
+  }
+}
+
+TEST(SketcherBulkWalkTest, EveryTileMatchesOneKernelLoopBitForBit) {
+  // Grids of 1, 2, 15, 16, 17 and 33 tiles: one tile, one register pass,
+  // odd and full groups, and a ragged last group.
+  for (const size_t k : kPinKs) {
+    for (const auto& [rows, cols] : kPinShapes) {
+      for (const size_t tiles : {1, 2, 15, 16, 17, 33}) {
+        const table::Matrix data =
+            RandomTable(rows, cols * tiles + cols / 2, 40 + tiles, 200.0);
+        const table::TileGrid grid =
+            table::TileGrid::Create(&data, rows, cols).value();
+        ASSERT_EQ(grid.num_tiles(), tiles);
+        for (const size_t threads : {1, 3, 4}) {
+          // A fresh sketcher per run, so each thread count also generates.
+          const Sketcher sketcher =
+              Sketcher::Create({.p = 1.0, .k = k, .seed = 8}).value();
+          const std::vector<Sketch> sketches =
+              SketchAllTilesParallel(sketcher, grid, threads);
+          ASSERT_EQ(sketches.size(), tiles);
+          for (size_t t = 0; t < tiles; ++t) {
+            EXPECT_TRUE(SameBytes(OneKernelAtATime(sketcher, grid.Tile(t)),
+                                  sketches[t].values))
+                << "k=" << k << " shape " << rows << "x" << cols << " tiles "
+                << tiles << " threads " << threads << " tile " << t;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SketcherBulkWalkTest, EdgeValuesInBothTilesOfOnePass) {
+  // Each edge table's window is both tiles of one two-tile register pass,
+  // once beside a plain tile and once beside itself, at every place a pass
+  // can take in a group.
+  for (const size_t k : kPinKs) {
+    const Sketcher sketcher =
+        Sketcher::Create({.p = 2.0, .k = k, .seed = 9}).value();
+    for (const auto& [rows, cols] : kPinShapes) {
+      const table::Matrix plain = RandomTable(rows, cols, 35, 200.0);
+      for (const table::Matrix& parent : EdgeValueParents(rows, cols)) {
+        const table::TableView edge = parent.Window(1, 3, rows, cols);
+        const std::vector<table::TableView> views = {
+            edge, plain.View(), plain.View(), edge, edge, edge};
+        const std::vector<Sketch> sketches = sketcher.SketchEach(views, 2);
+        for (size_t v = 0; v < views.size(); ++v) {
+          EXPECT_TRUE(SameBytes(OneKernelAtATime(sketcher, views[v]),
+                                sketches[v].values))
+              << "k=" << k << " shape " << rows << "x" << cols << " view "
+              << v;
+        }
+      }
+    }
+  }
+}
+
+TEST(SketcherKernelCacheTest, BulkWalkRacingSketchOfGeneratesTheShapeOnce) {
+  const table::Matrix data = RandomTable(32, 7 * 20, 6);
+  const table::TileGrid grid = table::TileGrid::Create(&data, 8, 7).value();
+  const Sketcher sketcher =
+      Sketcher::Create({.p = 1.0, .k = 40, .seed = 4}).value();
+  const size_t before = Sketcher::kernel_sets_generated();
+  std::vector<Sketch> bulk;
+  std::vector<std::vector<Sketch>> single(4);
+  std::vector<std::thread> threads;
+  threads.emplace_back(
+      [&] { bulk = SketchAllTilesParallel(sketcher, grid, 4); });
+  for (size_t t = 0; t < single.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = t; i < grid.num_tiles(); i += 7) {
+        single[t].push_back(sketcher.SketchOf(grid.Tile(i)));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(Sketcher::kernel_sets_generated() - before, 1u);
+  ASSERT_EQ(bulk.size(), grid.num_tiles());
+  for (size_t i = 0; i < grid.num_tiles(); ++i) {
+    EXPECT_TRUE(SameBytes(OneKernelAtATime(sketcher, grid.Tile(i)),
+                          bulk[i].values));
+  }
+  for (size_t t = 0; t < single.size(); ++t) {
+    for (size_t n = 0; n < single[t].size(); ++n) {
+      EXPECT_TRUE(SameBytes(bulk[t + 7 * n].values, single[t][n].values));
     }
   }
 }
