@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
 
   // Materialize every tile sketch once (budget 0 keeps them all); scans
   // below are pure reads.
-  LruSketchCache warm(&*sketcher, &*grid, {.capacity_bytes = 0});
+  LruSketchCache warm(&*sketcher, &*grid, 0);
   std::vector<std::shared_ptr<const tabsketch::core::Sketch>> sketches(tiles);
   for (size_t i = 0; i < tiles; ++i) sketches[i] = warm.Get(i);
 

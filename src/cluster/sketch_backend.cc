@@ -31,11 +31,11 @@ util::Result<SketchBackend> SketchBackend::Create(
         core::SketchAllTilesParallel(*backend.sketcher_, *grid, threads));
   } else {
     // As in serve::Snapshot, the code tier's bytes come off the budget.
-    core::LruSketchCache::Options options;
-    options.capacity_bytes = core::QuantizedCodePool::SketchCacheBudget(
-        cache_bytes, quant, grid->num_tiles(), params.k);
     backend.cache_ = std::make_unique<core::LruSketchCache>(
-        backend.sketcher_.get(), grid, options);
+        backend.sketcher_.get(), grid,
+        core::QuantizedCodePool::SketchCacheBudget(cache_bytes, quant,
+                                                   grid->num_tiles(),
+                                                   params.k));
   }
   if (quant != core::QuantKind::kOff) {
     // Built through the cache so peak memory stays bounded even when the

@@ -14,39 +14,6 @@ namespace tabsketch::core::kernels {
 
 namespace scalar {
 
-void AbsDiff8(const uint8_t* a, const uint8_t* b, size_t k, uint16_t* out) {
-  for (size_t i = 0; i < k; ++i) {
-    const int d = static_cast<int>(a[i]) - static_cast<int>(b[i]);
-    out[i] = static_cast<uint16_t>(d < 0 ? -d : d);
-  }
-}
-
-void AbsDiff16(const uint16_t* a, const uint16_t* b, size_t k,
-               uint16_t* out) {
-  for (size_t i = 0; i < k; ++i) {
-    const int d = static_cast<int>(a[i]) - static_cast<int>(b[i]);
-    out[i] = static_cast<uint16_t>(d < 0 ? -d : d);
-  }
-}
-
-uint64_t SumSquaredDiff8(const uint8_t* a, const uint8_t* b, size_t k) {
-  uint64_t sum = 0;
-  for (size_t i = 0; i < k; ++i) {
-    const int64_t d = static_cast<int64_t>(a[i]) - static_cast<int64_t>(b[i]);
-    sum += static_cast<uint64_t>(d * d);
-  }
-  return sum;
-}
-
-uint64_t SumSquaredDiff16(const uint16_t* a, const uint16_t* b, size_t k) {
-  uint64_t sum = 0;
-  for (size_t i = 0; i < k; ++i) {
-    const int64_t d = static_cast<int64_t>(a[i]) - static_cast<int64_t>(b[i]);
-    sum += static_cast<uint64_t>(d * d);
-  }
-  return sum;
-}
-
 void SumBlock(const double* const* tile_rows, size_t tiles, size_t rows,
               size_t cols, const double* block, double* sums) {
   // When a NaN sum meets a NaN product, x86 keeps the first operand's
@@ -82,14 +49,6 @@ std::optional<size_t> CountAbove(const double* a, const double* b, size_t k,
 
 }  // namespace scalar
 
-bool Avx2CompiledIn() {
-#if defined(TABSKETCH_HAVE_AVX2)
-  return true;
-#else
-  return false;
-#endif
-}
-
 bool Avx2Active() {
 #if defined(TABSKETCH_HAVE_AVX2)
   static const bool active = __builtin_cpu_supports("avx2") > 0;
@@ -97,44 +56,6 @@ bool Avx2Active() {
 #else
   return false;
 #endif
-}
-
-void AbsDiff(const uint8_t* a, const uint8_t* b, size_t k,
-             std::vector<uint16_t>* diff) {
-  diff->resize(k);
-#if defined(TABSKETCH_HAVE_AVX2)
-  if (Avx2Active()) {
-    avx2::AbsDiff8(a, b, k, diff->data());
-    return;
-  }
-#endif
-  scalar::AbsDiff8(a, b, k, diff->data());
-}
-
-void AbsDiff(const uint16_t* a, const uint16_t* b, size_t k,
-             std::vector<uint16_t>* diff) {
-  diff->resize(k);
-#if defined(TABSKETCH_HAVE_AVX2)
-  if (Avx2Active()) {
-    avx2::AbsDiff16(a, b, k, diff->data());
-    return;
-  }
-#endif
-  scalar::AbsDiff16(a, b, k, diff->data());
-}
-
-uint64_t SumSquaredDiff(const uint8_t* a, const uint8_t* b, size_t k) {
-#if defined(TABSKETCH_HAVE_AVX2)
-  if (Avx2Active()) return avx2::SumSquaredDiff8(a, b, k);
-#endif
-  return scalar::SumSquaredDiff8(a, b, k);
-}
-
-uint64_t SumSquaredDiff(const uint16_t* a, const uint16_t* b, size_t k) {
-#if defined(TABSKETCH_HAVE_AVX2)
-  if (Avx2Active()) return avx2::SumSquaredDiff16(a, b, k);
-#endif
-  return scalar::SumSquaredDiff16(a, b, k);
 }
 
 void SumBlock(const double* const* tile_rows, size_t tiles, size_t rows,
@@ -164,6 +85,29 @@ std::optional<size_t> CountAbove(const double* a, const double* b, size_t k,
 
 namespace {
 
+/// Elementwise |a - b| over `k` codes into `*diff` (resized to k, element
+/// order preserved).
+template <typename Code>
+void AbsDiff(const Code* a, const Code* b, size_t k,
+             std::vector<uint16_t>* diff) {
+  diff->resize(k);
+  uint16_t* out = diff->data();
+  for (size_t i = 0; i < k; ++i) {
+    const int d = static_cast<int>(a[i]) - static_cast<int>(b[i]);
+    out[i] = static_cast<uint16_t>(d < 0 ? -d : d);
+  }
+}
+
+template <typename Code>
+uint64_t SumSquares(const Code* a, const Code* b, size_t k) {
+  uint64_t sum = 0;
+  for (size_t i = 0; i < k; ++i) {
+    const int64_t d = static_cast<int64_t>(a[i]) - static_cast<int64_t>(b[i]);
+    sum += static_cast<uint64_t>(d * d);
+  }
+  return sum;
+}
+
 /// The value holding the r0-th and r1-th order statistics (0-based,
 /// r0 <= r1, both < total count) of a 256-bucket count histogram, averaged.
 /// Selection over exact integer counts: deterministic however the counts
@@ -182,8 +126,8 @@ double SelectPairFromHistogram(const uint32_t* hist, size_t r0, size_t r1) {
   std::abort();
 }
 
-}  // namespace
-
+/// Median of the `k` differences in `diff`, all below 256: one 256-bucket
+/// counting pass.
 double MedianOfDiffs8(const uint16_t* diff, size_t k, CodeScratch* scratch) {
   TABSKETCH_CHECK(k > 0);
   scratch->hist_hi.assign(256, 0);
@@ -192,6 +136,7 @@ double MedianOfDiffs8(const uint16_t* diff, size_t k, CodeScratch* scratch) {
   return SelectPairFromHistogram(hist, (k - 1) / 2, k / 2);
 }
 
+/// Median of the `k` 16-bit differences in `diff`, by a two-level radix.
 double MedianOfDiffs16(const uint16_t* diff, size_t k, CodeScratch* scratch) {
   TABSKETCH_CHECK(k > 0);
   const size_t r0 = (k - 1) / 2;
@@ -250,6 +195,8 @@ double MedianOfDiffs16(const uint16_t* diff, size_t k, CodeScratch* scratch) {
   return 0.5 * static_cast<double>(v0 + v1);
 }
 
+}  // namespace
+
 double MedianAbsDiff(const uint8_t* a, const uint8_t* b, size_t k,
                      CodeScratch* scratch) {
   AbsDiff(a, b, k, &scratch->diff);
@@ -260,6 +207,14 @@ double MedianAbsDiff(const uint16_t* a, const uint16_t* b, size_t k,
                      CodeScratch* scratch) {
   AbsDiff(a, b, k, &scratch->diff);
   return MedianOfDiffs16(scratch->diff.data(), k, scratch);
+}
+
+uint64_t SumSquaredDiff(const uint8_t* a, const uint8_t* b, size_t k) {
+  return SumSquares(a, b, k);
+}
+
+uint64_t SumSquaredDiff(const uint16_t* a, const uint16_t* b, size_t k) {
+  return SumSquares(a, b, k);
 }
 
 }  // namespace tabsketch::core::kernels

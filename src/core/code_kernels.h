@@ -19,24 +19,11 @@ struct CodeScratch {
   std::vector<uint32_t> hist_lo1;
 };
 
-/// Elementwise |a - b| over `k` codes into `*diff` (resized to k, element
-/// order preserved). The AVX2 paths widen in-order (cvtepu8/16), so the
-/// buffer contents are byte-identical to the scalar fallback — the layout a
-/// NEON port must also preserve.
-void AbsDiff(const uint8_t* a, const uint8_t* b, size_t k,
-             std::vector<uint16_t>* diff);
-void AbsDiff(const uint16_t* a, const uint16_t* b, size_t k,
-             std::vector<uint16_t>* diff);
-
-/// Median of the `k` integer differences in `diff`, selected by exact
-/// counting (one 256-bucket pass for 8-bit diffs, a two-level high/low-byte
-/// radix for 16-bit). Even k averages the two middle order statistics, so
-/// the result is always an exact x.0 or x.5 — no float accumulation, hence
-/// bit-identical across SIMD variants and platforms. k must be > 0.
-double MedianOfDiffs8(const uint16_t* diff, size_t k, CodeScratch* scratch);
-double MedianOfDiffs16(const uint16_t* diff, size_t k, CodeScratch* scratch);
-
-/// median(|a - b|) over k codes: AbsDiff + MedianOfDiffs.
+/// median(|a - b|) over k codes, selected by exact counting (one 256-bucket
+/// pass for 8-bit codes, a two-level high/low-byte radix for 16-bit). Even k
+/// averages the two middle order statistics, so the result is always an
+/// exact x.0 or x.5 — no float accumulation, hence the same on every
+/// platform. k must be > 0.
 double MedianAbsDiff(const uint8_t* a, const uint8_t* b, size_t k,
                      CodeScratch* scratch);
 double MedianAbsDiff(const uint16_t* a, const uint16_t* b, size_t k,
@@ -68,22 +55,16 @@ void SumBlock(const double* const* tile_rows, size_t tiles, size_t rows,
 std::optional<size_t> CountAbove(const double* a, const double* b, size_t k,
                                  double threshold);
 
-/// True when the AVX2 kernel translation unit was compiled in
-/// (TABSKETCH_SIMD=ON on an x86-64 toolchain).
-bool Avx2CompiledIn();
-/// True when the AVX2 kernels are compiled in AND this CPU supports AVX2 —
-/// i.e. the dispatched entry points above take the vector path.
+/// True when the AVX2 kernels are compiled in (TABSKETCH_SIMD=ON on an
+/// x86-64 toolchain) AND this CPU supports AVX2 — i.e. SumBlock and
+/// CountAbove take the vector path.
 bool Avx2Active();
 
-/// Scalar reference implementations, always available: the plain loops a
-/// TABSKETCH_SIMD=OFF build and a CPU without AVX2 run. The dispatched entry
-/// points above must produce bit-identical results; the code-kernel, sketch
-/// and count tests assert exactly that on whatever hardware they run.
+/// Scalar references for the two dispatched kernels, always available: the
+/// plain loops a TABSKETCH_SIMD=OFF build and a CPU without AVX2 run. The
+/// dispatched entry points above must produce bit-identical results; the
+/// sketch and count tests assert exactly that on whatever hardware they run.
 namespace scalar {
-void AbsDiff8(const uint8_t* a, const uint8_t* b, size_t k, uint16_t* out);
-void AbsDiff16(const uint16_t* a, const uint16_t* b, size_t k, uint16_t* out);
-uint64_t SumSquaredDiff8(const uint8_t* a, const uint8_t* b, size_t k);
-uint64_t SumSquaredDiff16(const uint16_t* a, const uint16_t* b, size_t k);
 void SumBlock(const double* const* tile_rows, size_t tiles, size_t rows,
               size_t cols, const double* block, double* sums);
 std::optional<size_t> CountAbove(const double* a, const double* b, size_t k,

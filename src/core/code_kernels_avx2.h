@@ -9,14 +9,8 @@
 // carry AVX2 instructions into whichever copy the linker keeps.
 
 #include <cstddef>
-#include <cstdint>
 
 namespace tabsketch::core::kernels::avx2 {
-
-void AbsDiff8(const uint8_t* a, const uint8_t* b, size_t k, uint16_t* out);
-void AbsDiff16(const uint16_t* a, const uint16_t* b, size_t k, uint16_t* out);
-uint64_t SumSquaredDiff8(const uint8_t* a, const uint8_t* b, size_t k);
-uint64_t SumSquaredDiff16(const uint16_t* a, const uint16_t* b, size_t k);
 
 /// The sketch walk's block width: four registers of four doubles.
 inline constexpr size_t kBlockKernels = 16;

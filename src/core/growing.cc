@@ -4,8 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "util/parallel.h"
-
 namespace tabsketch::core {
 
 GrowingTableSketcher::GrowingTableSketcher(Sketcher sketcher, size_t num_rows,
@@ -55,7 +53,7 @@ util::Status GrowingTableSketcher::AppendColumns(const table::Matrix& piece,
   }
   table_ = std::make_shared<const table::Matrix>(std::move(grown));
 
-  SketchNewTiles(threads == 0 ? 1 : threads);
+  SketchNewTiles(threads);
   return util::Status::OK();
 }
 
@@ -92,19 +90,20 @@ void GrowingTableSketcher::SketchNewTiles(size_t threads) {
   if (completed_cols <= grid_cols_) return;
   const size_t new_cols = completed_cols - grid_cols_;
 
-  // One job per new tile; results land in fixed slots, so the sketch bytes
-  // (deterministic per tile) and their order are identical for any thread
-  // count.
-  std::vector<std::shared_ptr<const Sketch>> fresh(new_cols * grid_rows_);
-  util::ParallelFor(fresh.size(), threads, [&](size_t job) {
-    const size_t gc = grid_cols_ + job / grid_rows_;
-    const size_t gr = job % grid_rows_;
-    const table::TableView tile = table_->Window(
-        gr * tile_rows_, gc * tile_cols_, tile_rows_, tile_cols_);
-    fresh[job] = std::make_shared<const Sketch>(sketcher_.SketchOf(tile));
-  });
+  // The new tiles column by column, each top to bottom, in one bulk walk;
+  // each sketch is SketchOf of its tile for any thread count.
+  std::vector<table::TableView> tiles;
+  tiles.reserve(new_cols * grid_rows_);
+  for (size_t gc = grid_cols_; gc < completed_cols; ++gc) {
+    for (size_t gr = 0; gr < grid_rows_; ++gr) {
+      tiles.push_back(table_->Window(gr * tile_rows_, gc * tile_cols_,
+                                     tile_rows_, tile_cols_));
+    }
+  }
+  std::vector<Sketch> fresh = sketcher_.SketchEach(tiles, threads);
   for (size_t job = 0; job < fresh.size(); ++job) {
-    sketches_[job % grid_rows_].push_back(std::move(fresh[job]));
+    sketches_[job % grid_rows_].push_back(
+        std::make_shared<const Sketch>(std::move(fresh[job])));
     ++sketches_computed_;
   }
   grid_cols_ = completed_cols;

@@ -37,7 +37,7 @@ class GrowingTableSketcher {
                                                    size_t tile_cols);
 
   /// Appends `piece` (same row count as the table) to the right; sketches
-  /// any tile columns the append completes, fanning the new tiles over
+  /// any tile columns the append completes in one Sketcher::SketchEach over
   /// `threads` workers (bit-identical output for any thread count).
   util::Status AppendColumns(const table::Matrix& piece, size_t threads = 1);
 

@@ -1,7 +1,6 @@
 #include "core/lru_sketch_cache.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "util/logging.h"
@@ -35,23 +34,32 @@ size_t LruSketchCache::EntryBytes(size_t sketch_k) {
 
 LruSketchCache::LruSketchCache(const Sketcher* sketcher,
                                const table::TileGrid* grid,
-                               const Options& options)
+                               size_t capacity_bytes)
     : sketcher_(sketcher),
       grid_(grid),
-      capacity_bytes_(options.capacity_bytes),
-      entry_bytes_(EntryBytes(sketcher->params().k)),
-      shards_(std::max<size_t>(options.shards, 1)),
-      shard_budget_(capacity_bytes_ == 0
-                        ? std::numeric_limits<size_t>::max()
-                        : capacity_bytes_ / shards_.size()) {
-  for (Shard& shard : shards_) {
-    shard.lru.prev = &shard.lru;
-    shard.lru.next = &shard.lru;
-  }
+      capacity_bytes_(capacity_bytes),
+      entry_bytes_(EntryBytes(sketcher->params().k)) {
+  lru_.prev = &lru_;
+  lru_.next = &lru_;
   TABSKETCH_METRIC_GAUGE_SET("lru.cache.capacity_bytes", capacity_bytes_);
 }
 
 LruSketchCache::~LruSketchCache() = default;
+
+size_t LruSketchCache::evictions() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return evictions_;
+}
+
+size_t LruSketchCache::bytes_used() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return bytes_;
+}
+
+size_t LruSketchCache::peak_bytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return peak_bytes_;
+}
 
 void LruSketchCache::Unlink(Entry* entry) {
   entry->prev->next = entry->next;
@@ -60,87 +68,73 @@ void LruSketchCache::Unlink(Entry* entry) {
   entry->next = nullptr;
 }
 
-void LruSketchCache::PushFront(Shard* shard, Entry* entry) {
-  entry->next = shard->lru.next;
-  entry->prev = &shard->lru;
-  shard->lru.next->prev = entry;
-  shard->lru.next = entry;
+void LruSketchCache::PushFront(Entry* entry) {
+  entry->next = lru_.next;
+  entry->prev = &lru_;
+  lru_.next->prev = entry;
+  lru_.next = entry;
 }
 
-size_t LruSketchCache::EvictOverBudget(Shard* shard) {
-  size_t freed = 0;
+void LruSketchCache::EvictOverBudget() {
+  if (capacity_bytes_ == 0) return;  // keep every tile
   size_t evicted = 0;
-  while (shard->bytes > shard_budget_ && shard->lru.prev != &shard->lru) {
-    Entry* coldest = shard->lru.prev;
+  while (bytes_ > capacity_bytes_ && lru_.prev != &lru_) {
+    Entry* coldest = lru_.prev;
     Unlink(coldest);
-    shard->bytes -= entry_bytes_;
-    freed += entry_bytes_;
+    bytes_ -= entry_bytes_;
     ++evicted;
     // Callers still holding the entry or its sketch keep them alive; only
     // the cache's reference dies here.
-    shard->entries.erase(coldest->tile);
+    entries_.erase(coldest->tile);
   }
   if (evicted > 0) {
-    evictions_.fetch_add(evicted, std::memory_order_relaxed);
+    evictions_ += evicted;
     TABSKETCH_METRIC_COUNT_N("lru.cache.evictions", evicted);
   }
-  return freed;
-}
-
-void LruSketchCache::NoteBytesDelta(size_t added, size_t removed) {
-  size_t now;
-  if (added >= removed) {
-    now = bytes_.fetch_add(added - removed, std::memory_order_relaxed) +
-          (added - removed);
-  } else {
-    now = bytes_.fetch_sub(removed - added, std::memory_order_relaxed) -
-          (removed - added);
-  }
-  // CAS running maximum; samples are taken after eviction restored the
-  // budget invariant, so the recorded peak reflects steady-state residency.
-  size_t peak = peak_bytes_.load(std::memory_order_relaxed);
-  while (now > peak &&
-         !peak_bytes_.compare_exchange_weak(peak, now,
-                                            std::memory_order_relaxed)) {
-  }
-  RecordPeakBytesMetric(peak_bytes_.load(std::memory_order_relaxed));
 }
 
 std::shared_ptr<const Sketch> LruSketchCache::Get(size_t index,
                                                   bool* computed) {
   TABSKETCH_CHECK(index < grid_->num_tiles())
       << "tile " << index << " out of " << grid_->num_tiles();
-  Shard& shard = ShardFor(index);
   std::shared_ptr<const Sketch> sketch;
   // Held only while the entry's sketch is not built yet, so an eviction in
   // the meantime cannot free it.
   std::shared_ptr<Entry> entry;
   bool inserted = false;
-  size_t removed = 0;
+  size_t peak = 0;
   {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    std::shared_ptr<Entry>& slot = shard.entries[index];
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::shared_ptr<Entry>& slot = entries_[index];
     if (slot == nullptr) {
       // Miss: insert the entry before computing, so concurrent lookups of
       // this tile find it and wait on its once_flag instead of computing.
       slot = std::make_shared<Entry>();
       slot->tile = index;
-      shard.bytes += entry_bytes_;
+      bytes_ += entry_bytes_;
       inserted = true;
-    } else {
+      // A keep-all cache never evicts, so it keeps no recency order: its
+      // lookups skip the list splice, whose writes to neighbouring entries
+      // made concurrent hits contend (4 threads ran no faster than 1).
+      if (capacity_bytes_ != 0) PushFront(slot.get());
+    } else if (capacity_bytes_ != 0) {
       Unlink(slot.get());
+      PushFront(slot.get());
     }
-    PushFront(&shard, slot.get());
     sketch = slot->sketch;
     if (sketch == nullptr) entry = slot;
-    // Last, because eviction may erase `slot` itself.
-    if (inserted) removed = EvictOverBudget(&shard);
+    if (inserted) {
+      // Last, because eviction may erase `slot` itself.
+      EvictOverBudget();
+      peak_bytes_ = std::max(peak_bytes_, bytes_);
+      peak = peak_bytes_;
+    }
   }
-  if (inserted) NoteBytesDelta(entry_bytes_, removed);
+  if (inserted) RecordPeakBytesMetric(peak);
 
   bool ran = false;
   if (sketch == nullptr) {
-    // Outside the shard lock, so a slow sketch never serializes the shard.
+    // Outside the lock, so a slow sketch never serializes other lookups.
     std::call_once(entry->once, [&] {
       std::shared_ptr<const Sketch> built;
       {
@@ -148,7 +142,7 @@ std::shared_ptr<const Sketch> LruSketchCache::Get(size_t index,
         built = std::make_shared<const Sketch>(
             sketcher_->SketchOf(grid_->Tile(index)));
       }
-      std::lock_guard<std::mutex> lock(shard.mutex);
+      std::lock_guard<std::mutex> lock(mutex_);
       entry->sketch = std::move(built);
       ran = true;
     });

@@ -243,25 +243,18 @@ util::Result<std::vector<std::string>> QueryEngine::Run(
   size_t knn_requests = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
     const QueryRequest& request = batch[i];
-    std::ostringstream msg;
-    msg << "request " << i + 1 << ": ";
-    if (request.kind == QueryRequest::Kind::kDistance) {
-      ++distance_requests;
-      if (request.a >= n || request.b >= n) {
-        msg << "tile out of range (tiles=" << n << ")";
-        return util::Status::OutOfRange(msg.str());
-      }
-    } else {
-      ++knn_requests;
-      if (request.a >= n) {
-        msg << "tile out of range (tiles=" << n << ")";
-        return util::Status::OutOfRange(msg.str());
-      }
-      if (request.k == 0 || request.k > n - 1) {
-        msg << "need 1 <= k <= tiles-1, got k=" << request.k
-            << " tiles=" << n;
-        return util::Status::InvalidArgument(msg.str());
-      }
+    const bool distance = request.kind == QueryRequest::Kind::kDistance;
+    ++(distance ? distance_requests : knn_requests);
+    if (request.a >= n || (distance && request.b >= n)) {
+      std::ostringstream msg;
+      msg << "request " << i + 1 << ": tile out of range (tiles=" << n << ")";
+      return util::Status::OutOfRange(msg.str());
+    }
+    if (!distance && (request.k == 0 || request.k > n - 1)) {
+      std::ostringstream msg;
+      msg << "request " << i + 1 << ": need 1 <= k <= tiles-1, got k="
+          << request.k << " tiles=" << n;
+      return util::Status::InvalidArgument(msg.str());
     }
   }
   TABSKETCH_METRIC_COUNT_N("query.requests.distance", distance_requests);

@@ -82,12 +82,11 @@ util::Result<std::shared_ptr<const Snapshot>> Snapshot::Create(
   snapshot->sketcher_ = std::make_unique<core::Sketcher>(std::move(sketcher));
   // The pinned code tier spends part of a positive budget; the sketch cache
   // gets what is left, keeping `cache_bytes` a bound on total sketch memory.
-  core::LruSketchCache::Options options;
-  options.capacity_bytes = core::QuantizedCodePool::SketchCacheBudget(
-      spec.cache_bytes, spec.engine.quant, grid->num_tiles(),
-      snapshot->params_.k);
   snapshot->cache_ = std::make_unique<core::LruSketchCache>(
-      snapshot->sketcher_.get(), grid, options);
+      snapshot->sketcher_.get(), grid,
+      core::QuantizedCodePool::SketchCacheBudget(
+          spec.cache_bytes, spec.engine.quant, grid->num_tiles(),
+          snapshot->params_.k));
   snapshot->description_ = "table " + spec.table_path;
   return Finish(std::move(snapshot), grid->tile_rows(), grid->tile_cols());
 }

@@ -410,7 +410,8 @@ TEST(CliTest, QueryOutputIsByteIdenticalAcrossThreadsAndCaches) {
   }
   {
     // A budget of a few sketches shared by 4 threads: the metrics dump
-    // shows evictions, a residency peak within the budget and every request.
+    // shows evictions, a nonzero residency peak within the budget (the
+    // budget keeps sketches) and every request.
     const std::string json_flag = "--metrics-json=" + json_path;
     const CliRun run =
         RunCli({"query", table_flag.c_str(), "--tile-rows=8", "--tile-cols=8",
@@ -422,6 +423,7 @@ TEST(CliTest, QueryOutputIsByteIdenticalAcrossThreadsAndCaches) {
     const std::string json = ReadWholeFile(json_path);
     EXPECT_GT(MetricValue(json, "lru.cache.evictions"), 0.0) << json;
     EXPECT_EQ(MetricValue(json, "lru.cache.capacity_bytes"), 4096.0);
+    EXPECT_GT(MetricValue(json, "lru.cache.peak_bytes"), 0.0);
     EXPECT_LE(MetricValue(json, "lru.cache.peak_bytes"), 4096.0);
     EXPECT_EQ(MetricValue(json, "query.requests.distance"), 3.0);
     EXPECT_EQ(MetricValue(json, "query.requests.knn"), 3.0);

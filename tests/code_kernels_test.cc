@@ -10,9 +10,8 @@
 namespace tabsketch::core::kernels {
 namespace {
 
-// Lengths that cross every kernel boundary: sub-vector tails, exact SIMD
-// widths, one-past widths, and a large size that exercises the i64 flush
-// logic in the 8-bit squared-sum accumulator.
+// Lengths that cross every vector width a compiler may pick: sub-vector
+// tails, exact widths, one-past widths, and large k.
 const size_t kLengths[] = {1, 2, 3, 7, 8, 15, 16, 17, 31, 32,
                            33, 64, 255, 256, 257, 1000, 4096};
 
@@ -42,8 +41,19 @@ std::vector<uint16_t> RandomCodes16(rng::Xoshiro256* gen, size_t k,
   return codes;
 }
 
+/// |a_i - b_i| for every component, by the obvious loop.
+template <typename Code>
+std::vector<uint16_t> AbsDiffs(const std::vector<Code>& a,
+                               const std::vector<Code>& b) {
+  std::vector<uint16_t> diffs(a.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    diffs[i] = static_cast<uint16_t>(a[i] > b[i] ? a[i] - b[i] : b[i] - a[i]);
+  }
+  return diffs;
+}
+
 /// Reference median via sorting: even k averages the two middle order
-/// statistics, matching the documented contract of MedianOfDiffs.
+/// statistics, matching the documented contract of MedianAbsDiff.
 double SortMedian(std::vector<uint16_t> diffs) {
   std::sort(diffs.begin(), diffs.end());
   const size_t k = diffs.size();
@@ -52,68 +62,38 @@ double SortMedian(std::vector<uint16_t> diffs) {
                 static_cast<double>(diffs[k / 2]));
 }
 
-TEST(CodeKernelsTest, DispatchReportsConsistentCapabilities) {
-  // Active implies compiled-in; both are stable across calls.
-  if (Avx2Active()) {
-    EXPECT_TRUE(Avx2CompiledIn());
+/// sum (a_i - b_i)^2 in u64, one component at a time.
+template <typename Code>
+uint64_t NaiveSumSquares(const std::vector<Code>& a,
+                         const std::vector<Code>& b) {
+  uint64_t sum = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const int64_t d = static_cast<int64_t>(a[i]) - b[i];
+    sum += static_cast<uint64_t>(d * d);
   }
-  EXPECT_EQ(Avx2Active(), Avx2Active());
+  return sum;
 }
 
-TEST(CodeKernelsTest, AbsDiff8MatchesScalarEverywhere) {
-  rng::Xoshiro256 gen(101);
-  for (size_t k : kLengths) {
-    const auto a = RandomCodes8(&gen, k, /*extremes=*/true);
-    const auto b = RandomCodes8(&gen, k, /*extremes=*/false);
-    std::vector<uint16_t> dispatched;
-    AbsDiff(a.data(), b.data(), k, &dispatched);
-    std::vector<uint16_t> reference(k);
-    scalar::AbsDiff8(a.data(), b.data(), k, reference.data());
-    ASSERT_EQ(dispatched, reference) << "k=" << k;
-  }
-}
-
-TEST(CodeKernelsTest, AbsDiff16MatchesScalarEverywhere) {
-  rng::Xoshiro256 gen(202);
-  for (size_t k : kLengths) {
-    const auto a = RandomCodes16(&gen, k, /*extremes=*/true);
-    const auto b = RandomCodes16(&gen, k, /*extremes=*/false);
-    std::vector<uint16_t> dispatched;
-    AbsDiff(a.data(), b.data(), k, &dispatched);
-    std::vector<uint16_t> reference(k);
-    scalar::AbsDiff16(a.data(), b.data(), k, reference.data());
-    ASSERT_EQ(dispatched, reference) << "k=" << k;
-  }
-}
-
-TEST(CodeKernelsTest, SumSquaredDiff8MatchesScalarAndNaive) {
+TEST(CodeKernelsTest, SumSquaredDiff8MatchesNaive) {
   rng::Xoshiro256 gen(303);
   for (size_t k : kLengths) {
     const auto a = RandomCodes8(&gen, k, /*extremes=*/true);
     const auto b = RandomCodes8(&gen, k, /*extremes=*/true);
-    uint64_t naive = 0;
-    for (size_t i = 0; i < k; ++i) {
-      const int64_t d = static_cast<int64_t>(a[i]) - b[i];
-      naive += static_cast<uint64_t>(d * d);
-    }
-    EXPECT_EQ(SumSquaredDiff(a.data(), b.data(), k), naive) << "k=" << k;
-    EXPECT_EQ(scalar::SumSquaredDiff8(a.data(), b.data(), k), naive)
+    EXPECT_EQ(SumSquaredDiff(a.data(), b.data(), k), NaiveSumSquares(a, b))
         << "k=" << k;
   }
+  const size_t k = 4096;
+  const std::vector<uint8_t> full(k, 255), zero(k, 0);
+  EXPECT_EQ(SumSquaredDiff(full.data(), zero.data(), k),
+            uint64_t{255} * 255 * k);
 }
 
-TEST(CodeKernelsTest, SumSquaredDiff16MatchesScalarAndNaive) {
+TEST(CodeKernelsTest, SumSquaredDiff16MatchesNaive) {
   rng::Xoshiro256 gen(404);
   for (size_t k : kLengths) {
     const auto a = RandomCodes16(&gen, k, /*extremes=*/true);
     const auto b = RandomCodes16(&gen, k, /*extremes=*/true);
-    uint64_t naive = 0;
-    for (size_t i = 0; i < k; ++i) {
-      const int64_t d = static_cast<int64_t>(a[i]) - b[i];
-      naive += static_cast<uint64_t>(d * d);
-    }
-    EXPECT_EQ(SumSquaredDiff(a.data(), b.data(), k), naive) << "k=" << k;
-    EXPECT_EQ(scalar::SumSquaredDiff16(a.data(), b.data(), k), naive)
+    EXPECT_EQ(SumSquaredDiff(a.data(), b.data(), k), NaiveSumSquares(a, b))
         << "k=" << k;
   }
 }
@@ -124,37 +104,37 @@ TEST(CodeKernelsTest, SumSquaredDiff16MaxMagnitudeDoesNotOverflow) {
   std::vector<uint16_t> a(k, 65535), b(k, 0);
   const uint64_t expected = uint64_t{65535} * 65535 * k;
   EXPECT_EQ(SumSquaredDiff(a.data(), b.data(), k), expected);
-  EXPECT_EQ(scalar::SumSquaredDiff16(a.data(), b.data(), k), expected);
 }
 
 TEST(CodeKernelsTest, MedianOfDiffs8MatchesSortMedian) {
+  // MedianAbsDiff's 256-bucket select over the 8-bit differences.
   rng::Xoshiro256 gen(505);
   CodeScratch scratch;
   for (size_t k : kLengths) {
     const auto a = RandomCodes8(&gen, k, /*extremes=*/true);
     const auto b = RandomCodes8(&gen, k, /*extremes=*/false);
-    std::vector<uint16_t> diffs(k);
-    scalar::AbsDiff8(a.data(), b.data(), k, diffs.data());
-    EXPECT_EQ(MedianOfDiffs8(diffs.data(), k, &scratch), SortMedian(diffs))
-        << "k=" << k;
     EXPECT_EQ(MedianAbsDiff(a.data(), b.data(), k, &scratch),
-              SortMedian(diffs))
+              SortMedian(AbsDiffs(a, b)))
+        << "k=" << k;
+    // Every difference at its largest.
+    const std::vector<uint8_t> full(k, 255), zero(k, 0);
+    EXPECT_EQ(MedianAbsDiff(zero.data(), full.data(), k, &scratch), 255.0)
         << "k=" << k;
   }
 }
 
 TEST(CodeKernelsTest, MedianOfDiffs16MatchesSortMedian) {
+  // MedianAbsDiff's two-level radix select over the 16-bit differences.
   rng::Xoshiro256 gen(606);
   CodeScratch scratch;
   for (size_t k : kLengths) {
     const auto a = RandomCodes16(&gen, k, /*extremes=*/true);
     const auto b = RandomCodes16(&gen, k, /*extremes=*/false);
-    std::vector<uint16_t> diffs(k);
-    scalar::AbsDiff16(a.data(), b.data(), k, diffs.data());
-    EXPECT_EQ(MedianOfDiffs16(diffs.data(), k, &scratch), SortMedian(diffs))
-        << "k=" << k;
     EXPECT_EQ(MedianAbsDiff(a.data(), b.data(), k, &scratch),
-              SortMedian(diffs))
+              SortMedian(AbsDiffs(a, b)))
+        << "k=" << k;
+    const std::vector<uint16_t> full(k, 65535), zero(k, 0);
+    EXPECT_EQ(MedianAbsDiff(zero.data(), full.data(), k, &scratch), 65535.0)
         << "k=" << k;
   }
 }
@@ -163,9 +143,10 @@ TEST(CodeKernelsTest, EvenKMedianIsExactHalfStep) {
   // Two middle order statistics 3 and 4 -> exactly 3.5, never a float
   // artifact.
   CodeScratch scratch;
-  const std::vector<uint16_t> diffs = {1, 3, 4, 9};
-  EXPECT_EQ(MedianOfDiffs8(diffs.data(), diffs.size(), &scratch), 3.5);
-  EXPECT_EQ(MedianOfDiffs16(diffs.data(), diffs.size(), &scratch), 3.5);
+  const std::vector<uint8_t> a8 = {1, 3, 4, 9}, b8(4, 0);
+  const std::vector<uint16_t> a16 = {0, 3, 4, 9}, b16 = {1, 0, 0, 0};
+  EXPECT_EQ(MedianAbsDiff(a8.data(), b8.data(), 4, &scratch), 3.5);
+  EXPECT_EQ(MedianAbsDiff(a16.data(), b16.data(), 4, &scratch), 3.5);
 }
 
 TEST(CodeKernelsTest, ConstantAndIdenticalInputs) {
@@ -189,13 +170,10 @@ TEST(CodeKernelsTest, ScratchReuseAcrossWidthsAndSizes) {
       const auto b8 = RandomCodes8(&gen, k, false);
       const auto a16 = RandomCodes16(&gen, k, false);
       const auto b16 = RandomCodes16(&gen, k, false);
-      std::vector<uint16_t> d8(k), d16(k);
-      scalar::AbsDiff8(a8.data(), b8.data(), k, d8.data());
-      scalar::AbsDiff16(a16.data(), b16.data(), k, d16.data());
       EXPECT_EQ(MedianAbsDiff(a8.data(), b8.data(), k, &scratch),
-                SortMedian(d8));
+                SortMedian(AbsDiffs(a8, b8)));
       EXPECT_EQ(MedianAbsDiff(a16.data(), b16.data(), k, &scratch),
-                SortMedian(d16));
+                SortMedian(AbsDiffs(a16, b16)));
     }
   }
 }

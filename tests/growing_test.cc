@@ -89,6 +89,35 @@ TEST(GrowingTest, MatchesFromScratchSketching) {
   }
 }
 
+TEST(GrowingTest, ManyTilesInOneAppendMatchBatchSketching) {
+  // The second append completes 9 tile columns x 2 tile rows = 18 tiles in
+  // one bulk walk: a full group of 16 and a ragged group of 2; k = 17 leaves
+  // a ragged last kernel block.
+  const SketchParams params{.p = 1.0, .k = 17, .seed = 9};
+  auto sketcher = Sketcher::Create(params);
+  ASSERT_TRUE(sketcher.ok());
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    auto growing = GrowingTableSketcher::Create(params, 10, 5, 4);
+    ASSERT_TRUE(growing.ok());
+    ASSERT_TRUE(growing->AppendColumns(RandomPiece(10, 6, 41), threads).ok());
+    ASSERT_EQ(growing->num_tiles(), 2u);
+    ASSERT_TRUE(growing->AppendColumns(RandomPiece(10, 34, 42), threads).ok());
+    ASSERT_EQ(growing->num_tiles(), 20u);
+    EXPECT_EQ(growing->sketches_computed(), 20u);
+
+    auto grid = table::TileGrid::Create(&growing->table(), 5, 4);
+    ASSERT_TRUE(grid.ok());
+    const std::vector<Sketch> reference =
+        SketchAllTilesParallel(*sketcher, *grid);
+    const std::vector<Sketch> incremental = growing->SketchesInGridOrder();
+    ASSERT_EQ(reference.size(), incremental.size());
+    for (size_t t = 0; t < reference.size(); ++t) {
+      EXPECT_EQ(reference[t].values, incremental[t].values)
+          << "tile " << t << " on " << threads << " threads";
+    }
+  }
+}
+
 TEST(GrowingTest, NeverRecomputesASketch) {
   SketchParams params{.p = 1.0, .k = 8, .seed = 5};
   auto growing = GrowingTableSketcher::Create(params, 8, 4, 4);

@@ -35,13 +35,11 @@ class LruSketchCacheTest : public ::testing::Test {
         sketcher_(
             Sketcher::Create({.p = 1.0, .k = kSketchK, .seed = 77}).value()) {}
 
-  /// A single-shard cache holding exactly `entries` entries, so eviction
-  /// order and byte math are fully predictable.
+  /// A cache holding exactly `entries` entries, so eviction order and byte
+  /// math are fully predictable.
   LruSketchCache MakeCache(size_t entries) {
-    LruSketchCache::Options options;
-    options.capacity_bytes = LruSketchCache::EntryBytes(kSketchK) * entries;
-    options.shards = 1;
-    return LruSketchCache(&sketcher_, &grid_, options);
+    return LruSketchCache(&sketcher_, &grid_,
+                          LruSketchCache::EntryBytes(kSketchK) * entries);
   }
 
   table::Matrix data_;
@@ -68,7 +66,7 @@ TEST_F(LruSketchCacheTest, ZeroBudgetKeepsEveryTile) {
   // Budget 0 is the paper's scenario (2): each tile is sketched on first use
   // and kept, so a second sweep is all hits and nothing is ever evicted.
   const std::vector<Sketch> eager = SketchAllTilesParallel(sketcher_, grid_);
-  LruSketchCache cache(&sketcher_, &grid_, {.capacity_bytes = 0});
+  LruSketchCache cache(&sketcher_, &grid_, 0);
   const size_t tiles = grid_.num_tiles();
   for (size_t round = 0; round < 2; ++round) {
     for (size_t t = 0; t < tiles; ++t) {
@@ -88,36 +86,31 @@ TEST_F(LruSketchCacheTest, ConcurrentMissesComputeEachTileOnce) {
   // 8 threads, released together, each sweep every tile of a cold keep-all
   // cache 8 times: concurrent lookups of one tile wait for the first instead
   // of computing again, so each tile is computed exactly once and every
-  // other lookup is a hit — with one shard (all tiles behind one mutex) and
-  // with four.
+  // other lookup is a hit.
   const std::vector<Sketch> eager = SketchAllTilesParallel(sketcher_, grid_);
   const size_t tiles = grid_.num_tiles();
   constexpr size_t kThreads = 8;
   constexpr size_t kRounds = 8;
-  for (size_t shards : {size_t{1}, size_t{4}}) {
-    LruSketchCache cache(&sketcher_, &grid_,
-                         {.capacity_bytes = 0, .shards = shards});
-    std::atomic<size_t> computed_lookups{0};
-    std::latch start(kThreads);
-    std::vector<std::thread> threads;
-    for (size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&] {
-        start.arrive_and_wait();
-        for (size_t round = 0; round < kRounds; ++round) {
-          for (size_t tile = 0; tile < tiles; ++tile) {
-            bool computed = false;
-            EXPECT_EQ(cache.Get(tile, &computed)->values, eager[tile].values);
-            if (computed) computed_lookups.fetch_add(1);
-          }
+  LruSketchCache cache(&sketcher_, &grid_, 0);
+  std::atomic<size_t> computed_lookups{0};
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      start.arrive_and_wait();
+      for (size_t round = 0; round < kRounds; ++round) {
+        for (size_t tile = 0; tile < tiles; ++tile) {
+          bool computed = false;
+          EXPECT_EQ(cache.Get(tile, &computed)->values, eager[tile].values);
+          if (computed) computed_lookups.fetch_add(1);
         }
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-    EXPECT_EQ(cache.computed(), tiles) << shards << " shards";
-    EXPECT_EQ(computed_lookups.load(), tiles) << shards << " shards";
-    EXPECT_EQ(cache.hits() + cache.computed(), kThreads * kRounds * tiles)
-        << shards << " shards";
+      }
+    });
   }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(cache.computed(), tiles);
+  EXPECT_EQ(computed_lookups.load(), tiles);
+  EXPECT_EQ(cache.hits() + cache.computed(), kThreads * kRounds * tiles);
 }
 
 TEST_F(LruSketchCacheTest, ByteBudgetEvictionMath) {
@@ -149,6 +142,32 @@ TEST_F(LruSketchCacheTest, ByteBudgetEvictionMath) {
   EXPECT_EQ(cache.computed(), computed_before + 1);
 }
 
+TEST_F(LruSketchCacheTest, SmallBudgetKeepsWhatFits) {
+  // The budget is one pool, never split: room for three entries keeps three
+  // tiles, so a second pass over them is all hits.
+  LruSketchCache cache = MakeCache(3);
+  for (size_t round = 0; round < 2; ++round) {
+    for (size_t t = 0; t < 3; ++t) cache.Get(t);
+  }
+  EXPECT_EQ(cache.computed(), 3u);
+  EXPECT_EQ(cache.hits(), 3u);
+  EXPECT_EQ(cache.evictions(), 0u);
+
+  // 4096 bytes at k = 64 hold six 648-byte entries: six tiles looked up
+  // twice compute six times and hit six times.
+  const Sketcher wide =
+      Sketcher::Create({.p = 1.0, .k = 64, .seed = 77}).value();
+  ASSERT_EQ(4096 / LruSketchCache::EntryBytes(64), 6u);
+  LruSketchCache small(&wide, &grid_, 4096);
+  for (size_t round = 0; round < 2; ++round) {
+    for (size_t t = 0; t < 6; ++t) small.Get(t);
+  }
+  EXPECT_EQ(small.computed(), 6u);
+  EXPECT_EQ(small.hits(), 6u);
+  EXPECT_EQ(small.evictions(), 0u);
+  EXPECT_EQ(small.peak_bytes(), 6 * LruSketchCache::EntryBytes(64));
+}
+
 TEST_F(LruSketchCacheTest, TouchOnHitProtectsHotEntry) {
   LruSketchCache cache = MakeCache(2);
   cache.Get(0);
@@ -166,10 +185,7 @@ TEST_F(LruSketchCacheTest, SubEntryBudgetDegradesToComputeAndRelease) {
   // A budget smaller than one entry can never retain anything: every lookup
   // computes, every insert is immediately evicted, and the returned sketch
   // stays valid because the caller holds shared ownership.
-  LruSketchCache::Options options;
-  options.capacity_bytes = 1;
-  options.shards = 1;
-  LruSketchCache cache(&sketcher_, &grid_, options);
+  LruSketchCache cache(&sketcher_, &grid_, 1);
   const std::vector<Sketch> eager = SketchAllTilesParallel(sketcher_, grid_);
   for (size_t round = 0; round < 2; ++round) {
     for (size_t t = 0; t < grid_.num_tiles(); ++t) {
@@ -214,11 +230,9 @@ TEST_F(LruSketchCacheTest, ConcurrentHammerStaysCorrectAndUnderBudget) {
   // eviction churn must never push residency over budget, and the
   // hit/miss/eviction tallies must be internally consistent.
   const std::vector<Sketch> eager = SketchAllTilesParallel(sketcher_, grid_);
-  LruSketchCache::Options options;
-  options.capacity_bytes =
-      LruSketchCache::EntryBytes(kSketchK) * (grid_.num_tiles() / 4);
-  options.shards = 4;
-  LruSketchCache cache(&sketcher_, &grid_, options);
+  LruSketchCache cache(
+      &sketcher_, &grid_,
+      LruSketchCache::EntryBytes(kSketchK) * (grid_.num_tiles() / 4));
   const size_t tiles = grid_.num_tiles();
   constexpr size_t kRounds = 64;
   util::ParallelFor(tiles * kRounds, 8, [&](size_t i) {
@@ -240,9 +254,8 @@ TEST_F(LruSketchCacheTest, PolymorphicUseThroughInterface) {
   std::vector<std::unique_ptr<TileSketchCache>> caches;
   for (size_t budget :
        {size_t{0}, LruSketchCache::EntryBytes(kSketchK) * 2, size_t{1}}) {
-    caches.push_back(std::make_unique<LruSketchCache>(
-        &sketcher_, &grid_,
-        LruSketchCache::Options{.capacity_bytes = budget, .shards = 1}));
+    caches.push_back(
+        std::make_unique<LruSketchCache>(&sketcher_, &grid_, budget));
   }
   caches.push_back(std::make_unique<FixedSketchSource>(eager));
   for (const auto& cache : caches) {

@@ -252,9 +252,7 @@ TEST(QuantizedCodePoolTest, ParallelBuildMatchesOneThreadOverAnLru) {
   // Budget 0 keeps every tile; a budget of one byte keeps none.
   for (const size_t budget : {size_t{0}, size_t{1}}) {
     for (const size_t threads : {size_t{1}, size_t{4}}) {
-      LruSketchCache::Options options;
-      options.capacity_bytes = budget;
-      LruSketchCache cache(&sketcher, &grid, options);
+      LruSketchCache cache(&sketcher, &grid, budget);
       const QuantizedCodePool pool =
           QuantizedCodePool::Build(&cache, QuantKind::kInt16, params, 8, 8,
                                    threads)

@@ -161,7 +161,7 @@ class QueryEngineTest : public ::testing::Test {
         estimator_(
             core::DistanceEstimator::Create({.p = 1.0, .k = 64, .seed = 5})
                 .value()),
-        cache_(&sketcher_, &grid_, {.capacity_bytes = 0}) {}
+        cache_(&sketcher_, &grid_, 0) {}
 
   std::vector<QueryRequest> MixedBatch() const {
     std::vector<QueryRequest> batch;
@@ -272,7 +272,7 @@ TEST_F(QueryEngineTest, KnnRanksNaNTilesLastInIndexOrder) {
   poisoned.Row(7)[19] = std::numeric_limits<double>::quiet_NaN();  // tile 7
   auto grid = table::TileGrid::Create(&poisoned, 6, 6);
   ASSERT_TRUE(grid.ok());
-  core::LruSketchCache cache(&sketcher_, &*grid, {.capacity_bytes = 0});
+  core::LruSketchCache cache(&sketcher_, &*grid, 0);
   QueryEngine engine(&*grid, &cache, &estimator_, {});
   auto results = engine.Run(batch);
   ASSERT_TRUE(results.ok()) << results.status().ToString();
@@ -296,7 +296,7 @@ TEST_F(QueryEngineTest, KnnRanksNaNTilesLastInIndexOrder) {
 
   // Deterministic: a rerun, on a fresh cache and more threads, reproduces
   // the bytes.
-  core::LruSketchCache fresh(&sketcher_, &*grid, {.capacity_bytes = 0});
+  core::LruSketchCache fresh(&sketcher_, &*grid, 0);
   QueryEngineOptions options;
   options.threads = 4;
   QueryEngine rerun_engine(&*grid, &fresh, &estimator_, options);
@@ -329,7 +329,7 @@ TEST_F(QueryEngineTest, RefinedKnnFindsTheQueryGroupWithExactDistances) {
   auto sketcher = core::Sketcher::Create(params);
   auto estimator = core::DistanceEstimator::Create(params);
   ASSERT_TRUE(sketcher.ok() && estimator.ok());
-  core::LruSketchCache cache(&*sketcher, &*grid, {.capacity_bytes = 0});
+  core::LruSketchCache cache(&*sketcher, &*grid, 0);
   QueryEngineOptions options;
   options.refine = true;
   options.candidates = 15;
@@ -369,12 +369,9 @@ TEST_F(QueryEngineTest, IdenticalAcrossThreadsAndCachePolicies) {
 
   // Every cache policy, including an evict-on-every-lookup LRU budget, and
   // every thread count must reproduce the reference bytes exactly.
-  core::LruSketchCache::Options tiny;
-  tiny.capacity_bytes = 1;
-  tiny.shards = 2;
   std::vector<std::unique_ptr<core::TileSketchCache>> caches;
   caches.push_back(
-      std::make_unique<core::LruSketchCache>(&sketcher_, &grid_, tiny));
+      std::make_unique<core::LruSketchCache>(&sketcher_, &grid_, 1));
   caches.push_back(
       std::make_unique<core::FixedSketchSource>(
           SketchAllTilesParallel(sketcher_, grid_)));
@@ -450,9 +447,7 @@ TEST_F(QueryEngineTest, QuantIsByteIdenticalToOffEverywhere) {
   ASSERT_TRUE(reference.ok());
 
   const core::SketchParams params{.p = 1.0, .k = 64, .seed = 5};
-  core::LruSketchCache::Options tiny;
-  tiny.capacity_bytes = 1;
-  core::LruSketchCache lru(&sketcher_, &grid_, tiny);
+  core::LruSketchCache lru(&sketcher_, &grid_, 1);
   for (core::QuantKind kind :
        {core::QuantKind::kInt8, core::QuantKind::kInt16}) {
     auto pool = core::QuantizedCodePool::Build(&cache_, kind, params,
@@ -508,7 +503,7 @@ TEST_F(QueryEngineTest, QuantHandlesNaNDataIdentically) {
   poisoned.Row(7)[13] = std::numeric_limits<double>::quiet_NaN();
   auto grid = table::TileGrid::Create(&poisoned, 6, 6);
   ASSERT_TRUE(grid.ok());
-  core::LruSketchCache cache(&sketcher_, &*grid, {.capacity_bytes = 0});
+  core::LruSketchCache cache(&sketcher_, &*grid, 0);
   const std::vector<QueryRequest> batch = MixedBatch();
   QueryEngine reference_engine(&*grid, &cache, &estimator_, {});
   auto reference = reference_engine.Run(batch);
@@ -551,8 +546,7 @@ TEST_F(QueryEngineTest, QuantValidatesPoolWiring) {
   table::Matrix small = RandomTable(12, 12, 10);
   auto small_grid = table::TileGrid::Create(&small, 6, 6);
   ASSERT_TRUE(small_grid.ok());
-  core::LruSketchCache small_cache(&sketcher_, &*small_grid,
-                                  {.capacity_bytes = 0});
+  core::LruSketchCache small_cache(&sketcher_, &*small_grid, 0);
   auto small_pool = core::QuantizedCodePool::Build(
       &small_cache, core::QuantKind::kInt8, params, 6, 6);
   ASSERT_TRUE(small_pool.ok());
